@@ -853,7 +853,7 @@ impl Simulation {
             }
         }
 
-        let (trace, metrics) = obs.collect();
+        let (trace, metrics) = obs.take();
         if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &metrics) {
             hub.merge(metrics);
         }

@@ -8,6 +8,9 @@
 //! delays the wake and turns into a performance penalty — the trade
 //! experiment R-F8 sweeps.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mapg_units::{Cycle, Cycles};
 
 use crate::error::MapgError;
@@ -31,9 +34,92 @@ pub struct TokenManager {
     grants: u64,
     delayed_grants: u64,
     delay_cycles: u64,
-    /// Every granted interval, for exact peak-concurrency computation.
-    intervals: Vec<(u64, u64)>,
+    /// Streaming sweep over the granted intervals, for exact peak
+    /// concurrency in O(capacity) memory.
+    ledger: Ledger,
     obs: mapg_obs::ObsHandle,
+}
+
+/// One sweep event: a token taken (`+1`) or released (`-1`) at a cycle.
+/// Ordered by `(cycle, delta)`, so releases sort before takes at the same
+/// instant: a token is held for the half-open `[start, end)`.
+type Event = (u64, i64);
+
+/// An exact sweep-line over granted intervals that forgets each event as
+/// soon as it is final.
+///
+/// Every grant starts at or after the *horizon* `H = min(slots)`: a grant
+/// starts at `max(ready, slots[argmin])`, and the minimum slot only ever
+/// grows. So no event entered later falls before `H`: every event at or
+/// before `H` is final, and the sweep consumes it. The events still
+/// pending are those of the last grant on each slot — at most two per
+/// slot — so memory is O(capacity) however long the run.
+///
+/// Events at exactly `H` may arrive in later batches (a grant starting at
+/// an unmoved `H`). Such a batch brings a start at `H` with every end at
+/// `H` it carries (only a zero-length grant ends at `H`), so the running
+/// count at `H` never falls between batches and the peak is the one a
+/// full sort would find.
+#[derive(Debug, Clone, Default)]
+struct Ledger {
+    /// Events after the horizon, not yet swept (a min-heap).
+    pending: BinaryHeap<Reverse<Event>>,
+    /// Every event at or before this cycle has been swept.
+    horizon: u64,
+    /// Tokens held at the horizon, after every swept event.
+    live: i64,
+    /// Highest `live` seen over the swept events.
+    peak: i64,
+    /// Intervals entered.
+    intervals: u64,
+    /// The first interval entered with `end < start`.
+    backwards: Option<(u64, u64)>,
+    /// The first event entered behind the horizon, with that horizon: the
+    /// sweep is exact only while this stays `None`.
+    behind: Option<(u64, u64)>,
+}
+
+impl Ledger {
+    /// Enters the granted interval `[start, end)`.
+    fn enter(&mut self, start: u64, end: u64) {
+        self.intervals += 1;
+        if end < start && self.backwards.is_none() {
+            self.backwards = Some((start, end));
+        }
+        let earliest = start.min(end);
+        if earliest < self.horizon && self.behind.is_none() {
+            self.behind = Some((earliest, self.horizon));
+        }
+        self.pending.push(Reverse((start, 1)));
+        self.pending.push(Reverse((end, -1)));
+    }
+
+    /// Sweeps every pending event at or before `horizon`.
+    fn sweep_to(&mut self, horizon: u64) {
+        while let Some(&Reverse((at, delta))) = self.pending.peek() {
+            if at > horizon {
+                break;
+            }
+            self.pending.pop();
+            self.live += delta;
+            self.peak = self.peak.max(self.live);
+        }
+        self.horizon = self.horizon.max(horizon);
+    }
+
+    /// The peak over every interval entered: the swept peak, continued
+    /// over the few pending events in order.
+    fn peak(&self) -> usize {
+        let mut pending: Vec<Event> = self.pending.iter().map(|&Reverse(event)| event).collect();
+        pending.sort_unstable();
+        let mut live = self.live;
+        let mut peak = self.peak;
+        for (_, delta) in pending {
+            live += delta;
+            peak = peak.max(live);
+        }
+        peak as usize
+    }
 }
 
 impl TokenManager {
@@ -64,7 +150,7 @@ impl TokenManager {
             grants: 0,
             delayed_grants: 0,
             delay_cycles: 0,
-            intervals: Vec::new(),
+            ledger: Ledger::default(),
             obs: mapg_obs::ObsHandle::disabled(),
         })
     }
@@ -101,7 +187,9 @@ impl TokenManager {
             self.delayed_grants += 1;
             self.delay_cycles += (start - ready).raw();
         }
-        self.intervals.push((start.raw(), (start + duration).raw()));
+        self.ledger.enter(start.raw(), (start + duration).raw());
+        let horizon = self.slots.iter().min().expect("capacity is non-zero");
+        self.ledger.sweep_to(horizon.raw());
         start
     }
 
@@ -121,42 +209,33 @@ impl TokenManager {
     }
 
     /// Highest number of simultaneously held tokens over the whole run,
-    /// computed exactly by a sweep over the granted intervals (a token is
-    /// held for `[start, start + duration)`).
+    /// exact (a token is held for `[start, start + duration)`). Costs a
+    /// sort of at most `2 × capacity` pending events, whatever the run
+    /// length.
     pub fn peak_concurrency(&self) -> usize {
-        let mut events: Vec<(u64, i32)> = Vec::with_capacity(self.intervals.len() * 2);
-        for &(start, end) in &self.intervals {
-            events.push((start, 1));
-            events.push((end, -1));
-        }
-        // Ends sort before starts at the same instant: intervals are
-        // half-open.
-        events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-        let mut live = 0i32;
-        let mut peak = 0i32;
-        for (_, delta) in events {
-            live += delta;
-            peak = peak.max(live);
-        }
-        peak as usize
+        self.ledger.peak()
     }
 
     /// Audits token conservation: every grant left an interval, no
-    /// interval runs backwards, delayed-grant bookkeeping is mutually
-    /// consistent, and concurrency never exceeded capacity. Returns one
-    /// message per broken law.
+    /// interval runs backwards or entered the sweep behind its horizon,
+    /// delayed-grant bookkeeping is mutually consistent, and concurrency
+    /// never exceeded capacity. Returns one message per broken law.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if self.grants != self.intervals.len() as u64 {
+        if self.grants != self.ledger.intervals {
             problems.push(format!(
                 "token ledger: {} grants but {} recorded intervals",
-                self.grants,
-                self.intervals.len()
+                self.grants, self.ledger.intervals
             ));
         }
-        if let Some(&(start, end)) = self.intervals.iter().find(|&&(start, end)| end < start) {
+        if let Some((start, end)) = self.ledger.backwards {
             problems.push(format!(
                 "token ledger: interval runs backwards ({start} → {end})"
+            ));
+        }
+        if let Some((at, horizon)) = self.ledger.behind {
+            problems.push(format!(
+                "token ledger: event at {at} entered behind the swept horizon {horizon}"
             ));
         }
         if self.delayed_grants > self.grants {
@@ -245,5 +324,61 @@ mod tests {
             t.acquire(Cycle::new(i * 3), Cycles::new(10));
         }
         assert!(t.audit().is_empty(), "{:?}", t.audit());
+    }
+
+    #[test]
+    fn ledger_holds_at_most_two_events_per_slot() {
+        let mut t = TokenManager::new(4);
+        for i in 0..10_000u64 {
+            // Out-of-order readiness, zero-length and long ramps.
+            let ready = (i * 7_919) % 5_000 + i / 2;
+            t.acquire(Cycle::new(ready), Cycles::new(i % 13));
+            assert!(t.ledger.pending.len() <= 2 * t.capacity());
+        }
+        assert!(t.audit().is_empty(), "{:?}", t.audit());
+    }
+
+    #[test]
+    fn zero_length_grants_at_the_horizon_keep_the_peak() {
+        let mut t = TokenManager::new(2);
+        t.acquire(Cycle::new(10), Cycles::new(5));
+        t.acquire(Cycle::new(10), Cycles::new(0));
+        t.acquire(Cycle::new(10), Cycles::new(0));
+        t.acquire(Cycle::new(10), Cycles::new(3));
+        // [10,15) and [10,13) overlap; the empty grants hold nothing.
+        assert_eq!(t.peak_concurrency(), 2);
+        assert!(t.audit().is_empty(), "{:?}", t.audit());
+    }
+
+    #[test]
+    fn event_behind_the_horizon_is_a_ledger_violation() {
+        let mut t = TokenManager::new(1);
+        t.acquire(Cycle::new(100), Cycles::new(10));
+        assert!(t.audit().is_empty());
+        // Every future grant starts at or after 110; one that does not
+        // would make the sweep inexact, so the audit must say so.
+        t.grants += 1;
+        t.ledger.enter(50, 60);
+        let problems = t.audit();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].contains("event at 50 entered behind the swept horizon 110"),
+            "{problems:?}"
+        );
+    }
+
+    /// Pins the call-order allocation: a request waits behind later
+    /// reservations even when no token is held at its ready time. See
+    /// DESIGN §4 ("Token allocation is call-ordered").
+    #[test]
+    fn early_request_waits_behind_future_reservations() {
+        let mut t = TokenManager::new(2);
+        assert_eq!(t.acquire(Cycle::new(500), Cycles::new(10)), Cycle::new(500));
+        assert_eq!(t.acquire(Cycle::new(500), Cycles::new(10)), Cycle::new(500));
+        // Nothing is held over [0, 500), yet the request queues to 510.
+        assert_eq!(t.acquire(Cycle::new(100), Cycles::new(10)), Cycle::new(510));
+        assert_eq!(t.delayed_grants(), 1);
+        assert_eq!(t.delay_cycles(), 410);
+        assert_eq!(t.peak_concurrency(), 2);
     }
 }

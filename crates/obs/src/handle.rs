@@ -229,6 +229,26 @@ impl ObsHandle {
             }
         }
     }
+
+    /// Moves out the accumulated trace and metrics (either is `None` when
+    /// that sink was not enabled), leaving empty sinks of the same
+    /// configuration behind. The end-of-run counterpart of
+    /// [`ObsHandle::collect`]: it hands over the ring instead of copying
+    /// it while the original stays resident.
+    pub fn take(&self) -> (Option<TraceBuffer>, Option<MetricsRegistry>) {
+        match &self.inner {
+            None => (None, None),
+            Some(inner) => {
+                let mut observer = inner.lock().expect("observer lock poisoned");
+                let trace = observer
+                    .trace
+                    .as_mut()
+                    .map(|trace| std::mem::replace(trace, TraceBuffer::new(trace.capacity())));
+                let metrics = observer.metrics_registry.as_mut().map(std::mem::take);
+                (trace, metrics)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +380,27 @@ mod tests {
         // Disabled / trace-only handles yield nothing.
         assert!(ObsHandle::disabled().take_metrics().is_none());
         assert!(ObsHandle::enabled(Some(4), false).take_metrics().is_none());
+    }
+
+    #[test]
+    fn take_moves_out_and_leaves_empty_sinks() {
+        let obs = ObsHandle::enabled(Some(2), true);
+        for at in 0..3 {
+            obs.emit(at, Scope::Core(0), EventKind::StallBegin);
+        }
+        obs.count("stalls", 3);
+        let collected = obs.collect();
+        let (trace, metrics) = obs.take();
+        assert_eq!((trace.clone(), metrics.clone()), collected);
+        assert_eq!(trace.unwrap().dropped(), 1);
+        // The sinks stay attached, empty and configured alike.
+        let (trace, metrics) = obs.collect();
+        let trace = trace.expect("trace sink kept");
+        assert!(trace.is_empty() && trace.is_complete());
+        assert_eq!(trace.capacity(), 2);
+        assert!(metrics.expect("metrics sink kept").is_empty());
+        assert_eq!(ObsHandle::disabled().take(), (None, None));
+        assert!(ObsHandle::enabled(None, true).take().0.is_none());
     }
 
     #[test]

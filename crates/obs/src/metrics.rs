@@ -1,7 +1,6 @@
 //! Counters, power-of-two-bucket histograms, and the merge hub.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
@@ -138,15 +137,87 @@ fn bucket_lower_bound(index: usize) -> u64 {
     }
 }
 
+/// One metric kind's storage: names in sorted order, values alongside.
+///
+/// Updates find their entry by the name's address first: every metric site
+/// names its metric with a literal, so a site passes the same `&'static
+/// str` on every call, and a scan over a dozen pointers is cheaper than
+/// one string comparison. A miss falls back to a binary search by text —
+/// the same literal compiled into two crates may sit at two addresses and
+/// must still land in one entry — and inserts when the name is new.
+#[derive(Clone, PartialEq, Eq)]
+struct Table<V> {
+    names: Vec<&'static str>,
+    values: Vec<V>,
+}
+
+impl<V: Default> Table<V> {
+    /// The value stored under `name`, inserted as `V::default()` if absent.
+    #[inline]
+    fn entry(&mut self, name: &'static str) -> &mut V {
+        let index = match self
+            .names
+            .iter()
+            .position(|known| known.as_ptr() == name.as_ptr() && known.len() == name.len())
+        {
+            Some(index) => index,
+            None => self.find_or_insert(name),
+        };
+        &mut self.values[index]
+    }
+
+    fn find_or_insert(&mut self, name: &'static str) -> usize {
+        self.names.binary_search(&name).unwrap_or_else(|index| {
+            self.names.insert(index, name);
+            self.values.insert(index, V::default());
+            index
+        })
+    }
+}
+
+impl<V> Table<V> {
+    fn get(&self, name: &str) -> Option<&V> {
+        let index = self
+            .names
+            .binary_search_by(|known| (*known).cmp(name))
+            .ok()?;
+        Some(&self.values[index])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &V)> + '_ {
+        self.names.iter().copied().zip(&self.values)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table {
+            names: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+/// Renders as a name → value map, as a sorted map would.
+impl<V: std::fmt::Debug> std::fmt::Debug for Table<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A registry of named counters and histograms.
 ///
 /// Names are `&'static str` because every metric site in the workspace
-/// names its metric with a literal; sorted-map storage makes the JSON
+/// names its metric with a literal; name-sorted storage makes the JSON
 /// rendering — and therefore the regression goldens — deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: Table<u64>,
+    histograms: Table<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -157,12 +228,12 @@ impl MetricsRegistry {
 
     /// Adds `n` to the named counter.
     pub fn count(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        *self.counters.entry(name) += n;
     }
 
     /// Records one sample into the named histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+        self.histograms.entry(name).record(value);
     }
 
     /// Current value of a counter (0 when never incremented).
@@ -177,12 +248,12 @@ impl MetricsRegistry {
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&name, &value)| (name, value))
+        self.counters.iter().map(|(name, &value)| (name, value))
     }
 
     /// All histograms, sorted by name.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&name, hist)| (name, hist))
+        self.histograms.iter()
     }
 
     /// True when nothing has been recorded.
@@ -193,11 +264,11 @@ impl MetricsRegistry {
     /// Folds another registry into this one. Commutative and associative,
     /// so parallel aggregation is order-independent.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&name, &value) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
+        for (name, &value) in other.counters.iter() {
+            *self.counters.entry(name) += value;
         }
-        for (&name, hist) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(hist);
+        for (name, hist) in other.histograms.iter() {
+            self.histograms.entry(name).merge(hist);
         }
     }
 
@@ -386,6 +457,78 @@ mod tests {
         assert!(MetricsRegistry::new()
             .to_json()
             .contains("\"counters\": {}"));
+    }
+
+    #[test]
+    fn equal_names_at_distinct_addresses_share_one_entry() {
+        let literal: &'static str = "token_grants";
+        let copy: &'static str = Box::leak(String::from(literal).into_boxed_str());
+        assert_ne!(literal.as_ptr(), copy.as_ptr());
+        let mut r = MetricsRegistry::new();
+        r.count(literal, 2);
+        r.count(copy, 3);
+        r.observe(copy, 7);
+        r.observe(literal, 9);
+        assert_eq!(r.counters().collect::<Vec<_>>(), vec![("token_grants", 5)]);
+        assert_eq!(r.histograms().count(), 1);
+        assert_eq!(r.histogram("token_grants").unwrap().count(), 2);
+
+        let mut other = MetricsRegistry::new();
+        other.count(literal, 5);
+        other.observe(literal, 9);
+        other.observe(literal, 7);
+        assert_eq!(r, other, "equality compares names by text");
+    }
+
+    /// The JSON and `Debug` renderings, byte for byte, of the sorted-map
+    /// storage this registry replaced, for one fixed update sequence.
+    #[test]
+    fn rendering_matches_the_sorted_map_bytes() {
+        let mut r = MetricsRegistry::new();
+        for (i, name) in [
+            "wake_latency",
+            "stalls",
+            "gated",
+            "bet_shortfall",
+            "stalls",
+            "token_grants",
+        ]
+        .iter()
+        .enumerate()
+        {
+            r.count(name, i as u64 + 1);
+        }
+        for v in [0u64, 1, 2, 3, 7, 8, 1000, u64::MAX] {
+            r.observe("stall_length", v);
+            r.observe("gated_duration", v / 3);
+        }
+        r.observe("token_wait", 0);
+        let expected = r#"{
+  "counters": {
+    "bet_shortfall": 4,
+    "gated": 3,
+    "stalls": 7,
+    "token_grants": 6,
+    "wake_latency": 1
+  },
+  "histograms": {
+    "gated_duration": {"count": 8, "sum": 6148914691236517543, "min": 0, "max": 6148914691236517205, "mean": 768614336404564736.000, "buckets": {"0": 3, "1": 1, "2": 2, "256": 1, "4611686018427387904": 1}},
+    "stall_length": {"count": 8, "sum": 18446744073709551615, "min": 0, "max": 18446744073709551615, "mean": 2305843009213693952.000, "buckets": {"0": 1, "1": 1, "2": 2, "4": 1, "8": 1, "512": 1, "9223372036854775808": 1}},
+    "token_wait": {"count": 1, "sum": 0, "min": 0, "max": 0, "mean": 0.000, "buckets": {"0": 1}}
+  }
+}
+"#;
+        assert_eq!(r.to_json(), expected);
+        let debug = format!("{r:?}");
+        assert!(
+            debug.starts_with(
+                "MetricsRegistry { counters: {\"bet_shortfall\": 4, \"gated\": 3, \
+                 \"stalls\": 7, \"token_grants\": 6, \"wake_latency\": 1}, \
+                 histograms: {\"gated_duration\": Histogram { count: 8, "
+            ),
+            "{debug}"
+        );
+        assert!(debug.ends_with("0, 0, 0] }} }"), "{debug}");
     }
 
     #[test]
