@@ -7,7 +7,6 @@
 //! experiments --scale quick        # smaller runs (full is an alias for paper)
 //! experiments --csv rf2            # CSV instead of aligned text
 //! experiments --jobs 8             # parallel run (output still registry order)
-//! experiments --shards 4 --csv     # sharded substrate; output byte-identical
 //! experiments --manifest run.json  # machine-readable run record
 //! experiments --journal j.json     # crash-safe completion journal
 //! experiments --resume j.json      # replay completed work, run the rest
@@ -43,7 +42,7 @@ use mapg_bench::{
 use mapg_pool::{JobOutcome, Supervisor};
 
 const USAGE: &str = "usage: experiments [--scale smoke|quick|paper|full] [--csv] [--jobs N] \
-     [--shards N] [--manifest FILE] [--metrics FILE] [--out-dir DIR] \
+     [--manifest FILE] [--metrics FILE] [--out-dir DIR] \
      [--journal FILE | --resume FILE] \
      [--deadline-ms N] [--retries N] [--list] [IDS...]\n\
        experiments --bench-throughput FILE [--throughput-baseline FILE] [--repeats N] \
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
     let mut scale = Scale::Paper;
     let mut csv = false;
     let mut jobs = mapg_pool::default_jobs();
-    let mut shards: usize = 1;
     let mut manifest_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut out_dir: Option<String> = None;
@@ -100,25 +98,6 @@ fn main() -> ExitCode {
                     Ok(n) if n >= 1 => jobs = n,
                     _ => {
                         eprintln!("invalid job count '{value}' (need an integer >= 1)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--shards" => {
-                // Shards partition an experiment's *simulated* memory
-                // channels; --jobs sizes the *host* worker pool that runs
-                // experiments (and shard wheels) concurrently. The two
-                // compose: effective shard concurrency is
-                // min(shards, channels, jobs). Reports are identical at
-                // any shard count, so this flag must never change output.
-                let Some(value) = iter.next() else {
-                    eprintln!("--shards needs a value (a shard count >= 1)");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => shards = n,
-                    _ => {
-                        eprintln!("invalid shard count '{value}' (need an integer >= 1)");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -393,7 +372,6 @@ fn main() -> ExitCode {
             },
             jobs,
         );
-        job.shards = shards;
         job.metrics_hub = hub.clone();
         let output = job.execute();
         let elapsed = started.elapsed();

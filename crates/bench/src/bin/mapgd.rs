@@ -6,7 +6,7 @@
 //!       [--port-file PATH] [--paused]
 //! ```
 //!
-//! Serves the line-delimited JSON protocol described in DESIGN.md §15.
+//! Serves the line-delimited JSON protocol described in DESIGN.md §14.
 //! `--port-file` writes the bound `host:port` atomically once
 //! listening — the handshake a launcher (or the CI smoke step) uses
 //! with `--addr 127.0.0.1:0`. Runs until a client sends `shutdown`.

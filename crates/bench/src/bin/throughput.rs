@@ -10,25 +10,14 @@
 //! what a focused consumer of the simulator would build.
 //!
 //! Usage: `throughput FILE [--throughput-baseline FILE] [--repeats N]
-//! [--scale smoke|quick|paper|full] [--shards N] [--threads N]
-//! [--thread-curve]`
-//!
-//! With `--shards N` the binary measures the *sharded-engine* suite
-//! instead (1024–65536-core clusters, single global wheel vs N shard
-//! wheels; `BENCH_9.json` format). `--threads N` pins the sharded
-//! side's worker pool (default: the host's available parallelism) —
-//! the effective concurrency is min(shards, channels, threads), and
-//! `--threads 1` produces the single-thread locality ratios CI gates
-//! on. `--thread-curve` additionally sweeps worker counts up to the
-//! host parallelism on the largest topology, through a persistent
-//! multi-segment shard session, and records the curve in the report.
+//! [--scale smoke|quick|paper|full]`
 
 use std::process::ExitCode;
 
-use mapg_bench::{run_shard_throughput_cli, run_throughput_cli, Scale, SHARD_TOPOLOGIES};
+use mapg_bench::{run_throughput_cli, Scale};
 
 const USAGE: &str = "usage: throughput FILE [--throughput-baseline FILE] [--repeats N] \
-     [--scale smoke|quick|paper|full] [--shards N] [--threads N] [--thread-curve]";
+     [--scale smoke|quick|paper|full]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,41 +25,9 @@ fn main() -> ExitCode {
     let mut baseline_path: Option<String> = None;
     let mut scale = Scale::Smoke;
     let mut repeats = 7usize;
-    let mut shards: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut thread_curve = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--threads" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--threads needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(parsed) if parsed > 0 => threads = Some(parsed),
-                    _ => {
-                        eprintln!("--threads needs a positive integer, got '{value}'\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--thread-curve" => {
-                thread_curve = true;
-            }
-            "--shards" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--shards needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(parsed) if parsed > 0 => shards = Some(parsed),
-                    _ => {
-                        eprintln!("--shards needs a positive integer, got '{value}'\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--scale" => {
                 let Some(name) = iter.next() else {
                     eprintln!("--scale needs a value\n{USAGE}");
@@ -115,32 +72,5 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    match shards {
-        Some(shards) => {
-            let min_cores = SHARD_TOPOLOGIES.iter().map(|&(c, _)| c).min().unwrap_or(0);
-            if shards > min_cores {
-                eprintln!(
-                    "warning: --shards {shards} exceeds the smallest measured cluster \
-                     ({min_cores} cores); at most min(cores, channels) shard wheels \
-                     can make progress"
-                );
-            }
-            run_shard_throughput_cli(
-                &out_path,
-                baseline_path.as_deref(),
-                scale,
-                repeats,
-                shards,
-                threads,
-                thread_curve,
-            )
-        }
-        None => {
-            if threads.is_some() || thread_curve {
-                eprintln!("--threads/--thread-curve only apply to --shards mode\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            run_throughput_cli(&out_path, baseline_path.as_deref(), scale, repeats)
-        }
-    }
+    run_throughput_cli(&out_path, baseline_path.as_deref(), scale, repeats)
 }

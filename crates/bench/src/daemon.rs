@@ -14,14 +14,14 @@
 //! answers with one response line — except `stream`, which keeps the
 //! connection open and writes one line per event followed by a
 //! terminator line. Every non-stream response carries `"ok": true` or
-//! `"ok": false` with an `"error"` string. The grammar (DESIGN §15):
+//! `"ok": false` with an `"error"` string. The grammar (DESIGN §14):
 //!
 //! ```text
 //! request    = object NL
 //! op         = "ping" | "submit" | "status" | "cancel" | "fetch"
 //!            | "stream" | "stats" | "quota" | "pause" | "resume"
 //!            | "shutdown"
-//! submit     = {op, client?, experiment, scale?, format?, priority?, shards?}
+//! submit     = {op, client?, experiment, scale?, format?, priority?}
 //! event-line = {"seq", "at", "scope", "kind"}
 //! end-line   = {"stream_end": true, "total", "missed", "dropped", "state"}
 //! ```
@@ -31,7 +31,7 @@
 //! Jobs land in a [`FairQueue`]: FIFO per client, round-robin across
 //! clients, higher [`Priority`] first, and a per-client in-flight
 //! quota. `max_jobs` runner threads pull from the queue; each job's
-//! *inner* fan-out (suite runner, shard wheels) is budgeted to
+//! *inner* fan-out (suite runner) is budgeted to
 //! `workers_total / max_jobs` via the pool's thread-local override, so
 //! N concurrent jobs never oversubscribe the host N-fold. Each job runs
 //! as a single-item supervised batch, inheriting the supervisor's
@@ -144,7 +144,6 @@ struct JobSpec {
     experiment: Experiment,
     scale: Scale,
     format: OutputFormat,
-    shards: usize,
 }
 
 impl JobSpec {
@@ -420,7 +419,6 @@ fn execute_job(
         let hub = MetricsHub::new();
         let mut job =
             ExperimentJob::new(job_spec.experiment, job_spec.scale, job_spec.format, budget);
-        job.shards = job_spec.shards;
         job.metrics_hub = Some(hub.clone());
         job.event_hub = Some(feed.clone());
         let output = job.execute();
@@ -575,16 +573,15 @@ fn op_submit(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
     let Ok(priority) = Priority::try_from(priority) else {
         return fail(format!("priority {priority} out of range (0-255)"));
     };
-    let shards = request
-        .get("shards")
-        .and_then(JsonValue::as_usize)
-        .unwrap_or(1)
-        .max(1);
+    // Sharded runs were removed; a client still asking for them gets told
+    // so instead of having the option silently dropped.
+    if request.get("shards").is_some() {
+        return fail("submit option 'shards' is no longer supported".to_owned());
+    }
     let spec = JobSpec {
         experiment,
         scale,
         format,
-        shards,
     };
     let id = {
         let mut core = shared.lock();

@@ -2,7 +2,7 @@
 //!
 //! The `experiments` binary and the `mapgd` daemon are both thin
 //! callers of this module: one place decides how an experiment runs
-//! (ambient shard count, inner worker budget, metrics/event hubs) and
+//! (inner worker budget, metrics/event hubs) and
 //! — critically — how its tables are *rendered*. The rendering is the
 //! repo's byte-identity contract: the committed goldens, the journal
 //! payloads, `--out-dir` CSV files, and a daemon-fetched result must
@@ -73,11 +73,8 @@ pub struct ExperimentJob {
     pub scale: Scale,
     /// Output rendering.
     pub format: OutputFormat,
-    /// Ambient shard count for the simulated substrate (1 = unsharded;
-    /// reports are identical at any value).
-    pub shards: usize,
     /// Worker budget for the experiment's *inner* fan-out (its suite
-    /// runner and shard wheels). A scheduler running several jobs
+    /// runner). A scheduler running several jobs
     /// concurrently hands each job a slice of the host so N jobs never
     /// oversubscribe to N × `available_parallelism`.
     pub jobs: usize,
@@ -89,13 +86,12 @@ pub struct ExperimentJob {
 
 impl ExperimentJob {
     /// A job with no observers: `experiment` at `scale`, rendered as
-    /// `format`, unsharded, inner fan-out budget `jobs`.
+    /// `format`, inner fan-out budget `jobs`.
     pub fn new(experiment: Experiment, scale: Scale, format: OutputFormat, jobs: usize) -> Self {
         ExperimentJob {
             experiment,
             scale,
             format,
-            shards: 1,
             jobs: jobs.max(1),
             metrics_hub: None,
             event_hub: None,
@@ -105,15 +101,12 @@ impl ExperimentJob {
     /// Runs the experiment and renders its tables.
     ///
     /// Deterministic contract: for a fixed `(experiment, scale,
-    /// format)` the rendered bytes are identical at any `shards`,
-    /// `jobs`, or observer configuration — those only change
+    /// format)` the rendered bytes are identical at any `jobs` or
+    /// observer configuration — those only change
     /// scheduling and side channels, never the tables.
     pub fn execute(&self) -> ExperimentOutput {
-        let run = || {
-            mapg::with_ambient_shards(self.shards, || {
-                mapg_pool::with_default_jobs(self.jobs.max(1), || (self.experiment.run)(self.scale))
-            })
-        };
+        let run =
+            || mapg_pool::with_default_jobs(self.jobs.max(1), || (self.experiment.run)(self.scale));
         let run_with_feed = || match &self.event_hub {
             Some(feed) => mapg_obs::with_ambient_event_hub(feed.clone(), run),
             None => run(),
@@ -129,6 +122,12 @@ impl ExperimentJob {
         }
     }
 }
+
+// Jobs are handed to pool and supervisor worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ExperimentJob>();
+};
 
 /// What an [`ExperimentJob`] produced.
 #[derive(Debug, Clone)]
@@ -155,7 +154,7 @@ mod tests {
     }
 
     /// The engine renders byte-identically to the inlined renderer the
-    /// `experiments` binary used to carry, at any jobs/shards setting.
+    /// `experiments` binary used to carry, at any jobs setting.
     #[test]
     fn execute_is_deterministic_across_resources() {
         let experiment = experiments::find("R-T1").expect("registry has R-T1");
@@ -164,7 +163,6 @@ mod tests {
         assert!(!base.tables.is_empty());
 
         let mut wide = ExperimentJob::new(experiment, Scale::Smoke, OutputFormat::Csv, 4);
-        wide.shards = 2;
         wide.metrics_hub = Some(MetricsHub::new());
         wide.event_hub = Some(EventHub::new(4096));
         let observed = wide.execute();

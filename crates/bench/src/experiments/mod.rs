@@ -175,13 +175,6 @@ pub(crate) fn suite_for(scale: Scale) -> WorkloadSuite {
 /// costs one branch per would-be event.
 pub(crate) fn base_config(scale: Scale) -> SimConfig {
     let config = SimConfig::default().with_instructions(scale.instructions());
-    // Shards never change a report, so an `experiments --shards N` run
-    // must stay byte-identical to the default — the CI sharded smoke run
-    // diffs its CSVs against the same goldens to pin exactly that.
-    let config = match mapg::ambient_shards() {
-        Some(shards) => config.with_shards(shards),
-        None => config,
-    };
     let config = match mapg_obs::ambient_hub() {
         Some(hub) => config.with_metrics_hub(hub),
         None => config,

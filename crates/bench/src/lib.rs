@@ -56,7 +56,6 @@ pub use manifest::{
 pub use scale::Scale;
 pub use table::{pct, ratio, Table};
 pub use throughput::{
-    run_shard_throughput_cli, run_throughput_cli, ShardCase, ShardReport, ThreadPoint,
-    ThroughputCase, ThroughputReport, CORE_COUNTS, SHARD_SCHEMA, SHARD_TOPOLOGIES,
-    SHARD_TRACE_POOL, THREAD_CURVE_SEGMENTS, THROUGHPUT_SCHEMA, THROUGHPUT_TOLERANCE,
+    run_throughput_cli, ThroughputCase, ThroughputReport, CORE_COUNTS, THROUGHPUT_SCHEMA,
+    THROUGHPUT_TOLERANCE,
 };

@@ -23,20 +23,6 @@ impl Scale {
         }
     }
 
-    /// Per-core instruction budget for the shard-scale throughput cases
-    /// (1024–8192 cores). Deliberately far below [`Scale::instructions`]:
-    /// the clusters are 64–512× larger than the classic suite's, and the
-    /// committed metric is a wall-time *ratio* between two runs of the
-    /// same budget, which stabilizes long before the per-core budget
-    /// does.
-    pub fn shard_instructions(self) -> u64 {
-        match self {
-            Scale::Smoke => 300,
-            Scale::Quick => 1_500,
-            Scale::Paper => 3_000,
-        }
-    }
-
     /// Whether the full 12-profile suite is used (smaller scales use the
     /// two-profile extremes suite).
     pub fn full_suite(self) -> bool {

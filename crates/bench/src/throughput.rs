@@ -493,569 +493,6 @@ pub fn run_throughput_cli(
     }
 }
 
-/// Schema version stamped into every shard throughput record
-/// (independent of [`THROUGHPUT_SCHEMA`]). Schema 2 adds
-/// `worker_threads`, `available_parallelism`, and the optional
-/// `thread_curve` array; the gate reader
-/// ([`ThroughputReport::parse_speedups`]) reads schema-1 and schema-2
-/// records alike, so committed `BENCH_8.json` baselines stay usable.
-pub const SHARD_SCHEMA: u32 = 2;
-
-/// The shard-scale topologies measured per run: `(cores, channels)`.
-/// Cores map to channels round-robin, so every channel owns an equal
-/// slice of the cluster (128 cores per channel in every case; the last
-/// entry is the 65 536-core extreme the session engine is proven at).
-pub const SHARD_TOPOLOGIES: [(usize, usize); 3] = [(1024, 8), (8192, 64), (65_536, 512)];
-
-/// Distinct workload recordings the shard cases cycle over; core `i`
-/// replays recording `i % SHARD_TRACE_POOL` (seed `1000 + i % 128`), so
-/// an 8192-core cluster needs 128 recordings, not 8192.
-pub const SHARD_TRACE_POOL: usize = 128;
-
-/// One measured shard-scale configuration: the same channelled cluster
-/// driven once by the single global wheel (`shards = 1`) and once by the
-/// sharded engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCase {
-    /// Case name (`"shard_cores8192"` etc.), the key baselines match on.
-    pub name: String,
-    /// Number of cores in the cluster.
-    pub cores: usize,
-    /// Independent memory channels (cores spread round-robin).
-    pub channels: usize,
-    /// Trace events consumed across all cores (identical for both runs —
-    /// the sharded engine is proven bit-identical to the wheel).
-    pub simulated_events: u64,
-    /// Best-of-`repeats` wall time of the single global wheel, seconds.
-    pub wheel_wall_s: f64,
-    /// Best-of-`repeats` wall time of the sharded engine, seconds.
-    pub sharded_wall_s: f64,
-}
-
-impl ShardCase {
-    /// Simulated events per wall second on the single global wheel.
-    pub fn wheel_events_per_sec(&self) -> f64 {
-        if self.wheel_wall_s > 0.0 {
-            self.simulated_events as f64 / self.wheel_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Simulated events per wall second on the sharded engine.
-    pub fn sharded_events_per_sec(&self) -> f64 {
-        if self.sharded_wall_s > 0.0 {
-            self.simulated_events as f64 / self.sharded_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Sharded-engine speedup over the global wheel (>1 means faster).
-    pub fn speedup(&self) -> f64 {
-        if self.sharded_wall_s > 0.0 {
-            self.wheel_wall_s / self.sharded_wall_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One point of the worker-thread scaling curve: the largest topology
-/// driven through a persistent [`mapg_cpu::ShardSession`] (several
-/// segments per run, so the resident-arena path is what's timed) with
-/// the worker pool pinned to `threads`.
-///
-/// Deliberately rendered without `"name"`/`"speedup"` keys: the curve is
-/// machine-dependent context, and keeping those keys out means
-/// [`ThroughputReport::parse_speedups`] — hence the CI gate — never
-/// picks curve points up as gateable cases.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadPoint {
-    /// Worker threads the pool was pinned to for this point.
-    pub threads: usize,
-    /// Session segments per timed run.
-    pub segments: usize,
-    /// Trace events consumed across all cores per timed run.
-    pub simulated_events: u64,
-    /// Best-of-`repeats` wall time of the session run, seconds.
-    pub sharded_wall_s: f64,
-}
-
-impl ThreadPoint {
-    /// Simulated events per wall second at this thread count.
-    pub fn sharded_events_per_sec(&self) -> f64 {
-        if self.sharded_wall_s > 0.0 {
-            self.simulated_events as f64 / self.sharded_wall_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A full sharded-engine throughput measurement — the record the CI
-/// shard gate compares against (`BENCH_9.json`; schema-1 `BENCH_8.json`
-/// baselines parse with the same reader).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardReport {
-    /// Scale the clusters ran at (per-core budget is
-    /// [`Scale::shard_instructions`]).
-    pub scale: Scale,
-    /// Timing repeats per `(case, engine)` pair.
-    pub repeats: usize,
-    /// Shard count the sharded engine ran at (the wheel side is always
-    /// `shards = 1` by definition).
-    pub shards: usize,
-    /// Worker threads the sharded side's pool was pinned to. At 1 the
-    /// case speedups isolate channel-locality wins from parallelism —
-    /// the only ratios stable enough to gate on shared 1-CPU runners.
-    pub worker_threads: usize,
-    /// `std::thread::available_parallelism()` on the measuring host,
-    /// recorded so a reader can judge how much the curve was allowed to
-    /// show.
-    pub available_parallelism: usize,
-    /// Worker-thread scaling curve (empty unless `--thread-curve` ran).
-    pub thread_curve: Vec<ThreadPoint>,
-    /// Per-topology measurements in [`SHARD_TOPOLOGIES`] order.
-    pub cases: Vec<ShardCase>,
-}
-
-/// The host's available parallelism, defaulting to 1 where unknown.
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Records the shared shard workload pool (one recording per
-/// [`SHARD_TRACE_POOL`] slot; core `i` replays slot `i % pool`).
-fn record_shard_pool(instructions: u64) -> Vec<RecordedTrace> {
-    let profile = WorkloadProfile::mem_bound("throughput_shard");
-    (0..SHARD_TRACE_POOL)
-        .map(|i| {
-            let mut workload = SyntheticWorkload::new(&profile, 1_000 + i as u64);
-            RecordedTrace::record(&mut workload, instructions).quantize_compute(BLOCK_QUANTUM)
-        })
-        .collect()
-}
-
-impl ShardReport {
-    /// Measures every shard topology at `scale`, `repeats` timings per
-    /// engine, with the sharded side at `shards` shards.
-    ///
-    /// Both engines replay the identical recordings on the identical
-    /// channelled cluster, so they simulate the identical history (the
-    /// cpu crate's shard tests prove the results bit-identical); the
-    /// measured difference is pure scheduling: one 8192-entry wheel
-    /// striding across 64 hierarchies versus 64 independent 128-entry
-    /// wheels, each with a channel-local working set. Repeats interleave
-    /// wheel/sharded for the same reason [`time_pair`] interleaves.
-    ///
-    /// The sharded side runs with the worker pool pinned to `threads`
-    /// (the wheel side is single-threaded by construction). At
-    /// `threads = 1` the case speedups are pure locality ratios —
-    /// machine-transferable the same way the classic speedups are.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats`, `shards`, or `threads` is zero.
-    pub fn measure(scale: Scale, repeats: usize, shards: usize, threads: usize) -> Self {
-        Self::measure_topologies(scale, repeats, shards, threads, &SHARD_TOPOLOGIES)
-    }
-
-    /// [`ShardReport::measure`] over explicit `(cores, channels)`
-    /// topologies — the committed record always uses
-    /// [`SHARD_TOPOLOGIES`]; tests and one-off probes can measure
-    /// smaller clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats`, `shards`, or `threads` is zero.
-    pub fn measure_topologies(
-        scale: Scale,
-        repeats: usize,
-        shards: usize,
-        threads: usize,
-        topologies: &[(usize, usize)],
-    ) -> Self {
-        assert!(repeats > 0, "need at least one timing repeat");
-        assert!(shards > 0, "need at least one shard");
-        assert!(threads > 0, "need at least one worker thread");
-        let instructions = scale.shard_instructions();
-        let pool = record_shard_pool(instructions);
-        let mut cases = Vec::new();
-        for &(cores, channels) in topologies {
-            let simulated_events = (0..cores)
-                .map(|i| pool[i % SHARD_TRACE_POOL].events().len() as u64)
-                .sum();
-            let build = || {
-                let sources: Vec<_> = (0..cores)
-                    .map(|i| pool[i % SHARD_TRACE_POOL].replay())
-                    .collect();
-                Cluster::try_new_with_channels(
-                    CoreConfig::baseline(),
-                    HierarchyConfig::baseline(),
-                    sources,
-                    channels,
-                )
-                .expect("shard-case topology is valid")
-            };
-            let mut wheel_wall_s = f64::INFINITY;
-            let mut sharded_wall_s = f64::INFINITY;
-            for _ in 0..repeats {
-                let mut cluster = build();
-                let started = Instant::now();
-                cluster
-                    .try_run(instructions, &mut PassiveHandler)
-                    .expect("wheel run");
-                wheel_wall_s = wheel_wall_s.min(started.elapsed().as_secs_f64());
-
-                let mut cluster = build();
-                let started = Instant::now();
-                mapg_pool::with_default_jobs(threads, || {
-                    cluster.try_run_sharded(instructions, &PassiveHandler, shards)
-                })
-                .expect("sharded run");
-                sharded_wall_s = sharded_wall_s.min(started.elapsed().as_secs_f64());
-            }
-            cases.push(ShardCase {
-                name: format!("shard_cores{cores}"),
-                cores,
-                channels,
-                simulated_events,
-                wheel_wall_s,
-                sharded_wall_s,
-            });
-        }
-        ShardReport {
-            scale,
-            repeats,
-            shards,
-            worker_threads: threads,
-            available_parallelism: host_parallelism(),
-            thread_curve: Vec::new(),
-            cases,
-        }
-    }
-
-    /// Measures the worker-thread scaling curve on `topology`: one
-    /// persistent [`mapg_cpu::ShardSession`] per timed run, advanced
-    /// through `segments` equal segments (so arena reuse and the
-    /// per-segment merge — not session setup — dominate), swept over
-    /// power-of-two thread counts up to the host's parallelism (plus the
-    /// exact host count when it is not a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats`, `shards`, or `segments` is zero.
-    pub fn measure_thread_curve(
-        scale: Scale,
-        repeats: usize,
-        shards: usize,
-        segments: usize,
-        topology: (usize, usize),
-    ) -> Vec<ThreadPoint> {
-        assert!(repeats > 0, "need at least one timing repeat");
-        assert!(shards > 0, "need at least one shard");
-        assert!(segments > 0, "need at least one segment");
-        let instructions = scale.shard_instructions();
-        let per_segment = (instructions / segments as u64).max(1);
-        let pool = record_shard_pool(instructions);
-        let (cores, channels) = topology;
-        let simulated_events = (0..cores)
-            .map(|i| pool[i % SHARD_TRACE_POOL].events().len() as u64)
-            .sum();
-        let parallelism = host_parallelism();
-        let mut sweep: Vec<usize> = (0..)
-            .map(|p| 1usize << p)
-            .take_while(|&t| t <= parallelism)
-            .collect();
-        if sweep.last() != Some(&parallelism) {
-            sweep.push(parallelism);
-        }
-        sweep
-            .into_iter()
-            .map(|threads| {
-                let mut sharded_wall_s = f64::INFINITY;
-                for _ in 0..repeats {
-                    let sources: Vec<_> = (0..cores)
-                        .map(|i| pool[i % SHARD_TRACE_POOL].replay())
-                        .collect();
-                    let mut cluster = Cluster::try_new_with_channels(
-                        CoreConfig::baseline(),
-                        HierarchyConfig::baseline(),
-                        sources,
-                        channels,
-                    )
-                    .expect("curve topology is valid");
-                    let started = Instant::now();
-                    mapg_pool::with_default_jobs(threads, || {
-                        cluster.shard_session(shards, &PassiveHandler, |session| {
-                            for _ in 0..segments {
-                                session.try_run(per_segment).expect("curve segment");
-                            }
-                        })
-                    })
-                    .expect("curve session");
-                    sharded_wall_s = sharded_wall_s.min(started.elapsed().as_secs_f64());
-                }
-                ThreadPoint {
-                    threads,
-                    segments,
-                    simulated_events,
-                    sharded_wall_s,
-                }
-            })
-            .collect()
-    }
-
-    /// Renders the report as pretty-printed JSON (trailing newline
-    /// included); the format `BENCH_9.json` is committed in. Case
-    /// `"name"`/`"speedup"` lines parse with
-    /// [`ThroughputReport::parse_speedups`], so the shard gate reuses the
-    /// classic gate's baseline reader — and the `thread_curve` array
-    /// deliberately avoids both keys, so curve points are context, not
-    /// gates.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", SHARD_SCHEMA));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!("  \"worker_threads\": {},\n", self.worker_threads));
-        out.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        out.push_str(&format!("  \"block_quantum\": {},\n", BLOCK_QUANTUM));
-        out.push_str("  \"thread_curve\": [");
-        let reference_wall = self
-            .thread_curve
-            .first()
-            .map(|p| p.sharded_wall_s)
-            .unwrap_or(0.0);
-        for (i, point) in self.thread_curve.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"threads\": {},\n", point.threads));
-            out.push_str(&format!("      \"segments\": {},\n", point.segments));
-            out.push_str(&format!(
-                "      \"simulated_events\": {},\n",
-                point.simulated_events
-            ));
-            out.push_str(&format!(
-                "      \"sharded_wall_s\": {},\n",
-                json_float(point.sharded_wall_s)
-            ));
-            out.push_str(&format!(
-                "      \"sharded_events_per_sec\": {},\n",
-                json_float(point.sharded_events_per_sec())
-            ));
-            let scaling = if point.sharded_wall_s > 0.0 {
-                reference_wall / point.sharded_wall_s
-            } else {
-                0.0
-            };
-            out.push_str(&format!("      \"scaling_x\": {}\n", json_float(scaling)));
-            out.push_str("    }");
-        }
-        if !self.thread_curve.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"cases\": [");
-        for (i, case) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", case.name));
-            out.push_str(&format!("      \"cores\": {},\n", case.cores));
-            out.push_str(&format!("      \"channels\": {},\n", case.channels));
-            out.push_str(&format!(
-                "      \"simulated_events\": {},\n",
-                case.simulated_events
-            ));
-            out.push_str(&format!(
-                "      \"wheel_wall_s\": {},\n",
-                json_float(case.wheel_wall_s)
-            ));
-            out.push_str(&format!(
-                "      \"sharded_wall_s\": {},\n",
-                json_float(case.sharded_wall_s)
-            ));
-            out.push_str(&format!(
-                "      \"wheel_events_per_sec\": {},\n",
-                json_float(case.wheel_events_per_sec())
-            ));
-            out.push_str(&format!(
-                "      \"sharded_events_per_sec\": {},\n",
-                json_float(case.sharded_events_per_sec())
-            ));
-            out.push_str(&format!(
-                "      \"speedup\": {}\n",
-                json_float(case.speedup())
-            ));
-            out.push_str("    }");
-        }
-        if !self.cases.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-}
-
-/// Session segments per thread-curve timed run (enough that resident
-/// arenas and the per-segment merge dominate the wall, not session
-/// setup).
-pub const THREAD_CURVE_SEGMENTS: usize = 4;
-
-/// The `--shards` mode of the throughput binary: measures the sharded
-/// engine against the single global wheel at shard scale, writes the
-/// `BENCH_9.json`-format record, and — when `baseline_path` is given —
-/// gates every committed shard speedup against [`THROUGHPUT_TOLERANCE`].
-///
-/// `threads` pins the sharded side's worker pool (`None` uses
-/// [`mapg_pool::default_jobs`], i.e. the host parallelism); `curve`
-/// additionally sweeps the worker-thread scaling curve on the largest
-/// topology. The gate itself only ever compares case speedup ratios —
-/// with `threads = 1` those are single-thread locality ratios, the form
-/// CI pins on 1-CPU runners.
-pub fn run_shard_throughput_cli(
-    out_path: &str,
-    baseline_path: Option<&str>,
-    scale: Scale,
-    repeats: usize,
-    shards: usize,
-    threads: Option<usize>,
-    curve: bool,
-) -> std::process::ExitCode {
-    use std::process::ExitCode;
-
-    let threads = threads.unwrap_or_else(mapg_pool::default_jobs);
-    if threads == 1 {
-        eprintln!(
-            "warning: effective worker pool has 1 thread; sharded timings measure \
-             single-thread channel locality, not parallel speedup"
-        );
-    }
-    println!(
-        "# MAPG shard throughput — {shards}-shard engine ({threads} worker threads) \
-         vs single wheel, {} scale, best of {repeats}\n",
-        scale.name()
-    );
-    let mut report = ShardReport::measure(scale, repeats, shards, threads);
-    if curve {
-        let topology = *SHARD_TOPOLOGIES
-            .last()
-            .expect("at least one shard topology");
-        report.thread_curve = ShardReport::measure_thread_curve(
-            scale,
-            repeats,
-            shards,
-            THREAD_CURVE_SEGMENTS,
-            topology,
-        );
-    } else {
-        eprintln!("[thread-scaling curve skipped — pass --thread-curve to record it]");
-    }
-    println!(
-        "{:<16} {:>6} {:>9} {:>12} {:>16} {:>16} {:>8}",
-        "case", "cores", "channels", "sim events", "wheel evt/s", "sharded evt/s", "speedup"
-    );
-    for case in &report.cases {
-        println!(
-            "{:<16} {:>6} {:>9} {:>12} {:>16.3e} {:>16.3e} {:>7.2}x",
-            case.name,
-            case.cores,
-            case.channels,
-            case.simulated_events,
-            case.wheel_events_per_sec(),
-            case.sharded_events_per_sec(),
-            case.speedup()
-        );
-    }
-    if !report.thread_curve.is_empty() {
-        let (cores, _) = *SHARD_TOPOLOGIES.last().expect("topology");
-        println!(
-            "\nthread-scaling curve (shard_cores{cores}, {THREAD_CURVE_SEGMENTS} segments \
-             per run, host parallelism {}):",
-            report.available_parallelism
-        );
-        println!(
-            "{:<10} {:>12} {:>16} {:>9}",
-            "threads", "wall_s", "sharded evt/s", "scaling"
-        );
-        let reference_wall = report.thread_curve[0].sharded_wall_s;
-        for point in &report.thread_curve {
-            let scaling = if point.sharded_wall_s > 0.0 {
-                reference_wall / point.sharded_wall_s
-            } else {
-                0.0
-            };
-            println!(
-                "{:<10} {:>12.6} {:>16.3e} {:>8.2}x",
-                point.threads,
-                point.sharded_wall_s,
-                point.sharded_events_per_sec(),
-                scaling
-            );
-        }
-    }
-    if let Err(error) =
-        mapg::write_atomic(std::path::Path::new(out_path), report.to_json().as_bytes())
-    {
-        eprintln!("cannot write shard throughput record '{out_path}': {error}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("\n[shard throughput record written to {out_path}]");
-
-    let Some(baseline_path) = baseline_path else {
-        return ExitCode::SUCCESS;
-    };
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(contents) => contents,
-        Err(error) => {
-            eprintln!("cannot read shard baseline '{baseline_path}': {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline_speedups = ThroughputReport::parse_speedups(&baseline);
-    if baseline_speedups.is_empty() {
-        eprintln!("baseline '{baseline_path}' holds no speedup records");
-        return ExitCode::FAILURE;
-    }
-    let mut failed = false;
-    for (name, baseline_speedup) in &baseline_speedups {
-        let Some(case) = report.cases.iter().find(|c| &c.name == name) else {
-            eprintln!("baseline case '{name}' was not measured in this run");
-            failed = true;
-            continue;
-        };
-        let measured = case.speedup();
-        let floor = baseline_speedup * (1.0 - THROUGHPUT_TOLERANCE);
-        if measured < floor {
-            eprintln!(
-                "regression: {name} shard speedup {measured:.2}x fell below {floor:.2}x \
-                 (baseline {baseline_speedup:.2}x - {:.0}% tolerance)",
-                THROUGHPUT_TOLERANCE * 100.0
-            );
-            failed = true;
-        } else {
-            eprintln!("[{name}: {measured:.2}x vs baseline {baseline_speedup:.2}x — ok]");
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// Renders a finite float with enough digits for sub-microsecond walls;
 /// non-finite values degrade to `0`.
 fn json_float(value: f64) -> String {
@@ -1167,152 +604,6 @@ mod tests {
         assert!(ThroughputReport::parse_speedups("not json at all").is_empty());
         // A speedup with no preceding name is dropped.
         assert!(ThroughputReport::parse_speedups("\"speedup\": 2.0\n").is_empty());
-    }
-
-    fn shard_sample() -> ShardReport {
-        ShardReport {
-            scale: Scale::Smoke,
-            repeats: 2,
-            shards: 8,
-            worker_threads: 1,
-            available_parallelism: 4,
-            thread_curve: vec![
-                ThreadPoint {
-                    threads: 1,
-                    segments: 4,
-                    simulated_events: 16_000_000,
-                    sharded_wall_s: 2.0,
-                },
-                ThreadPoint {
-                    threads: 4,
-                    segments: 4,
-                    simulated_events: 16_000_000,
-                    sharded_wall_s: 0.8,
-                },
-            ],
-            cases: vec![
-                ShardCase {
-                    name: "shard_cores1024".to_owned(),
-                    cores: 1024,
-                    channels: 8,
-                    simulated_events: 2_000_000,
-                    wheel_wall_s: 0.8,
-                    sharded_wall_s: 0.4,
-                },
-                ShardCase {
-                    name: "shard_cores8192".to_owned(),
-                    cores: 8192,
-                    channels: 64,
-                    simulated_events: 16_000_000,
-                    wheel_wall_s: 4.0,
-                    sharded_wall_s: 2.0,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn shard_case_rates_and_speedup() {
-        let case = &shard_sample().cases[0];
-        assert!((case.speedup() - 2.0).abs() < 1e-12);
-        assert!((case.wheel_events_per_sec() - 2.5e6).abs() < 1e-3);
-        assert!((case.sharded_events_per_sec() - 5e6).abs() < 1e-3);
-        let degenerate = ShardCase {
-            wheel_wall_s: 0.0,
-            sharded_wall_s: 0.0,
-            ..case.clone()
-        };
-        assert_eq!(degenerate.speedup(), 0.0);
-        assert_eq!(degenerate.wheel_events_per_sec(), 0.0);
-        assert_eq!(degenerate.sharded_events_per_sec(), 0.0);
-    }
-
-    /// The shard record's name/speedup lines parse with the classic
-    /// gate's baseline reader — the invariant the CI shard gate rests
-    /// on — and the thread curve contributes *no* gateable entries.
-    #[test]
-    fn shard_json_parses_with_the_classic_speedup_reader() {
-        let report = shard_sample();
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": 2"), "{json}");
-        assert!(json.contains("\"shards\": 8"), "{json}");
-        assert!(json.contains("\"worker_threads\": 1"), "{json}");
-        assert!(json.contains("\"available_parallelism\": 4"), "{json}");
-        assert!(json.contains("\"threads\": 4"), "{json}");
-        assert!(json.contains("\"scaling_x\": 2.500000"), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
-        let speedups = ThroughputReport::parse_speedups(&json);
-        assert_eq!(speedups.len(), 2, "curve points must not be gateable");
-        assert_eq!(speedups[0].0, "shard_cores1024");
-        assert!((speedups[0].1 - 2.0).abs() < 1e-6);
-        assert_eq!(speedups[1].0, "shard_cores8192");
-        assert!((speedups[1].1 - 2.0).abs() < 1e-6);
-    }
-
-    /// The gate reader must keep accepting schema-1 records: committed
-    /// `BENCH_8.json` baselines predate `worker_threads` /
-    /// `thread_curve` and still have to gate fresh schema-2 runs.
-    #[test]
-    fn gate_reader_tolerates_the_schema_1_baseline() {
-        let legacy = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json"));
-        assert!(
-            legacy.contains("\"schema\": 1"),
-            "fixture is the old schema"
-        );
-        let speedups = ThroughputReport::parse_speedups(legacy);
-        assert_eq!(speedups.len(), 2);
-        assert!(speedups.iter().any(|(n, _)| n == "shard_cores1024"));
-        assert!(speedups.iter().any(|(n, _)| n == "shard_cores8192"));
-        assert!(speedups.iter().all(|(_, s)| *s > 0.0));
-    }
-
-    /// An empty curve renders as an empty array and round-trips through
-    /// the reader without phantom cases.
-    #[test]
-    fn empty_thread_curve_renders_cleanly() {
-        let report = ShardReport {
-            thread_curve: Vec::new(),
-            ..shard_sample()
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"thread_curve\": [],"), "{json}");
-        assert_eq!(ThroughputReport::parse_speedups(&json).len(), 2);
-    }
-
-    /// A live curve measurement over a tiny stand-in topology exercises
-    /// the session path end to end and keeps walls positive.
-    #[test]
-    fn thread_curve_measures_through_the_session_path() {
-        let curve = ShardReport::measure_thread_curve(Scale::Smoke, 1, 3, 2, (32, 4));
-        assert!(!curve.is_empty());
-        assert_eq!(curve[0].threads, 1, "sweep starts at one worker");
-        for point in &curve {
-            assert_eq!(point.segments, 2);
-            assert!(point.simulated_events > 0);
-            assert!(point.sharded_wall_s > 0.0);
-            assert!(point.sharded_events_per_sec() > 0.0);
-        }
-    }
-
-    /// A live shard measurement over a deliberately tiny topology: both
-    /// engines consume the same event count and produce positive walls.
-    /// (The committed `SHARD_TOPOLOGIES` sizes are release-bench-only;
-    /// debug-mode tests measure a 32-core stand-in through the same
-    /// code path.)
-    #[test]
-    fn shard_measure_produces_consistent_cases() {
-        let report = ShardReport::measure_topologies(Scale::Smoke, 1, 3, 2, &[(32, 4)]);
-        assert_eq!(report.cases.len(), 1);
-        assert_eq!(report.worker_threads, 2);
-        assert!(report.available_parallelism >= 1);
-        assert!(report.thread_curve.is_empty());
-        let case = &report.cases[0];
-        assert_eq!(case.name, "shard_cores32");
-        assert_eq!((case.cores, case.channels), (32, 4));
-        assert!(case.simulated_events > 0);
-        assert!(case.wheel_wall_s > 0.0);
-        assert!(case.sharded_wall_s > 0.0);
-        assert!(case.speedup() > 0.0);
     }
 
     #[test]

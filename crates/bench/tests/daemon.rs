@@ -34,6 +34,41 @@ fn stop(daemon: Daemon, client: &Client) {
     daemon.wait();
 }
 
+/// A submit still carrying the removed `shards` option is refused with an
+/// error reply, and nothing is queued for it.
+#[test]
+fn submit_with_a_retired_option_is_refused() {
+    use mapg::fuzz::JsonValue;
+    let (daemon, client) = start(DaemonConfig {
+        max_jobs: 1,
+        paused: true,
+        ..DaemonConfig::default()
+    });
+    let text = |s: &str| JsonValue::String(s.to_owned());
+    for shards in ["1", "4"] {
+        let request = JsonValue::Object(vec![
+            ("op".into(), text("submit")),
+            ("client".into(), text("a")),
+            ("experiment".into(), text("R-T1")),
+            ("shards".into(), JsonValue::Number(shards.to_owned())),
+        ]);
+        match client.roundtrip(&request) {
+            Err(mapg_bench::ClientError::Daemon(message)) => {
+                assert!(message.contains("'shards'"), "shards={shards}: {message}");
+            }
+            other => panic!("shards={shards}: expected an error reply, got {other:?}"),
+        }
+    }
+    // The refusals registered no job at all.
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.get("jobs"),
+        Some(&JsonValue::Object(Vec::new())),
+        "{stats:?}"
+    );
+    stop(daemon, &client);
+}
+
 /// Round-robin across clients, FIFO within a client, priority on top:
 /// with one runner and a paused start, the dispatch order
 /// (`started_seq`) is fully deterministic.

@@ -63,20 +63,6 @@ fn usage() {
          \x20 --policy NAME        gating policy (default mapg; see --list-policies)\n\
          \x20 --instructions N     per-core instruction budget (default 1000000)\n\
          \x20 --cores N            core count (default 1)\n\
-         \x20 --channels N         independent memory channels; core i maps to\n\
-         \x20                      channel i mod N (default 1, one shared\n\
-         \x20                      hierarchy — the classic contended topology)\n\
-         \x20 --shards N           after the run, crosscheck the passive memory\n\
-         \x20                      substrate on N shard wheels against the single\n\
-         \x20                      global wheel and fail on any divergence\n\
-         \x20                      (default 1 = skip). Shards never change any\n\
-         \x20                      reported number; they only bound how many\n\
-         \x20                      channel wheels may advance concurrently, and\n\
-         \x20                      the worker threads underneath come from the\n\
-         \x20                      pool's default job count (available\n\
-         \x20                      parallelism; the experiments binary's --jobs\n\
-         \x20                      flag pins the same knob), so the effective\n\
-         \x20                      concurrency is min(shards, channels, jobs)\n\
          \x20 --seed N             RNG seed (default 42)\n\
          \x20 --tokens N           wake-token budget (default unlimited)\n\
          \x20 --switch-width PCT   sleep-switch width ratio in percent (default 3.0)\n\
@@ -128,8 +114,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut policy_name = String::from("mapg");
     let mut instructions: u64 = 1_000_000;
     let mut cores: usize = 1;
-    let mut channels: usize = 1;
-    let mut shards: usize = 1;
     let mut seed: u64 = 42;
     let mut tokens: Option<usize> = None;
     let mut switch_width_pct: f64 = 3.0;
@@ -155,8 +139,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 | "--policy"
                 | "--instructions"
                 | "--cores"
-                | "--channels"
-                | "--shards"
                 | "--seed"
                 | "--tokens"
                 | "--switch-width"
@@ -200,12 +182,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             "--cores" => {
                 cores = parse_value(arg, "count", iter.next())?;
-            }
-            "--channels" => {
-                channels = parse_value(arg, "count", iter.next())?;
-            }
-            "--shards" => {
-                shards = parse_value(arg, "count", iter.next())?;
             }
             "--seed" => {
                 seed = parse_value(arg, "seed", iter.next())?;
@@ -268,41 +244,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    if shards > cores {
-        eprintln!(
-            "warning: --shards {shards} exceeds --cores {cores}; at most \
-             min(cores, channels) shard wheels can make progress"
-        );
-    }
-    // Oversubscription is judged against the pool's *actual* worker count
-    // (which honours `with_default_jobs` overrides and the MAPG_JOBS
-    // budget), not the host's raw available_parallelism — the pool is
-    // what the shard wheels run on. A parent scheduler (mapgd) hands
-    // each child a slice of the host via MAPG_JOBS; naming the budget
-    // source here keeps a "why is this serializing?" hunt short.
-    let workers = mapg_pool::default_jobs();
-    let budget = match mapg_pool::env_jobs() {
-        Some(n) if n == workers => " (MAPG_JOBS budget)",
-        _ => "",
-    };
-    let effective_shards = shards.min(channels).min(cores);
-    if effective_shards > 1 && workers < effective_shards {
-        eprintln!(
-            "warning: {effective_shards} effective shard wheel(s) share {workers} pool \
-             worker(s){budget}; shards beyond the worker count serialize (results stay \
-             bit-identical)"
-        );
-    }
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if workers > host {
-        eprintln!(
-            "warning: worker budget {workers} exceeds the host's {host} hardware \
-             thread(s); concurrent runs under one scheduler will oversubscribe the host"
-        );
-    }
-
     let profile = find_workload(&workload)
         .ok_or_else(|| format!("unknown workload '{workload}'; try --list-workloads"))?;
     let (_, policy) = POLICIES
@@ -315,10 +256,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .try_with_instructions(instructions)
         .map_err(|e| e.to_string())?
         .try_with_cores(cores)
-        .map_err(|e| e.to_string())?
-        .try_with_channels(channels)
-        .map_err(|e| e.to_string())?
-        .try_with_shards(shards)
         .map_err(|e| e.to_string())?
         .with_seed(seed)
         .try_with_switch_width(switch_width_pct / 100.0)
@@ -400,22 +337,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         mapg::write_atomic(Path::new(path), metrics.to_json().as_bytes())
             .map_err(|e| format!("cannot write metrics '{path}': {e}"))?;
         println!("metrics written to {path}");
-    }
-
-    if shards > 1 {
-        // The controller path is order-sensitive and always runs the
-        // single global wheel, so sharding is validated on the passive
-        // memory substrate: same topology, same fault plan, bit-compared
-        // stats/trace/metrics between one wheel and `shards` wheels.
-        match config.crosscheck_sharded().map_err(|e| e.to_string())? {
-            None => println!(
-                "sharded crosscheck  : {shards} shard(s) bit-identical to the single wheel"
-            ),
-            Some(detail) => {
-                eprintln!("error: sharded crosscheck diverged: {detail}");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
     }
 
     if compare && policy != PolicyKind::NoGating {

@@ -19,10 +19,6 @@ pub enum FindingClass {
     Panic,
     /// Live and reference stacks produced different reports.
     StatsMismatch,
-    /// The sharded cluster engine diverged from the global wheel on the
-    /// scenario's memory substrate (stats, trace, or metrics) — a break
-    /// of the engine's bit-identical-at-any-shard-count contract.
-    ShardDivergence,
     /// The run's own invariant checker reported violations (other than
     /// pure ledger-reconciliation kinds).
     InvariantViolation,
@@ -34,10 +30,9 @@ pub enum FindingClass {
 
 impl FindingClass {
     /// All classes, most severe first.
-    pub const ALL: [FindingClass; 6] = [
+    pub const ALL: [FindingClass; 5] = [
         FindingClass::Panic,
         FindingClass::StatsMismatch,
-        FindingClass::ShardDivergence,
         FindingClass::InvariantViolation,
         FindingClass::LedgerNonReconciliation,
         FindingClass::TraceMetricsAsymmetry,
@@ -48,7 +43,6 @@ impl FindingClass {
         match self {
             FindingClass::Panic => "panic",
             FindingClass::StatsMismatch => "stats-mismatch",
-            FindingClass::ShardDivergence => "shard-divergence",
             FindingClass::InvariantViolation => "invariant-violation",
             FindingClass::LedgerNonReconciliation => "ledger-non-reconciliation",
             FindingClass::TraceMetricsAsymmetry => "trace-metrics-asymmetry",
@@ -87,11 +81,7 @@ pub struct Finding {
 pub fn run_scenario(scenario: &Scenario) -> Result<Option<Finding>, MapgError> {
     let config = scenario.build_config()?;
     let live = run_guarded(config.clone(), scenario, "live");
-    let reference = run_guarded(
-        config.clone().with_reference_scheduler(),
-        scenario,
-        "reference",
-    );
+    let reference = run_guarded(config.with_reference_scheduler(), scenario, "reference");
     let (live, reference) = match (live, reference) {
         (Err(detail), _) | (_, Err(detail)) => {
             return Ok(Some(Finding {
@@ -106,36 +96,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Option<Finding>, MapgError> {
             class: FindingClass::StatsMismatch,
             detail: diff_sections(&live, &reference),
         }));
-    }
-    // The sharded engine only takes a distinct code path when more than
-    // one effective shard exists (shards, channels, and cores all > 1);
-    // otherwise it *is* the global wheel and the comparison is vacuous.
-    if scenario.shards.min(scenario.channels).min(scenario.cores) > 1 {
-        let crosscheck = catch_unwind(AssertUnwindSafe(|| config.crosscheck_sharded()));
-        match crosscheck {
-            Ok(Ok(None)) => {}
-            Ok(Ok(Some(detail))) => {
-                return Ok(Some(Finding {
-                    class: FindingClass::ShardDivergence,
-                    detail,
-                }))
-            }
-            Ok(Err(e)) => {
-                return Ok(Some(Finding {
-                    class: FindingClass::Panic,
-                    detail: format!("shard crosscheck failed: {e}"),
-                }))
-            }
-            Err(payload) => {
-                return Ok(Some(Finding {
-                    class: FindingClass::Panic,
-                    detail: format!(
-                        "shard crosscheck panicked: {}",
-                        panic_text(payload.as_ref())
-                    ),
-                }))
-            }
-        }
     }
     if !live.invariants.is_clean() {
         let ledger_only = live.invariants.violations.iter().all(|v| {
@@ -409,21 +369,6 @@ mod tests {
     #[test]
     fn a_clean_scenario_yields_no_finding() {
         let scenario = Scenario::generate(0xC1EA, 3);
-        let outcome = run_scenario(&scenario).expect("valid scenario");
-        assert_eq!(outcome, None, "{outcome:?}");
-    }
-
-    /// A multi-channel, multi-shard scenario exercises the sharded
-    /// crosscheck for real (effective shards > 1) and must come back
-    /// clean: the engine's determinism contract holds on fuzz inputs.
-    #[test]
-    fn sharded_scenarios_pass_the_crosscheck() {
-        let scenario = Scenario {
-            cores: 8,
-            channels: 4,
-            shards: 3,
-            ..Scenario::generate(0xC1EA, 3)
-        };
         let outcome = run_scenario(&scenario).expect("valid scenario");
         assert_eq!(outcome, None, "{outcome:?}");
     }

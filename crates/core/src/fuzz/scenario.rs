@@ -245,11 +245,6 @@ impl ProfileSpec {
 pub struct Scenario {
     /// Number of cores.
     pub cores: usize,
-    /// Independent memory channels (topology; clamped to `cores`).
-    pub channels: usize,
-    /// Shard count for the sharded engine — must never change any
-    /// result; the differ cross-checks sharded-vs-wheel substrate runs.
-    pub shards: usize,
     /// Instructions each core retires.
     pub instructions: u64,
     /// Simulation master seed.
@@ -338,12 +333,13 @@ impl Scenario {
                 dram_window_cycles: rng.range(100, 5_000),
             }
         };
+        // Two retired dimensions (memory channels, shard count) still
+        // consume their draws, so a campaign seed keeps mapping to the same
+        // values in every dimension that remains.
+        rng.below(7);
+        rng.below(5);
         Scenario {
             cores,
-            // Weighted toward 1 (the classic shared topology); larger
-            // values exercise clamping (channels > cores is legal).
-            channels: *rng.pick(&[1usize, 1, 1, 2, 3, 4, 8]),
-            shards: *rng.pick(&[1usize, 2, 3, 5, 8]),
             instructions: *rng.pick(&[50, 200, 1_000, 5_000, 20_000, 80_000]),
             sim_seed: rng.below(1 << 48),
             policy: *rng.pick(&POLICY_POOL),
@@ -437,8 +433,6 @@ impl Scenario {
         let mut config = SimConfig::default()
             .with_profile(profile)
             .try_with_cores(self.cores)?
-            .try_with_channels(self.channels)?
-            .try_with_shards(self.shards)?
             .try_with_instructions(self.instructions)?
             .with_seed(self.sim_seed)
             .with_core(core)
@@ -570,8 +564,6 @@ impl Scenario {
         };
         JsonValue::Object(vec![
             ("cores".into(), num_u(self.cores as u64)),
-            ("channels".into(), num_u(self.channels as u64)),
-            ("shards".into(), num_u(self.shards as u64)),
             ("instructions".into(), num_u(self.instructions)),
             ("sim_seed".into(), num_u(self.sim_seed)),
             ("policy".into(), policy),
@@ -751,20 +743,28 @@ impl Scenario {
             }
         };
 
-        // Channels/shards default to 1 when absent so repro files written
-        // before those dimensions existed still replay bit-for-bit (1 is
-        // exactly the behaviour those runs had).
-        let legacy_default = |field: &str| -> Result<usize, MapgError> {
+        // Repro files written while the multi-channel topology and the
+        // sharded engine existed carry `channels`/`shards`. A value of 1 is
+        // exactly the single shared hierarchy every run now uses, so it
+        // replays unchanged; anything else described a run that can no
+        // longer be reproduced and is refused rather than silently run on
+        // one channel.
+        for field in RETIRED_FIELDS {
             match value.get(field) {
-                None | Some(JsonValue::Null) => Ok(1),
-                Some(v) => v.as_u64().map(|n| n as usize).ok_or_else(|| missing(field)),
+                None | Some(JsonValue::Null) => {}
+                Some(v) if v.as_u64() == Some(1) => {}
+                Some(v) => {
+                    return Err(MapgError::invalid(format!(
+                        "scenario field '{field}' is {}, but multi-channel and \
+                         sharded runs were removed; only 1 replays",
+                        json::write(v)
+                    )))
+                }
             }
-        };
+        }
 
         Ok(Scenario {
             cores: u64_of("cores")? as usize,
-            channels: legacy_default("channels")?,
-            shards: legacy_default("shards")?,
             instructions: u64_of("instructions")?,
             sim_seed: u64_of("sim_seed")?,
             policy,
@@ -790,6 +790,9 @@ impl Scenario {
         })
     }
 }
+
+/// Scenario fields from removed dimensions that older repro files carry.
+const RETIRED_FIELDS: [&str; 2] = ["channels", "shards"];
 
 fn parse_policy_name(name: &str) -> Option<PolicyKind> {
     let fixed = [
@@ -858,39 +861,50 @@ mod tests {
         }
     }
 
-    /// Repro files written before the channels/shards dimensions existed
-    /// must parse with both defaulted to 1 — the behaviour those runs
-    /// actually had.
-    #[test]
-    fn legacy_json_without_channels_or_shards_defaults_to_one() {
-        let scenario = Scenario::generate(0xCAFE, 3);
+    fn with_retired_fields(scenario: &Scenario, channels: &str, shards: &str) -> JsonValue {
         let JsonValue::Object(mut fields) = scenario.to_json() else {
             panic!("scenario JSON is an object");
         };
-        fields.retain(|(k, _)| k != "channels" && k != "shards");
-        let back = Scenario::from_json(&JsonValue::Object(fields)).unwrap();
-        assert_eq!(back.channels, 1);
-        assert_eq!(back.shards, 1);
-        assert_eq!(
-            Scenario {
-                channels: 1,
-                shards: 1,
-                ..scenario
-            },
-            back
-        );
+        fields.insert(1, ("channels".into(), JsonValue::Number(channels.into())));
+        fields.insert(2, ("shards".into(), JsonValue::Number(shards.into())));
+        JsonValue::Object(fields)
+    }
+
+    /// Repro files from when channels/shards existed replay unchanged
+    /// when both are 1 — the single shared hierarchy every run now uses.
+    #[test]
+    fn legacy_json_with_unit_retired_fields_parses() {
+        let scenario = Scenario::generate(0xCAFE, 3);
+        let back = Scenario::from_json(&with_retired_fields(&scenario, "1", "1")).unwrap();
+        assert_eq!(back, scenario);
+        let mut nulls = with_retired_fields(&scenario, "1", "1");
+        if let JsonValue::Object(fields) = &mut nulls {
+            fields[1].1 = JsonValue::Null;
+        }
+        assert_eq!(Scenario::from_json(&nulls).unwrap(), scenario);
+    }
+
+    /// A repro that needed several channels or shards cannot be replayed
+    /// faithfully any more: it is refused by name, not run on one channel.
+    #[test]
+    fn legacy_json_with_larger_retired_fields_is_rejected() {
+        let scenario = Scenario::generate(0xCAFE, 3);
+        for (channels, shards, field) in [("4", "1", "channels"), ("1", "8", "shards")] {
+            let err =
+                Scenario::from_json(&with_retired_fields(&scenario, channels, shards)).unwrap_err();
+            assert!(matches!(err, MapgError::InvalidConfig(_)), "{err:?}");
+            let message = err.to_string();
+            assert!(message.contains(&format!("'{field}'")), "{message}");
+            assert!(message.contains("only 1 replays"), "{message}");
+        }
+        let zero = with_retired_fields(&scenario, "0", "1");
+        assert!(Scenario::from_json(&zero).is_err());
     }
 
     #[test]
     fn hand_edited_out_of_range_fields_are_rejected() {
         let mut scenario = Scenario::generate(5, 5);
         scenario.switch_width_ratio = 0.5;
-        assert!(scenario.build_config().is_err());
-        let mut scenario = Scenario::generate(5, 5);
-        scenario.channels = 0;
-        assert!(scenario.build_config().is_err());
-        let mut scenario = Scenario::generate(5, 5);
-        scenario.shards = 0;
         assert!(scenario.build_config().is_err());
         let mut scenario = Scenario::generate(5, 5);
         scenario.profile.compute_ipc = 100.0;

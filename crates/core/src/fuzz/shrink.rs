@@ -50,24 +50,6 @@ fn halve_cores(s: &Scenario) -> Option<Scenario> {
     Some(out)
 }
 
-fn halve_channels(s: &Scenario) -> Option<Scenario> {
-    if s.channels <= 1 {
-        return None;
-    }
-    let mut out = s.clone();
-    out.channels = (s.channels / 2).max(1);
-    Some(out)
-}
-
-fn halve_shards(s: &Scenario) -> Option<Scenario> {
-    if s.shards <= 1 {
-        return None;
-    }
-    let mut out = s.clone();
-    out.shards = (s.shards / 2).max(1);
-    Some(out)
-}
-
 fn drop_timeline(s: &Scenario) -> Option<Scenario> {
     if !s.timeline {
         return None;
@@ -223,11 +205,9 @@ fn shorten_fault_holds(s: &Scenario) -> Option<Scenario> {
 
 /// Passes in the order tried each fixpoint round: big structural cuts
 /// first, knob resets last.
-const PASSES: [Pass; 19] = [
+const PASSES: [Pass; 17] = [
     ("halve-instructions", halve_instructions),
     ("halve-cores", halve_cores),
-    ("halve-channels", halve_channels),
-    ("halve-shards", halve_shards),
     ("drop-quantum", drop_quantum),
     ("drop-watchdog", drop_watchdog),
     ("drop-tokens", drop_tokens),

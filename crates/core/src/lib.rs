@@ -75,7 +75,7 @@ pub use predictor::{
 };
 pub use replicate::{MetricSummary, Replication};
 pub use report::{geometric_mean, RunReport};
-pub use sim::{ambient_shards, with_ambient_shards, SimConfig, Simulation};
+pub use sim::{SimConfig, Simulation};
 pub use suite::{SuiteMatrix, SuiteRunner};
 pub use timeline::{Timeline, TimelineEvent};
 pub use tokens::TokenManager;

@@ -36,8 +36,6 @@ pub struct SimConfig {
     /// Per-core profiles; core `i` runs `profiles[i % profiles.len()]`.
     profiles: Vec<WorkloadProfile>,
     cores: usize,
-    channels: usize,
-    shards: usize,
     instructions_per_core: u64,
     seed: u64,
     core: CoreConfig,
@@ -119,69 +117,6 @@ impl SimConfig {
             return Err(MapgError::invalid("need at least one core"));
         }
         self.cores = cores;
-        Ok(self)
-    }
-
-    /// Number of independent memory channels; core `i` issues to channel
-    /// `i % channels` (clamped to the core count at cluster build time).
-    /// This is a *topology* knob — it changes which cores contend — so it
-    /// changes results; the default of 1 is the classic fully-shared
-    /// hierarchy every golden table uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is zero.
-    pub fn with_channels(self, channels: usize) -> Self {
-        match self.try_with_channels(channels) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_channels`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `channels` is zero.
-    pub fn try_with_channels(mut self, channels: usize) -> Result<Self, MapgError> {
-        if channels == 0 {
-            return Err(MapgError::invalid("need at least one memory channel"));
-        }
-        self.channels = channels;
-        Ok(self)
-    }
-
-    /// Shard count for the sharded cluster engine — an *execution
-    /// strategy* knob, never a model knob: any shard count must produce a
-    /// byte-identical report (`tests/obs_determinism.rs` pins this).
-    ///
-    /// Full-policy simulations drive every stall through the gating
-    /// [`Controller`], whose token ledger and di/dt veto couple all cores
-    /// in observation order, so they always run on the exact global wheel
-    /// regardless of this setting (DESIGN.md §13); the sharded engine
-    /// accelerates the uncoupled substrate paths (`mapgsim --shards`
-    /// cross-checks, `bench-throughput`'s scale cases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(self, shards: usize) -> Self {
-        match self.try_with_shards(shards) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_shards`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `shards` is zero.
-    pub fn try_with_shards(mut self, shards: usize) -> Result<Self, MapgError> {
-        if shards == 0 {
-            return Err(MapgError::invalid("need at least one shard"));
-        }
-        self.shards = shards;
         Ok(self)
     }
 
@@ -475,16 +410,6 @@ impl SimConfig {
         self.cores
     }
 
-    /// The configured memory-channel count.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The configured technology.
     pub fn tech(&self) -> &TechnologyParams {
         &self.tech
@@ -495,114 +420,6 @@ impl SimConfig {
         PgCircuitDesign::from_switch_width(self.switch_width_ratio, &self.tech)
             .with_retention(self.retention)
     }
-
-    /// Runs this configuration's memory substrate — cores, channels, and
-    /// hierarchy under the passive (no-power-management) handler — once
-    /// on the exact global wheel and once on the sharded engine at this
-    /// configuration's shard count, then compares the full
-    /// [`ClusterStats`](mapg_cpu::ClusterStats), trace, and metrics.
-    ///
-    /// Returns `Ok(None)` when the two are bit-identical (the sharded
-    /// engine's contract) and `Ok(Some(detail))` naming the divergent
-    /// artifact otherwise. This is the determinism self-check behind
-    /// `mapgsim --shards` and the fuzzer's shard-divergence class; the
-    /// full-policy controller path is out of scope by design because its
-    /// cross-core coupling forces the global wheel (DESIGN.md §13).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if the cluster rejects the
-    /// configuration.
-    pub fn crosscheck_sharded(&self) -> Result<Option<String>, MapgError> {
-        let mut memory = self.memory;
-        if !self.fault_plan.is_nop() {
-            memory.dram_faults = self.fault_plan.dram_faults(self.seed);
-        }
-        let capacity = self
-            .trace_capacity
-            .unwrap_or(mapg_obs::DEFAULT_TRACE_CAPACITY);
-        let build = || -> Result<(Cluster<SyntheticWorkload>, ObsHandle), MapgError> {
-            let sources: Vec<SyntheticWorkload> = (0..self.cores)
-                .map(|i| {
-                    let profile = &self.profiles[i % self.profiles.len()];
-                    SyntheticWorkload::new(profile, self.seed + i as u64)
-                })
-                .collect();
-            let mut cluster =
-                Cluster::try_new_with_channels(self.core, memory, sources, self.channels)?;
-            let obs = ObsHandle::enabled(Some(capacity), true);
-            cluster.set_obs(obs.clone());
-            Ok((cluster, obs))
-        };
-        let (mut wheel, wheel_obs) = build()?;
-        wheel.try_run(self.instructions_per_core, &mut mapg_cpu::PassiveHandler)?;
-        let (mut sharded, sharded_obs) = build()?;
-        sharded.try_run_sharded(
-            self.instructions_per_core,
-            &mapg_cpu::PassiveHandler,
-            self.shards,
-        )?;
-        if wheel.stats() != sharded.stats() {
-            return Ok(Some(format!(
-                "sharded substrate stats diverge from the global wheel at \
-                 {} shards over {} channels",
-                self.shards, self.channels
-            )));
-        }
-        let (wheel_trace, wheel_metrics) = wheel_obs.collect();
-        let (sharded_trace, sharded_metrics) = sharded_obs.collect();
-        if wheel_trace != sharded_trace {
-            return Ok(Some(format!(
-                "sharded substrate trace diverges from the global wheel at \
-                 {} shards over {} channels",
-                self.shards, self.channels
-            )));
-        }
-        if wheel_metrics != sharded_metrics {
-            return Ok(Some(format!(
-                "sharded substrate metrics diverge from the global wheel at \
-                 {} shards over {} channels",
-                self.shards, self.channels
-            )));
-        }
-        Ok(None)
-    }
-}
-
-thread_local! {
-    static AMBIENT_SHARDS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// The innermost active [`with_ambient_shards`] override on this thread.
-///
-/// Harness code that builds configs deep inside a call tree (the
-/// experiment registry's `base_config`) uses this to pick up the shard
-/// count an `experiments --shards` invocation installed, without
-/// threading a parameter through every experiment signature. Shards are
-/// an execution-strategy knob — reports are identical at any value — so
-/// the override can never change an experiment's output, only how the
-/// substrate would be scheduled.
-pub fn ambient_shards() -> Option<usize> {
-    AMBIENT_SHARDS.with(std::cell::Cell::get)
-}
-
-/// Runs `f` with [`ambient_shards`] resolving to `shards` on the current
-/// thread, restoring the previous value afterwards (also on panic).
-///
-/// # Panics
-///
-/// Panics if `shards` is zero (an override that [`SimConfig::with_shards`]
-/// would reject is refused at the source).
-pub fn with_ambient_shards<R>(shards: usize, f: impl FnOnce() -> R) -> R {
-    assert!(shards > 0, "need at least one shard");
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_SHARDS.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(AMBIENT_SHARDS.with(|cell| cell.replace(Some(shards))));
-    f()
 }
 
 impl Default for SimConfig {
@@ -612,8 +429,6 @@ impl Default for SimConfig {
         SimConfig {
             profiles: vec![WorkloadProfile::mem_bound("default")],
             cores: 1,
-            channels: 1,
-            shards: 1,
             instructions_per_core: 1_000_000,
             seed: 42,
             core: CoreConfig::baseline(),
@@ -640,33 +455,37 @@ impl Default for SimConfig {
 /// Builds the selected cluster around `sources`, runs it to the budget,
 /// and returns the end-of-run statistics. Generic over the event source so
 /// the live-synthetic, quantized-replay, and reference paths share one
-/// driving routine (the fuzzer differentially crosses all of them). The
-/// breadth of the argument list is the point: one signature names every
-/// input the three paths must agree on.
-#[allow(clippy::too_many_arguments)]
+/// driving routine (the fuzzer differentially crosses all of them).
 fn drive_cluster<S: EventSource>(
     reference: bool,
     core: CoreConfig,
     memory: HierarchyConfig,
-    channels: usize,
     sources: Vec<S>,
     obs: &ObsHandle,
     controller: &mut Controller,
     instructions_per_core: u64,
 ) -> Result<mapg_cpu::ClusterStats, MapgError> {
     if reference {
-        let mut cluster =
-            mapg_cpu::ReferenceCluster::try_new_with_channels(core, memory, sources, channels)?;
+        let mut cluster = mapg_cpu::ReferenceCluster::try_new(core, memory, sources)?;
         cluster.set_obs(obs.clone());
         cluster.try_run(instructions_per_core, controller)?;
         Ok(cluster.stats())
     } else {
-        let mut cluster = Cluster::try_new_with_channels(core, memory, sources, channels)?;
+        let mut cluster = Cluster::try_new(core, memory, sources)?;
         cluster.set_obs(obs.clone());
         cluster.try_run(instructions_per_core, controller)?;
         Ok(cluster.stats())
     }
 }
+
+// Configurations go out to pool workers and reports come back, so both
+// must stay `Send`; the observability handle a run builds internally does
+// not cross, and is deliberately `!Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<SimConfig>();
+    assert_send::<RunReport>();
+};
 
 /// One configured run: a cluster of cores, a shared hierarchy, and a gating
 /// controller executing the chosen policy.
@@ -724,9 +543,9 @@ impl Simulation {
             controller.enable_timeline();
         }
         // One observability handle per run, shared by every component via
-        // cheap clones. Built here — inside the (single-threaded) run — so
-        // emission order is simulation order and the trace stays
-        // deterministic at any outer parallelism.
+        // cheap clones. Built here, on the thread that runs the simulation
+        // (the handle is `!Send`), so emission order is simulation order
+        // and the trace stays deterministic at any outer parallelism.
         let obs = ObsHandle::enabled(
             config.trace_capacity,
             config.metrics || config.metrics_hub.is_some(),
@@ -762,7 +581,6 @@ impl Simulation {
                     config.reference_scheduler,
                     config.core,
                     memory,
-                    config.channels,
                     traces.iter().map(RecordedTrace::replay).collect(),
                     &obs,
                     &mut controller,
@@ -773,7 +591,6 @@ impl Simulation {
                 config.reference_scheduler,
                 config.core,
                 memory,
-                config.channels,
                 sources,
                 &obs,
                 &mut controller,
@@ -1154,58 +971,6 @@ mod tests {
     fn zero_compute_quantum_rejected() {
         let err = SimConfig::default().try_with_compute_quantum(0);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn zero_channels_and_zero_shards_rejected() {
-        assert!(SimConfig::default().try_with_channels(0).is_err());
-        assert!(SimConfig::default().try_with_shards(0).is_err());
-        assert_eq!(SimConfig::default().channels(), 1);
-        assert_eq!(SimConfig::default().shards(), 1);
-    }
-
-    /// Channels are a topology knob: splitting a contended cluster over
-    /// two channels must change (improve) the makespan, and the heap and
-    /// reference schedulers must still agree on the multi-channel result.
-    #[test]
-    fn channels_change_the_topology_and_schedulers_still_agree() {
-        let mk = |channels: usize| {
-            quick()
-                .with_cores(4)
-                .with_instructions(30_000)
-                .with_channels(channels)
-        };
-        let shared = Simulation::new(mk(1), PolicyKind::Mapg).run();
-        let split = Simulation::new(mk(2), PolicyKind::Mapg).run();
-        assert!(
-            split.makespan_cycles < shared.makespan_cycles,
-            "two channels ({}) must beat one ({})",
-            split.makespan_cycles,
-            shared.makespan_cycles
-        );
-        let split_reference =
-            Simulation::new(mk(2).with_reference_scheduler(), PolicyKind::Mapg).run();
-        assert_eq!(split, split_reference);
-    }
-
-    /// Shards are an execution-strategy knob: the full-policy controller
-    /// path always runs the exact global wheel, so any shard count must
-    /// produce a byte-identical report (the CSV-level counterpart lives
-    /// in `tests/obs_determinism.rs`).
-    #[test]
-    fn shard_count_never_changes_a_report() {
-        let mk = |shards: usize| {
-            quick()
-                .with_cores(4)
-                .with_instructions(30_000)
-                .with_channels(2)
-                .with_shards(shards)
-                .with_tokens(2)
-        };
-        let one = Simulation::new(mk(1), PolicyKind::Mapg).run();
-        for shards in [3, 8] {
-            assert_eq!(Simulation::new(mk(shards), PolicyKind::Mapg).run(), one);
-        }
     }
 
     #[test]

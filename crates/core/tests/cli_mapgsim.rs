@@ -149,83 +149,22 @@ fn capture_flags_need_values() {
     }
 }
 
-/// `--shards N` crosschecks the sharded engine against the single wheel
-/// without perturbing the printed report, warns when the shard count
-/// exceeds the core count, and rejects zero.
+/// Flags from the removed multi-channel topology and sharded engine exit
+/// through the ordinary unknown-option error: exit 1, no panic, and no
+/// report printed as if the flag had been honoured.
 #[test]
-fn shards_crosscheck_is_report_invariant() {
-    let plain = run(&["--instructions", "20000", "--cores", "4", "--channels", "2"]);
-    let sharded = run(&[
-        "--instructions",
-        "20000",
-        "--cores",
-        "4",
-        "--channels",
-        "2",
-        "--shards",
-        "3",
-    ]);
-    assert!(plain.status.success() && sharded.status.success());
-    let plain = String::from_utf8(plain.stdout).unwrap();
-    let sharded = String::from_utf8(sharded.stdout).unwrap();
-    // Everything except the trailing crosscheck verdict is identical:
-    // shards are an execution strategy, never a result knob.
-    assert!(sharded.starts_with(&plain), "--shards changed the report");
-    assert!(
-        sharded.contains("bit-identical to the single wheel"),
-        "{sharded}"
-    );
-
-    let oversubscribed = run(&["--instructions", "5000", "--cores", "2", "--shards", "8"]);
-    assert!(oversubscribed.status.success(), "{:?}", oversubscribed);
-    let err = String::from_utf8(oversubscribed.stderr).unwrap();
-    assert!(
-        err.contains("warning: --shards 8 exceeds --cores 2"),
-        "{err}"
-    );
-
-    for flag in ["--shards", "--channels"] {
-        let zero = run(&[flag, "0"]);
-        assert!(!zero.status.success(), "{flag} 0 should fail");
-        let err = String::from_utf8(zero.stderr).unwrap();
-        assert!(err.contains("need at least one"), "{err}");
+fn removed_topology_flags_are_unknown_options() {
+    for flag in ["--shards", "--threads", "--thread-curve", "--channels"] {
+        let out = run(&["--instructions", "5000", flag, "2"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("error: unknown option '{flag}'")),
+            "{flag}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} printed a report");
     }
-}
-
-/// The worker-oversubscription warning keys off the pool's actual worker
-/// count (available parallelism, absent an override) versus the
-/// *effective* shard count min(shards, channels, cores) — and never
-/// fires for a single effective shard.
-#[test]
-fn shards_warn_when_pool_workers_are_oversubscribed() {
-    let out = run(&[
-        "--instructions",
-        "5000",
-        "--cores",
-        "4",
-        "--channels",
-        "4",
-        "--shards",
-        "4",
-    ]);
-    assert!(out.status.success(), "{:?}", out);
-    let err = String::from_utf8(out.stderr).unwrap();
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let expect_warning = workers < 4;
-    assert_eq!(
-        err.contains("shard wheel(s) share"),
-        expect_warning,
-        "workers = {workers}: {err}"
-    );
-
-    // One effective shard wheel cannot be oversubscribed, whatever the
-    // nominal --shards count says.
-    let single = run(&["--instructions", "5000", "--cores", "4", "--shards", "16"]);
-    assert!(single.status.success(), "{:?}", single);
-    let err = String::from_utf8(single.stderr).unwrap();
-    assert!(!err.contains("shard wheel(s) share"), "{err}");
 }
 
 fn committed_repro() -> PathBuf {

@@ -1,4 +1,4 @@
-//! Multi-core clusters over one or more memory channels.
+//! Multi-core clusters sharing one memory hierarchy.
 
 use mapg_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 use mapg_trace::EventSource;
@@ -6,25 +6,14 @@ use mapg_units::Cycle;
 
 use crate::core_model::{Core, CoreConfig, CoreStats};
 use crate::error::RunError;
-use crate::merge::KwayMerger;
 use crate::sched::{CoreKey, SchedHeap};
-use crate::shard::ChannelCapture;
 use crate::stall::{CoreId, StallHandler};
 
-/// N cores in front of C independent [`MemoryHierarchy`] channels
-/// (`C == 1`, the default, is the classic fully-shared topology).
-///
-/// Core `i` issues every access to channel `i % C`; cores on the same
-/// channel contend for its caches, MSHRs, and DRAM banks exactly as the
-/// single-channel cluster always has, while cores on different channels
-/// never touch shared memory state. That explicit topology is what the
-/// sharded engine ([`Cluster::try_run_sharded`]) exploits: a shard owns
-/// whole channels, so shards are independent and can run in parallel with
-/// bit-identical results.
+/// N cores in front of one shared [`MemoryHierarchy`].
 ///
 /// Cores are stepped in **global time order** (always the core with the
-/// smallest local timestamp advances next), so contention at a shared
-/// channel — extra queueing when many cores miss together — emerges
+/// smallest local timestamp advances next), so contention at the shared
+/// hierarchy — extra queueing when many cores miss together — emerges
 /// naturally from the bank/bus free times rather than being modelled
 /// analytically.
 ///
@@ -55,22 +44,9 @@ use crate::stall::{CoreId, StallHandler};
 /// ```
 #[derive(Debug)]
 pub struct Cluster<S> {
-    pub(crate) cores: Vec<Core<S>>,
-    pub(crate) memories: Vec<MemoryHierarchy>,
-    pub(crate) channels: usize,
-    pub(crate) target: u64,
-    pub(crate) obs: mapg_obs::ObsHandle,
-    /// Unmerged per-channel observability captures from a cancelled
-    /// sharded segment; merged (in channel order) once every channel
-    /// reaches the current target. See `shard.rs`.
-    pub(crate) captures: Vec<Option<ChannelCapture>>,
-    /// Drained capture buffers recycled back to the shard workers, so the
-    /// sharded segment loop stops allocating once warm. See `shard.rs`.
-    pub(crate) trace_spares: Vec<Vec<(u128, mapg_obs::TraceRecord)>>,
-    /// Reusable stream list fed to `merger` each merge.
-    pub(crate) merge_streams: Vec<Vec<(u128, mapg_obs::TraceRecord)>>,
-    /// The k-way tournament merger recombining shard trace captures.
-    pub(crate) merger: KwayMerger,
+    cores: Vec<Core<S>>,
+    memory: MemoryHierarchy,
+    target: u64,
 }
 
 /// Statistics snapshot for a whole cluster.
@@ -78,8 +54,7 @@ pub struct Cluster<S> {
 pub struct ClusterStats {
     /// Per-core execution statistics, indexed by [`CoreId`].
     pub per_core: Vec<CoreStats>,
-    /// The memory counters summed over every channel (channel 0 first;
-    /// the merge is deterministic in channel order).
+    /// The shared hierarchy's counters.
     pub memory: HierarchyStats,
 }
 
@@ -111,7 +86,7 @@ impl ClusterStats {
 
 impl<S: EventSource> Cluster<S> {
     /// Builds a cluster with one core per event source, all sharing a
-    /// single fresh hierarchy (the classic one-channel topology).
+    /// single fresh hierarchy.
     ///
     /// # Panics
     ///
@@ -135,39 +110,10 @@ impl<S: EventSource> Cluster<S> {
         memory_config: HierarchyConfig,
         sources: Vec<S>,
     ) -> Result<Self, RunError> {
-        Cluster::try_new_with_channels(core_config, memory_config, sources, 1)
-    }
-
-    /// Builds a cluster whose cores are spread round-robin over
-    /// `channels` independent memory hierarchies (core `i` → channel
-    /// `i % channels`), each constructed from the same `memory_config`.
-    ///
-    /// A channel count above the core count is clamped: empty channels
-    /// cannot carry traffic and would only dilute the merged statistics.
-    /// With `channels == 1` this is exactly [`Cluster::try_new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::NoCores`] if `sources` is empty,
-    /// [`RunError::ZeroChannels`] if `channels` is zero, or
-    /// [`RunError::Memory`] if the hierarchy configuration fails
-    /// validation.
-    pub fn try_new_with_channels(
-        core_config: CoreConfig,
-        memory_config: HierarchyConfig,
-        sources: Vec<S>,
-        channels: usize,
-    ) -> Result<Self, RunError> {
         if sources.is_empty() {
             return Err(RunError::NoCores);
         }
-        if channels == 0 {
-            return Err(RunError::ZeroChannels);
-        }
-        let channels = channels.min(sources.len());
-        let memories = (0..channels)
-            .map(|_| MemoryHierarchy::try_new(memory_config))
-            .collect::<Result<Vec<_>, _>>()?;
+        let memory = MemoryHierarchy::try_new(memory_config)?;
         let cores = sources
             .into_iter()
             .enumerate()
@@ -175,28 +121,19 @@ impl<S: EventSource> Cluster<S> {
             .collect();
         Ok(Cluster {
             cores,
-            memories,
-            channels,
+            memory,
             target: 0,
-            obs: mapg_obs::ObsHandle::disabled(),
-            captures: (0..channels).map(|_| None).collect(),
-            trace_spares: Vec::new(),
-            merge_streams: Vec::new(),
-            merger: KwayMerger::new(),
         })
     }
 
-    /// Attaches an observability handle to every core and to each memory
-    /// channel. Stall spans then carry per-core scopes and DRAM fault
+    /// Attaches an observability handle to every core and to the shared
+    /// hierarchy. Stall spans then carry per-core scopes and DRAM fault
     /// events per-bank scopes.
     pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
         for core in &mut self.cores {
             core.set_obs(obs.clone());
         }
-        for memory in &mut self.memories {
-            memory.set_obs(obs.clone());
-        }
-        self.obs = obs;
+        self.memory.set_obs(obs);
     }
 
     /// Number of cores.
@@ -207,11 +144,6 @@ impl<S: EventSource> Cluster<S> {
     /// Whether the cluster has no cores (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.cores.is_empty()
-    }
-
-    /// Number of independent memory channels.
-    pub fn channels(&self) -> usize {
-        self.channels
     }
 
     /// Runs every core for at least `instructions_per_core` instructions,
@@ -231,6 +163,10 @@ impl<S: EventSource> Cluster<S> {
 
     /// Fallible form of [`Cluster::run`] for user-supplied budgets.
     ///
+    /// The global event wheel: one heap over every core, the minimum
+    /// advancing next, run until every core has retired the accumulated
+    /// per-core target.
+    ///
     /// # Errors
     ///
     /// Returns [`RunError::ZeroInstructions`] if `instructions_per_core`
@@ -243,20 +179,8 @@ impl<S: EventSource> Cluster<S> {
         if instructions_per_core == 0 {
             return Err(RunError::ZeroInstructions);
         }
-        debug_assert!(
-            !self.has_pending_captures(),
-            "a cancelled sharded segment must be resumed (try_resume_sharded) \
-             before driving the cluster with a stateful handler"
-        );
         self.target += instructions_per_core;
         let target = self.target;
-        self.run_wheel(target, handler);
-        Ok(())
-    }
-
-    /// The global event wheel: one heap over every core, the minimum
-    /// advancing next, run to `target` retired instructions per core.
-    pub(crate) fn run_wheel<H: StallHandler>(&mut self, target: u64, handler: &mut H) {
         // Heap of unfinished cores keyed by (local time, index); rebuilt
         // per call so incremental runs re-admit previously finished cores.
         let mut heap = SchedHeap::with_capacity(self.cores.len());
@@ -266,12 +190,11 @@ impl<S: EventSource> Cluster<S> {
             }
         }
 
-        let channels = self.channels;
+        let memory = &mut self.memory;
         let mut next = heap.pop();
         while let Some(key) = next {
             let index = key.index();
             let core = &mut self.cores[index as usize];
-            let memory = &mut self.memories[index as usize % channels];
             // Run-ahead: the popped core is the global minimum; keep
             // stepping it — one batched event per iteration, zero heap
             // traffic — until it either finishes or falls behind another
@@ -291,18 +214,14 @@ impl<S: EventSource> Cluster<S> {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Per-core and memory statistics (memory summed across channels in
-    /// channel order).
+    /// Per-core and shared-memory statistics.
     pub fn stats(&self) -> ClusterStats {
-        let mut memory = self.memories[0].stats();
-        for channel in &self.memories[1..] {
-            memory.merge(&channel.stats());
-        }
         ClusterStats {
             per_core: self.cores.iter().map(|c| c.stats().clone()).collect(),
-            memory,
+            memory: self.memory.stats(),
         }
     }
 
@@ -371,109 +290,6 @@ mod tests {
             shared_cycles > solo_cycles,
             "4-way sharing ({shared_cycles}) must be slower than solo ({solo_cycles})"
         );
-    }
-
-    /// Splitting four cores over two channels halves the contention each
-    /// core sees: cores must finish no later than in the fully-shared
-    /// topology, and the merged access counters must cover all cores.
-    #[test]
-    fn extra_channels_relieve_contention() {
-        let shared = {
-            let mut cluster = Cluster::new(
-                CoreConfig::baseline(),
-                HierarchyConfig::baseline(),
-                mem_sources(4),
-            );
-            cluster.run(30_000, &mut PassiveHandler);
-            cluster.stats()
-        };
-        let split = {
-            let mut cluster = Cluster::try_new_with_channels(
-                CoreConfig::baseline(),
-                HierarchyConfig::baseline(),
-                mem_sources(4),
-                2,
-            )
-            .expect("valid channel count");
-            assert_eq!(cluster.channels(), 2);
-            cluster.run(30_000, &mut PassiveHandler);
-            cluster.stats()
-        };
-        assert!(
-            split.makespan_cycles() < shared.makespan_cycles(),
-            "two channels ({}) must beat one ({})",
-            split.makespan_cycles(),
-            shared.makespan_cycles()
-        );
-        assert_eq!(split.per_core.len(), 4);
-        assert!(split.memory.l1.accesses > 0);
-        // Each topology retires the same work.
-        assert_eq!(
-            split
-                .per_core
-                .iter()
-                .map(|c| c.instructions)
-                .collect::<Vec<_>>(),
-            shared
-                .per_core
-                .iter()
-                .map(|c| c.instructions)
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    /// One core per channel removes cross-core memory coupling entirely:
-    /// each core must behave exactly like a solo single-channel run.
-    #[test]
-    fn fully_channelled_cores_match_solo_runs() {
-        let mut split = Cluster::try_new_with_channels(
-            CoreConfig::baseline(),
-            HierarchyConfig::baseline(),
-            mem_sources(3),
-            3,
-        )
-        .expect("valid channel count");
-        split.run(20_000, &mut PassiveHandler);
-        let split_stats = split.stats();
-        for i in 0..3 {
-            let mut solo = Cluster::new(
-                CoreConfig::baseline(),
-                HierarchyConfig::baseline(),
-                vec![mem_sources(3).remove(i)],
-            );
-            solo.run(20_000, &mut PassiveHandler);
-            let expected = solo.stats().per_core[0].clone();
-            // Identity differs (solo cores are always core 0); timing and
-            // work must not.
-            let actual = &split_stats.per_core[i];
-            assert_eq!(actual.instructions, expected.instructions, "core {i}");
-            assert_eq!(actual.total_cycles, expected.total_cycles, "core {i}");
-            assert_eq!(actual.stall_count, expected.stall_count, "core {i}");
-        }
-    }
-
-    #[test]
-    fn channel_count_is_clamped_to_cores() {
-        let cluster = Cluster::try_new_with_channels(
-            CoreConfig::baseline(),
-            HierarchyConfig::baseline(),
-            mem_sources(2),
-            8,
-        )
-        .expect("valid");
-        assert_eq!(cluster.channels(), 2);
-    }
-
-    #[test]
-    fn zero_channels_rejected() {
-        let err = Cluster::try_new_with_channels(
-            CoreConfig::baseline(),
-            HierarchyConfig::baseline(),
-            mem_sources(2),
-            0,
-        )
-        .unwrap_err();
-        assert_eq!(err, RunError::ZeroChannels);
     }
 
     #[test]
@@ -557,7 +373,6 @@ mod tests {
         );
         assert_eq!(cluster.len(), 2);
         assert!(!cluster.is_empty());
-        assert_eq!(cluster.channels(), 1);
         assert_eq!(cluster.core_now(CoreId(1)), Cycle::ZERO);
     }
 }

@@ -16,15 +16,6 @@ pub enum RunError {
     ZeroInstructions,
     /// A cluster was built from an empty source list.
     NoCores,
-    /// A cluster was asked for zero memory channels.
-    ZeroChannels,
-    /// A sharded run was asked for zero shards.
-    ZeroShards,
-    /// A sharded run observed its cancellation token before completing.
-    /// The cluster is left in a consistent state — every channel either
-    /// fully reached the current target or was not started — and can be
-    /// finished with `Cluster::try_resume_sharded`.
-    Cancelled,
     /// The shared memory hierarchy's configuration was rejected (bad DRAM
     /// geometry, zero MSHRs, inconsistent fault plan, ...).
     Memory(mapg_mem::ConfigError),
@@ -35,9 +26,6 @@ impl fmt::Display for RunError {
         match self {
             RunError::ZeroInstructions => f.write_str("must run at least one instruction"),
             RunError::NoCores => f.write_str("a cluster needs at least one core"),
-            RunError::ZeroChannels => f.write_str("a cluster needs at least one memory channel"),
-            RunError::ZeroShards => f.write_str("a sharded run needs at least one shard"),
-            RunError::Cancelled => f.write_str("sharded run cancelled before completion"),
             RunError::Memory(e) => e.fmt(f),
         }
     }
@@ -61,13 +49,6 @@ mod tests {
             .to_string()
             .contains("at least one instruction"));
         assert!(RunError::NoCores.to_string().contains("at least one core"));
-        assert!(RunError::ZeroChannels
-            .to_string()
-            .contains("at least one memory channel"));
-        assert!(RunError::ZeroShards
-            .to_string()
-            .contains("at least one shard"));
-        assert!(RunError::Cancelled.to_string().contains("cancelled"));
         let memory = RunError::from(mapg_mem::ConfigError::ZeroMshrs);
         assert!(memory
             .to_string()

@@ -50,16 +50,12 @@
 mod cluster;
 mod core_model;
 mod error;
-pub mod merge;
 mod reference;
 mod sched;
-mod shard;
 mod stall;
 
 pub use cluster::{Cluster, ClusterStats};
 pub use core_model::{Core, CoreConfig, CoreStats};
 pub use error::RunError;
-pub use merge::KwayMerger;
 pub use reference::ReferenceCluster;
-pub use shard::ShardSession;
-pub use stall::{CoreId, PassiveHandler, StallCause, StallHandler, StallInfo, SyncStallHandler};
+pub use stall::{CoreId, PassiveHandler, StallCause, StallHandler, StallInfo};

@@ -194,8 +194,7 @@ impl<S: EventSource> ReferenceCore<S> {
 #[derive(Debug)]
 pub struct ReferenceCluster<S> {
     cores: Vec<ReferenceCore<S>>,
-    memories: Vec<ReferenceHierarchy>,
-    channels: usize,
+    memory: ReferenceHierarchy,
     target: u64,
 }
 
@@ -223,32 +222,9 @@ impl<S: EventSource> ReferenceCluster<S> {
         memory_config: HierarchyConfig,
         sources: Vec<S>,
     ) -> Result<Self, RunError> {
-        ReferenceCluster::try_new_with_channels(core_config, memory_config, sources, 1)
-    }
-
-    /// The seed cluster over `channels` independent seed hierarchies
-    /// (core `i` → channel `i % channels`), mirroring
-    /// [`Cluster::try_new_with_channels`](crate::Cluster::try_new_with_channels)
-    /// — including the clamp of `channels` to the core count — so the
-    /// equivalence suite can oracle multi-channel topologies too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::NoCores`] if `sources` is empty or
-    /// [`RunError::ZeroChannels`] if `channels` is zero.
-    pub fn try_new_with_channels(
-        core_config: CoreConfig,
-        memory_config: HierarchyConfig,
-        sources: Vec<S>,
-        channels: usize,
-    ) -> Result<Self, RunError> {
         if sources.is_empty() {
             return Err(RunError::NoCores);
         }
-        if channels == 0 {
-            return Err(RunError::ZeroChannels);
-        }
-        let channels = channels.min(sources.len());
         let cores: Vec<_> = sources
             .into_iter()
             .enumerate()
@@ -256,10 +232,7 @@ impl<S: EventSource> ReferenceCluster<S> {
             .collect();
         Ok(ReferenceCluster {
             cores,
-            memories: (0..channels)
-                .map(|_| ReferenceHierarchy::new(memory_config))
-                .collect(),
-            channels,
+            memory: ReferenceHierarchy::new(memory_config),
             target: 0,
         })
     }
@@ -270,9 +243,7 @@ impl<S: EventSource> ReferenceCluster<S> {
         for core in &mut self.cores {
             core.set_obs(obs.clone());
         }
-        for memory in &mut self.memories {
-            memory.set_obs(obs.clone());
-        }
+        self.memory.set_obs(obs);
     }
 
     /// The seed scheduler loop: re-scan all cores, step the one with the
@@ -314,22 +285,17 @@ impl<S: EventSource> ReferenceCluster<S> {
                 .min_by_key(|(_, c)| c.now)
                 .map(|(i, _)| i);
             let Some(index) = next else { break };
-            self.cores[index].step(&mut self.memories[index % self.channels], handler);
+            self.cores[index].step(&mut self.memory, handler);
         }
         Ok(())
     }
 
     /// Per-core and shared-memory statistics, in the same shape as
-    /// [`Cluster::stats`](crate::Cluster::stats) (memory summed across
-    /// channels in channel order).
+    /// [`Cluster::stats`](crate::Cluster::stats).
     pub fn stats(&self) -> ClusterStats {
-        let mut memory = self.memories[0].stats();
-        for channel in &self.memories[1..] {
-            memory.merge(&channel.stats());
-        }
         ClusterStats {
             per_core: self.cores.iter().map(|c| c.stats.clone()).collect(),
-            memory,
+            memory: self.memory.stats(),
         }
     }
 }

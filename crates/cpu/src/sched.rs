@@ -42,13 +42,6 @@ impl CoreKey {
     pub fn index(self) -> u32 {
         self.0 as u32
     }
-
-    /// The packed `(time, index)` scalar, used by the sharded engine as a
-    /// per-step sort key when merging shard-local trace streams back into
-    /// global emission order.
-    pub fn raw(self) -> u128 {
-        self.0
-    }
 }
 
 /// A hand-rolled 4-ary min-heap of [`CoreKey`]s.
@@ -100,13 +93,6 @@ impl SchedHeap {
             Some(top) => key < top,
             None => true,
         }
-    }
-
-    /// Removes every scheduled core, keeping the allocation. The sharded
-    /// engine holds one heap per channel for a whole session and refills
-    /// it each segment, so steady-state scheduling allocates nothing.
-    pub fn clear(&mut self) {
-        self.keys.clear();
     }
 
     /// Inserts a core.
@@ -291,24 +277,6 @@ mod tests {
         assert_eq!(heap.replace_min(key(4, 2)), key(3, 0));
         assert_eq!(heap.pop(), Some(key(4, 2)));
         assert_eq!(heap.pop(), Some(key(5, 1)));
-        assert_eq!(heap.pop(), None);
-    }
-
-    /// Clearing drops every scheduled core but leaves the heap ready for
-    /// refill — the per-segment reset the sharded engine's resident heaps
-    /// go through.
-    #[test]
-    fn clear_then_refill_behaves_like_fresh() {
-        let mut heap = SchedHeap::with_capacity(3);
-        heap.push(key(10, 0));
-        heap.push(key(20, 1));
-        heap.clear();
-        assert_eq!(heap.len(), 0);
-        assert_eq!(heap.pop(), None);
-        heap.push(key(7, 2));
-        heap.push(key(3, 1));
-        assert_eq!(heap.pop(), Some(key(3, 1)));
-        assert_eq!(heap.pop(), Some(key(7, 2)));
         assert_eq!(heap.pop(), None);
     }
 

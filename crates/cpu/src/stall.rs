@@ -103,44 +103,6 @@ impl<H: StallHandler + ?Sized> StallHandler for &mut H {
     }
 }
 
-/// A stall handler shard workers can share by reference.
-///
-/// The sharded cluster engine ([`Cluster::try_run_sharded`]
-/// (crate::Cluster::try_run_sharded)) advances independent memory-channel
-/// groups on parallel workers, so the handler is invoked concurrently and
-/// must not carry cross-core mutable state — `resolve` takes `&self` and
-/// the trait requires [`Sync`]. That restriction is exactly the
-/// determinism boundary: a handler whose answer depends only on the
-/// [`StallInfo`] (plus immutable or internally-ordered state) produces
-/// the same resume cycle under any worker interleaving, which is what
-/// makes sharded runs bit-identical to single-wheel runs. Stateful
-/// controllers whose decisions couple cores (token ledgers, di/dt veto
-/// windows, energy accumulation in observation order) cannot implement
-/// this trait and stay on the exact global wheel — see DESIGN.md §13.
-pub trait SyncStallHandler: Sync {
-    /// Reacts to a stall; returns the cycle at which the core resumes.
-    /// The same contract as [`StallHandler::on_stall`] applies: the
-    /// returned cycle must be `>= info.data_ready`.
-    fn resolve(&self, info: &StallInfo) -> Cycle;
-}
-
-impl SyncStallHandler for PassiveHandler {
-    fn resolve(&self, info: &StallInfo) -> Cycle {
-        info.data_ready
-    }
-}
-
-/// Any shared sync handler is usable where an exclusive handler is
-/// expected: `&H` implements [`StallHandler`] by delegating to
-/// [`SyncStallHandler::resolve`]. This is how the per-channel wheels and
-/// the serial fallback drive the existing core-stepping code with a
-/// shared reference.
-impl<H: SyncStallHandler> StallHandler for &H {
-    fn on_stall(&mut self, info: &StallInfo) -> Cycle {
-        (**self).resolve(info)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -134,14 +134,6 @@ impl CacheStats {
             self.hits as f64 / self.accesses as f64
         }
     }
-
-    /// Folds another level's counters into this one (commutative; used to
-    /// aggregate per-channel hierarchies into one cluster-wide view).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.writebacks += other.writebacks;
-    }
 }
 
 impl fmt::Display for CacheStats {

@@ -179,18 +179,6 @@ impl DramStats {
             self.row_hits as f64 / self.accesses() as f64
         }
     }
-
-    /// Folds another channel's counters into this one (commutative; used
-    /// to aggregate per-channel hierarchies into one cluster-wide view).
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.activates += other.activates;
-        self.refresh_stalls += other.refresh_stalls;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-        self.fault_spikes += other.fault_spikes;
-    }
 }
 
 impl fmt::Display for DramStats {

@@ -125,20 +125,6 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
-    /// Folds another hierarchy's counters into this one: per-level cache
-    /// and DRAM counters add, the miss-latency histograms merge
-    /// bucket-wise. Commutative and associative, but callers aggregating
-    /// a multi-channel topology apply channels in index order anyway so
-    /// the path stays deterministic by construction.
-    pub fn merge(&mut self, other: &HierarchyStats) {
-        self.l1.merge(&other.l1);
-        self.l2.merge(&other.l2);
-        self.dram.merge(&other.dram);
-        self.miss_latency.merge(&other.miss_latency);
-        self.mshr_stalls += other.mshr_stalls;
-        self.prefetch.merge(&other.prefetch);
-    }
-
     /// LLC misses per kilo-instruction given the retired instruction count.
     ///
     /// # Panics
@@ -604,49 +590,6 @@ mod tests {
             stats.prefetch.accuracy() > 0.8,
             "sequential stream should make prefetches useful: {:.2}",
             stats.prefetch.accuracy()
-        );
-    }
-
-    /// Splitting one access stream across two hierarchies and merging the
-    /// stats must reproduce every counter the combined run would have
-    /// produced *for the per-access counters* (timing-coupled counters
-    /// like row hits differ, so the check uses disjoint streams).
-    #[test]
-    fn merged_stats_equal_the_sum_of_their_parts() {
-        let run = |seed: u64| {
-            let mut m = MemoryHierarchy::new(HierarchyConfig::baseline());
-            let mut t = Cycle::new(0);
-            let mut addr = seed;
-            for _ in 0..500 {
-                addr = addr.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17);
-                let r = m.access(t, &load((addr % (1 << 28)) & !63));
-                t = r.completion;
-            }
-            m.stats()
-        };
-        let a = run(0x9E37_79B9_7F4A_7C15);
-        let b = run(0x1234_5678_9ABC_DEF1);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.l1.accesses, a.l1.accesses + b.l1.accesses);
-        assert_eq!(merged.l2.hits, a.l2.hits + b.l2.hits);
-        assert_eq!(
-            merged.dram.accesses(),
-            a.dram.accesses() + b.dram.accesses()
-        );
-        assert_eq!(merged.dram.activates, a.dram.activates + b.dram.activates);
-        assert_eq!(merged.mshr_stalls, a.mshr_stalls + b.mshr_stalls);
-        assert_eq!(
-            merged.prefetch.issued,
-            a.prefetch.issued + b.prefetch.issued
-        );
-        assert_eq!(
-            merged.miss_latency.count(),
-            a.miss_latency.count() + b.miss_latency.count()
-        );
-        assert_eq!(
-            merged.miss_latency.max(),
-            a.miss_latency.max().max(b.miss_latency.max())
         );
     }
 

@@ -63,13 +63,6 @@ impl PrefetchStats {
             self.useful as f64 / self.issued as f64
         }
     }
-
-    /// Folds another channel's counters into this one (commutative; used
-    /// to aggregate per-channel hierarchies into one cluster-wide view).
-    pub fn merge(&mut self, other: &PrefetchStats) {
-        self.issued += other.issued;
-        self.useful += other.useful;
-    }
 }
 
 /// A contiguous run of candidate prefetch lines, `first .. first + count`.

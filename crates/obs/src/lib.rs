@@ -25,15 +25,13 @@
 //!
 //! # Determinism contract
 //!
-//! A simulation emits events in simulation order; the buffer preserves
-//! insertion order and the JSON renderings iterate sorted maps. Sharded
-//! cluster runs give each shard worker a private [`ObsHandle::fork`] and
-//! merge the forks back in deterministic channel/step order, so two runs
-//! with the same configuration produce byte-identical traces and metrics
-//! regardless of how many worker threads the harness uses — whether the
-//! parallelism is across simulations (the suite runner) or within one
-//! (the sharded event wheel). That property is what the workspace's
-//! regression suite pins.
+//! A simulation emits events in simulation order, on one thread: the
+//! handle is `!Send`, so every component holding it stays on the thread
+//! that runs the simulation. The buffer preserves insertion order and the
+//! JSON renderings iterate sorted maps, so two runs with the same
+//! configuration produce byte-identical traces and metrics regardless of
+//! how many worker threads the harness fans *whole simulations* across.
+//! That property is what the workspace's regression suite pins.
 //!
 //! ```
 //! use mapg_obs::{EventKind, ObsHandle, Scope};

@@ -69,27 +69,6 @@ impl TraceBuffer {
         self.dropped == 0
     }
 
-    /// Moves every retained record into `out` (appending, oldest first)
-    /// and returns the dropped-record count accumulated since the last
-    /// drain; both the ring and the counter are reset.
-    ///
-    /// This is the shard-fork primitive: a sharded cluster run drains each
-    /// shard's private ring step by step and replays the records into the
-    /// parent ring in merged global order, so the parent ends up
-    /// bit-identical to a single-threaded run.
-    pub fn drain_into(&mut self, out: &mut Vec<TraceRecord>) -> u64 {
-        out.extend(self.records.drain(..));
-        std::mem::take(&mut self.dropped)
-    }
-
-    /// Adds `n` evictions to the dropped-record count without touching
-    /// the retained records — the merge-side complement of
-    /// [`TraceBuffer::drain_into`], accounting for records a shard ring
-    /// evicted before the merge replayed it.
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     /// Iterates retained records oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
@@ -245,33 +224,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_rejected() {
         let _ = TraceBuffer::new(0);
-    }
-
-    #[test]
-    fn drain_resets_ring_and_drop_count() {
-        let mut buf = TraceBuffer::new(2);
-        for at in 0..3 {
-            buf.push(rec(at, Scope::Core(0), EventKind::StallBegin));
-        }
-        let mut out = Vec::new();
-        assert_eq!(buf.drain_into(&mut out), 1);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].at, 1, "oldest retained record drains first");
-        assert!(buf.is_empty());
-        assert!(buf.is_complete(), "drain resets the dropped counter");
-        assert_eq!(buf.drain_into(&mut out), 0);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn note_dropped_accumulates() {
-        let mut buf = TraceBuffer::new(2);
-        buf.note_dropped(0);
-        assert!(buf.is_complete());
-        buf.note_dropped(3);
-        buf.push(rec(1, Scope::Core(0), EventKind::StallBegin));
-        assert_eq!(buf.dropped(), 3);
-        assert_eq!(buf.len(), 1);
     }
 
     #[test]

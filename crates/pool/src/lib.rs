@@ -18,10 +18,6 @@
 //! - a **degenerate serial path** — `jobs == 1` (or a single item) runs
 //!   inline on the caller with no threads spawned, which is the baseline
 //!   the determinism tests compare against;
-//! - a **persistent scoped pool** — [`Pool::scoped`] spawns the workers
-//!   once and lets the caller dispatch many ordered [`ScopedPool::map`]
-//!   batches against them, so per-epoch drivers (the sharded cluster
-//!   engine) stop paying thread spawn/teardown on every segment;
 //! - a **supervised mode** — [`Supervisor::map_supervised`] layers
 //!   hierarchical cancellation ([`CancelToken`]), per-job wall-clock
 //!   deadlines (a monitor thread), panic quarantine (per-job
@@ -61,7 +57,7 @@ pub use supervise::{
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 thread_local! {
     static DEFAULT_JOBS: Cell<Option<usize>> = const { Cell::new(None) };
@@ -225,217 +221,6 @@ impl Pool {
     }
 }
 
-impl Pool {
-    /// Spawns the pool's workers **once** and hands `session` a
-    /// [`ScopedPool`] whose [`map`](ScopedPool::map) can be called many
-    /// times against those same threads — the persistent-pool counterpart
-    /// to [`Pool::map`], which spawns and joins a fresh worker set per
-    /// call. A driver that dispatches a batch per epoch (the sharded
-    /// cluster engine advancing one segment per controller decision) pays
-    /// thread startup once per *session* instead of once per *epoch*.
-    ///
-    /// The work function is fixed at spawn time, which is what keeps the
-    /// crate `unsafe`-free: jobs are owned `T` values moved through a
-    /// queue to monomorphic workers, so no closure lifetime ever needs
-    /// erasing. Items and the work function may still borrow from the
-    /// caller's stack — the workers live inside a [`std::thread::scope`].
-    ///
-    /// With `jobs == 1` no threads are spawned at all and every `map`
-    /// runs inline on the caller, byte-identical to the threaded result.
-    ///
-    /// # Panics
-    ///
-    /// A panic in `work` cancels the rest of its batch and is re-raised
-    /// from that `map` call; the pool itself stays usable for subsequent
-    /// batches. A panic in `session` shuts the workers down cleanly (no
-    /// deadlocked joins) and unwinds through this call.
-    pub fn scoped<T, R, F, Out>(
-        &self,
-        work: F,
-        session: impl FnOnce(&ScopedPool<'_, T, R>) -> Out,
-    ) -> Out
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let shared = ScopedShared {
-            state: Mutex::new(ScopedState {
-                items: Vec::new(),
-                results: Vec::new(),
-                next: 0,
-                pending: 0,
-                poisoned: false,
-                shutdown: false,
-                panic: None,
-            }),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-        };
-        let handle = ScopedPool {
-            shared: &shared,
-            work: &work,
-            jobs: self.jobs,
-        };
-        if self.jobs == 1 {
-            return session(&handle);
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs {
-                scope.spawn(|| worker_loop(&shared, &work));
-            }
-            // Runs on every exit from `session`, panicking included, so
-            // the scope's implicit joins never wait on sleeping workers.
-            let _guard = ShutdownGuard(&shared);
-            session(&handle)
-        })
-    }
-}
-
-/// Queue state shared between a [`ScopedPool`]'s owner and its workers.
-/// One batch is in flight at a time; the buffers are reused across
-/// batches so steady-state dispatch allocates nothing.
-struct ScopedState<T, R> {
-    items: Vec<Option<T>>,
-    results: Vec<Option<R>>,
-    next: usize,
-    pending: usize,
-    poisoned: bool,
-    shutdown: bool,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct ScopedShared<T, R> {
-    state: Mutex<ScopedState<T, R>>,
-    work_ready: Condvar,
-    batch_done: Condvar,
-}
-
-struct ShutdownGuard<'a, T, R>(&'a ScopedShared<T, R>);
-
-impl<T, R> Drop for ShutdownGuard<'_, T, R> {
-    fn drop(&mut self) {
-        let mut state = match self.0.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.shutdown = true;
-        drop(state);
-        self.0.work_ready.notify_all();
-    }
-}
-
-fn worker_loop<T, R>(shared: &ScopedShared<T, R>, work: &(impl Fn(T) -> R + Sync)) {
-    let mut state = shared.state.lock().expect("scoped pool state poisoned");
-    loop {
-        if state.shutdown {
-            return;
-        }
-        if state.next >= state.items.len() {
-            state = shared
-                .work_ready
-                .wait(state)
-                .expect("scoped pool state poisoned");
-            continue;
-        }
-        let index = state.next;
-        state.next += 1;
-        let item = state.items[index].take().expect("item claimed twice");
-        if state.poisoned {
-            // A sibling panicked in this batch: consume the item unrun.
-            drop(item);
-            state.pending -= 1;
-            if state.pending == 0 {
-                shared.batch_done.notify_all();
-            }
-            continue;
-        }
-        drop(state);
-        let outcome = catch_unwind(AssertUnwindSafe(|| work(item)));
-        state = shared.state.lock().expect("scoped pool state poisoned");
-        match outcome {
-            Ok(result) => state.results[index] = Some(result),
-            Err(payload) => {
-                if state.panic.is_none() {
-                    state.panic = Some(payload);
-                }
-                state.poisoned = true;
-            }
-        }
-        state.pending -= 1;
-        if state.pending == 0 {
-            shared.batch_done.notify_all();
-        }
-    }
-}
-
-/// Handle to a running [`Pool::scoped`] worker set; cheap to pass down a
-/// call tree, with [`map`](ScopedPool::map) callable any number of times.
-pub struct ScopedPool<'scope, T, R> {
-    shared: &'scope ScopedShared<T, R>,
-    work: &'scope (dyn Fn(T) -> R + Sync),
-    jobs: usize,
-}
-
-impl<T: Send, R: Send> ScopedPool<'_, T, R> {
-    /// The worker count the owning [`Pool`] was configured with.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Applies the session's work function to every item on the resident
-    /// workers, returning results in **submission order** — the same
-    /// contract as [`Pool::map`], minus the per-call thread spawn.
-    ///
-    /// With `jobs == 1` or fewer than two items the batch runs inline on
-    /// the caller (the workers, if any, stay parked).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic of the batch after cancelling its
-    /// remaining items; later batches on the same pool run normally.
-    /// Also panics if called re-entrantly from inside the work function.
-    pub fn map(&self, items: Vec<T>) -> Vec<R> {
-        if self.jobs == 1 || items.len() < 2 {
-            return items.into_iter().map(self.work).collect();
-        }
-        let total = items.len();
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .expect("scoped pool state poisoned");
-        assert!(
-            state.pending == 0,
-            "ScopedPool::map re-entered while a batch is in flight"
-        );
-        state.items.clear();
-        state.items.extend(items.into_iter().map(Some));
-        state.results.clear();
-        state.results.resize_with(total, || None);
-        state.next = 0;
-        state.pending = total;
-        state.poisoned = false;
-        self.shared.work_ready.notify_all();
-        while state.pending > 0 {
-            state = self
-                .shared
-                .batch_done
-                .wait(state)
-                .expect("scoped pool state poisoned");
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            resume_unwind(payload);
-        }
-        state
-            .results
-            .drain(..)
-            .map(|slot| slot.expect("worker exited without producing a result"))
-            .collect()
-    }
-}
-
 impl Default for Pool {
     /// Equivalent to [`Pool::with_default_jobs`].
     fn default() -> Self {
@@ -559,113 +344,6 @@ mod tests {
             started.load(Ordering::Relaxed) < 10_000,
             "panic did not cancel the remaining work"
         );
-    }
-
-    #[test]
-    fn scoped_map_matches_serial_across_batches() {
-        Pool::new(4).scoped(
-            |x: u64| x.wrapping_mul(x) ^ 7,
-            |pool| {
-                assert_eq!(pool.jobs(), 4);
-                for batch in 0..5u64 {
-                    let items: Vec<u64> = (batch * 100..batch * 100 + 100).collect();
-                    let expected: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
-                    assert_eq!(pool.map(items), expected, "batch {batch}");
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn scoped_map_preserves_submission_order() {
-        // Later items finish first; ordered output proves collection-side
-        // reordering, same as the per-call pool.
-        Pool::new(8).scoped(
-            |x: u64| {
-                std::thread::sleep(Duration::from_millis(32 - x));
-                x * 10
-            },
-            |pool| {
-                let out = pool.map((0..32).collect());
-                assert_eq!(out, (0..32).map(|x| x * 10).collect::<Vec<_>>());
-            },
-        );
-    }
-
-    #[test]
-    fn scoped_jobs_one_runs_inline() {
-        let caller = std::thread::current().id();
-        Pool::new(1).scoped(
-            |x: u32| {
-                assert_eq!(std::thread::current().id(), caller);
-                x + 1
-            },
-            |pool| {
-                assert_eq!(pool.map(vec![1, 2, 3]), vec![2, 3, 4]);
-                assert_eq!(pool.map(Vec::new()), Vec::<u32>::new());
-            },
-        );
-    }
-
-    #[test]
-    fn scoped_single_item_runs_inline_with_workers_parked() {
-        let caller = std::thread::current().id();
-        Pool::new(4).scoped(
-            |x: u32| (x + 1, std::thread::current().id()),
-            |pool| {
-                let out = pool.map(vec![41]);
-                assert_eq!(out, vec![(42, caller)]);
-            },
-        );
-    }
-
-    #[test]
-    fn scoped_workers_borrow_from_the_caller() {
-        let counter = AtomicUsize::new(0);
-        Pool::new(4).scoped(
-            |x: usize| counter.fetch_add(x, Ordering::Relaxed),
-            |pool| {
-                assert_eq!(pool.map((0..10).collect()).len(), 10);
-            },
-        );
-        assert_eq!(counter.load(Ordering::Relaxed), 45);
-    }
-
-    #[test]
-    fn scoped_batch_panic_propagates_and_pool_survives() {
-        Pool::new(4).scoped(
-            |x: u32| {
-                if x == 5 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            },
-            |pool| {
-                let result = catch_unwind(AssertUnwindSafe(|| pool.map((0..16).collect())));
-                let payload = result.expect_err("panic should propagate");
-                let message = payload
-                    .downcast_ref::<String>()
-                    .expect("payload should be the original format string");
-                assert_eq!(message, "boom at 5");
-                // The pool is still serviceable after the failed batch.
-                assert_eq!(pool.map(vec![1, 2, 3]), vec![2, 4, 6]);
-            },
-        );
-    }
-
-    #[test]
-    fn scoped_session_panic_shuts_workers_down() {
-        // A panicking session body must not deadlock the scope joins.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            Pool::new(4).scoped(
-                |x: u32| x,
-                |pool| {
-                    assert_eq!(pool.map(vec![1, 2, 3]), vec![1, 2, 3]);
-                    panic!("session body failed");
-                },
-            )
-        }));
-        assert!(result.is_err());
     }
 
     #[test]

@@ -59,98 +59,6 @@ fn suite_traces_reconcile_with_their_reports() {
     }
 }
 
-/// Shards are an execution-strategy knob: every one of the 20 experiment
-/// registry entries must render byte-identical CSV at shard counts
-/// {1, 3, 8}. This is the no-golden-re-bless contract — `--shards` can
-/// never force a re-bless of `tests/goldens/`, because the shard count
-/// is not allowed to reach any reported number.
-#[test]
-fn experiment_csvs_are_byte_identical_across_shard_counts() {
-    let render = |shards: usize| -> Vec<(String, String)> {
-        mapg::with_ambient_shards(shards, || {
-            mapg_bench::experiments::all()
-                .into_iter()
-                .map(|experiment| {
-                    let csv: String = (experiment.run)(mapg_bench::Scale::Smoke)
-                        .iter()
-                        .map(mapg_bench::Table::to_csv)
-                        .collect();
-                    (experiment.id.to_owned(), csv)
-                })
-                .collect()
-        })
-    };
-    let baseline = render(1);
-    assert_eq!(baseline.len(), 20, "experiment registry changed size");
-    for shards in [3usize, 8] {
-        let sharded = render(shards);
-        for ((id, csv), (other_id, other_csv)) in baseline.iter().zip(&sharded) {
-            assert_eq!(id, other_id);
-            assert_eq!(
-                csv.as_bytes(),
-                other_csv.as_bytes(),
-                "[{id}] CSV diverged between shards=1 and shards={shards}"
-            );
-        }
-    }
-}
-
-/// Traces and metrics captured through the suite runner are likewise
-/// byte-identical at any shard count.
-#[test]
-fn suite_traces_are_byte_identical_across_shard_counts() {
-    let policies = [PolicyKind::Mapg, PolicyKind::NaiveOnMiss];
-    let run = |shards: usize| {
-        SuiteRunner::new(
-            WorkloadSuite::extremes(),
-            observed_base().with_shards(shards),
-        )
-        .with_jobs(2)
-        .run(&policies)
-    };
-    let baseline = run(1);
-    for shards in [3usize, 8] {
-        let sharded = run(shards);
-        assert_eq!(baseline.reports().len(), sharded.reports().len());
-        for (a, b) in baseline.reports().iter().zip(sharded.reports()) {
-            let ta = a.trace.as_ref().expect("trace requested").to_chrome_trace();
-            let tb = b.trace.as_ref().expect("trace requested").to_chrome_trace();
-            assert_eq!(
-                ta.as_bytes(),
-                tb.as_bytes(),
-                "[{} / {}] trace diverged between shards=1 and shards={shards}",
-                a.workload,
-                a.policy
-            );
-            assert_eq!(a.metrics, b.metrics, "[{} / {}]", a.workload, a.policy);
-            assert_eq!(a.gating, b.gating, "[{} / {}]", a.workload, a.policy);
-        }
-    }
-}
-
-/// The substrate-level guarantee behind the two tests above: on a
-/// multi-channel topology with observability on, the sharded engine's
-/// stats, trace, and metrics are bit-identical to the global wheel's at
-/// every shard count worth distinguishing.
-#[test]
-fn sharded_substrate_crosschecks_cleanly_with_observability() {
-    for shards in [1usize, 3, 8] {
-        let config = SimConfig::default()
-            .with_instructions(20_000)
-            .with_cores(6)
-            .with_channels(3)
-            .with_shards(shards)
-            .with_trace()
-            .with_metrics()
-            .with_fault_plan(FaultPlan::moderate());
-        match config.crosscheck_sharded() {
-            Ok(None) => {}
-            Ok(Some(detail)) => panic!("shards={shards}: {detail}"),
-            Err(error) => panic!("shards={shards}: {error}"),
-        }
-    }
-}
-
 #[test]
 fn disabled_observability_produces_no_artifacts() {
     let config = SimConfig::default().with_instructions(20_000);
