@@ -44,9 +44,7 @@ use mapg_pool::{JobOutcome, Supervisor};
 const USAGE: &str = "usage: experiments [--scale smoke|quick|paper|full] [--csv] [--jobs N] \
      [--manifest FILE] [--metrics FILE] [--out-dir DIR] \
      [--journal FILE | --resume FILE] \
-     [--deadline-ms N] [--retries N] [--list] [IDS...]\n\
-       experiments --bench-throughput FILE [--throughput-baseline FILE] [--repeats N] \
-     [--scale ...]";
+     [--deadline-ms N] [--retries N] [--list] [IDS...]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,9 +61,6 @@ fn main() -> ExitCode {
     let mut inject_panic: Option<String> = None;
     let mut inject_hang: Option<String> = None;
     let mut inject_flaky: Option<String> = None;
-    let mut throughput_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut repeats: usize = 3;
     let mut selected: Vec<String> = Vec::new();
 
     let mut iter = args.iter();
@@ -179,33 +174,6 @@ fn main() -> ExitCode {
                 };
                 *slot = Some(experiment.id.to_owned());
             }
-            "--bench-throughput" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--bench-throughput needs an output path");
-                    return ExitCode::FAILURE;
-                };
-                throughput_path = Some(path.to_owned());
-            }
-            "--throughput-baseline" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--throughput-baseline needs a baseline path");
-                    return ExitCode::FAILURE;
-                };
-                baseline_path = Some(path.to_owned());
-            }
-            "--repeats" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--repeats needs a value (a repeat count >= 1)");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => repeats = n,
-                    _ => {
-                        eprintln!("invalid repeat count '{value}' (need an integer >= 1)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -218,13 +186,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = throughput_path {
-        return bench_throughput(&path, baseline_path.as_deref(), scale, repeats);
-    }
-    if baseline_path.is_some() {
-        eprintln!("--throughput-baseline only makes sense with --bench-throughput");
-        return ExitCode::FAILURE;
-    }
     if journal_path.is_some() && resume_path.is_some() {
         eprintln!("--journal and --resume are exclusive (resume continues its own journal)");
         return ExitCode::FAILURE;
@@ -543,16 +504,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The `--bench-throughput` mode, shared with the dedicated `throughput`
-/// binary (which CI gates on — see `src/bin/throughput.rs` for why the
-/// measurement prefers a binary of its own).
-fn bench_throughput(
-    out_path: &str,
-    baseline_path: Option<&str>,
-    scale: Scale,
-    repeats: usize,
-) -> ExitCode {
-    mapg_bench::run_throughput_cli(out_path, baseline_path, scale, repeats)
 }

@@ -5,12 +5,8 @@
 //! Low thresholds over-gate (transition energy on short stalls); high
 //! thresholds leave long stalls unharvested. The figure locates the knee.
 
-use mapg::{Controller, ControllerConfig, PolicyKind, RunReport, SimConfig, Simulation};
-use mapg_cpu::{Cluster, CoreConfig};
-use mapg_mem::HierarchyConfig;
-use mapg_power::{DramEnergyModel, EnergyCategory};
-use mapg_trace::{SyntheticWorkload, WorkloadProfile};
-use mapg_units::{Cycle, Cycles};
+use mapg::{MapgPolicy, PolicyKind, Simulation};
+use mapg_trace::WorkloadProfile;
 
 use crate::experiments::base_config;
 use crate::scale::Scale;
@@ -19,82 +15,16 @@ use crate::table::{pct, Table};
 /// Guard multipliers swept.
 pub const GUARDS: [f64; 7] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
-/// Runs a MAPG simulation with a custom guard. The [`Simulation`] facade
-/// only exposes [`PolicyKind`]s, so this experiment assembles the pieces
-/// directly — which doubles as a living example of the lower-level API.
-fn run_with_guard(profile: &WorkloadProfile, instructions: u64, guard: f64) -> RunReport {
-    let policy = mapg::MapgPolicy::predictive().with_guard(guard);
-    let config = ControllerConfig::baseline();
-    let mut controller = Controller::new(Box::new(policy), config);
-    let sources = vec![SyntheticWorkload::new(profile, 42)];
-    let mut cluster = Cluster::new(CoreConfig::baseline(), HierarchyConfig::baseline(), sources);
-    cluster.run(instructions, &mut controller);
-    let stats = cluster.stats();
-    controller.finish(
-        &stats
-            .per_core
-            .iter()
-            .map(|c| Cycle::new(c.total_cycles))
-            .collect::<Vec<_>>(),
-    );
-
-    let mut energy = controller.energy().clone();
-    let clock = CoreConfig::baseline().clock;
-    for core in &stats.per_core {
-        let active = Cycles::new(core.active_cycles()).at(clock);
-        energy.add(
-            EnergyCategory::ActiveDynamic,
-            config.tech.dynamic_power() * active,
-        );
-        energy.add(
-            EnergyCategory::ActiveLeakage,
-            config.tech.leakage_power() * active,
-        );
-    }
-    let runtime = Cycles::new(stats.makespan_cycles()).at(clock);
-    let dram = DramEnergyModel::ddr3();
-    energy.add(
-        EnergyCategory::DramAccess,
-        dram.access_energy(&stats.memory.dram),
-    );
-    energy.add(
-        EnergyCategory::DramBackground,
-        dram.background_power * runtime,
-    );
-
-    RunReport {
-        policy: "mapg-guarded",
-        workload: profile.name().to_owned(),
-        cores: 1,
-        instructions: stats.total_instructions(),
-        makespan_cycles: stats.makespan_cycles(),
-        runtime,
-        energy,
-        gating: *controller.stats(),
-        predictor: controller.policy().predictor_score().cloned(),
-        core_stats: stats.per_core,
-        memory: stats.memory,
-        peak_concurrent_wakes: 0,
-        invariants: controller.invariants(),
-        degradation: controller.degradation(),
-        faults: controller.fault_stats(),
-        timeline: None,
-        trace: None,
-        metrics: None,
-    }
-}
-
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let instructions = scale.instructions();
     let profiles = [
         WorkloadProfile::mem_bound("mem_bound"),
         WorkloadProfile::compute_bound("compute_bound"),
     ];
     let mut tables = Vec::new();
     for profile in &profiles {
-        let base: SimConfig = base_config(scale).with_profile(profile.clone());
-        let baseline = Simulation::new(base, PolicyKind::NoGating).run();
+        let base = base_config(scale).with_profile(profile.clone());
+        let baseline = Simulation::new(base.clone(), PolicyKind::NoGating).run();
         let mut table = Table::new(
             "R-F4",
             format!("break-even guard sweep — {}", profile.name()),
@@ -107,7 +37,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ],
         );
         for &guard in &GUARDS {
-            let report = run_with_guard(profile, instructions, guard);
+            let policy = MapgPolicy::predictive().with_guard(guard);
+            let report = Simulation::with_policy(base.clone(), Box::new(policy)).run();
             table.push_row(vec![
                 format!("{guard:.2}"),
                 format!("{:.1}", report.gating.gated_fraction() * 100.0),

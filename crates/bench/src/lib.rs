@@ -6,9 +6,7 @@
 //! - [`Scale`] — smoke / quick / paper instruction budgets;
 //! - [`Table`] — the text/CSV result format;
 //! - [`experiments`] — one module per reconstructed table/figure, plus the
-//!   [`experiments::all`] registry;
-//! - [`ThroughputReport`] — the `--bench-throughput` harness measuring
-//!   simulated-cycles-per-second (event-wheel vs reference scheduler).
+//!   [`experiments::all`] registry.
 //!
 //! # Regenerating the paper's evaluation
 //!
@@ -40,7 +38,6 @@ mod journal;
 mod manifest;
 mod scale;
 mod table;
-mod throughput;
 
 pub use client::{Client, ClientError, JobResult, JobStatus, StreamEnd, StreamEvent};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
@@ -55,7 +52,3 @@ pub use manifest::{
 };
 pub use scale::Scale;
 pub use table::{pct, ratio, Table};
-pub use throughput::{
-    run_throughput_cli, ThroughputCase, ThroughputReport, CORE_COUNTS, THROUGHPUT_SCHEMA,
-    THROUGHPUT_TOLERANCE,
-};

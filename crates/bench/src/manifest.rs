@@ -2,9 +2,10 @@
 //!
 //! `experiments --manifest out.json` emits one [`Manifest`] per run so the
 //! bench trajectory (per-experiment wall time, table sizes, job count)
-//! accumulates across CI runs and PRs. The JSON is hand-rendered — the
-//! build environment has no registry access, so no serde — and kept to a
-//! flat, stable schema:
+//! accumulates across CI runs and PRs. The layout is hand-rendered — the
+//! build environment has no registry access, so no serde — with strings
+//! escaped by the shared codec in [`mapg::fuzz`], and kept to a flat,
+//! stable schema:
 //!
 //! ```json
 //! {
@@ -47,6 +48,7 @@
 //! manifest is byte-identical between an uninterrupted run and a
 //! kill-and-resume run; real wall times live in the journal.
 
+use mapg::fuzz::render_json_string;
 use mapg_obs::MetricsRegistry;
 
 use crate::fuzz::CampaignReport;
@@ -175,7 +177,7 @@ impl Manifest {
         out.push_str(&format!("  \"schema\": {},\n", MANIFEST_SCHEMA));
         out.push_str(&format!(
             "  \"scale\": {},\n",
-            json_string(self.scale.name())
+            render_json_string(self.scale.name())
         ));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!(
@@ -195,7 +197,7 @@ impl Manifest {
                 out.push_str(&format!(
                     "\n      {{\"scenario\": {}, \"class\": {}, \"shrink_steps\": {}}}",
                     finding.scenario,
-                    json_string(&finding.class),
+                    render_json_string(&finding.class),
                     finding.shrink_steps
                 ));
             }
@@ -210,14 +212,17 @@ impl Manifest {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            out.push_str(&format!("      \"id\": {},\n", json_string(&entry.id)));
+            out.push_str(&format!(
+                "      \"id\": {},\n",
+                render_json_string(&entry.id)
+            ));
             out.push_str(&format!(
                 "      \"title\": {},\n",
-                json_string(&entry.title)
+                render_json_string(&entry.title)
             ));
             out.push_str(&format!(
                 "      \"outcome\": {},\n",
-                json_string(&entry.outcome)
+                render_json_string(&entry.outcome)
             ));
             out.push_str(&format!("      \"attempts\": {},\n", entry.attempts));
             out.push_str(&format!(
@@ -236,7 +241,7 @@ impl Manifest {
                 }
                 out.push_str(&format!(
                     "{{\"id\": {}, \"rows\": {}}}",
-                    json_string(&table.id),
+                    render_json_string(&table.id),
                     table.rows
                 ));
             }
@@ -248,25 +253,6 @@ impl Manifest {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Escapes a string per RFC 8259 and wraps it in quotes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders a finite float as a JSON number with millisecond-precision
@@ -324,6 +310,72 @@ mod tests {
         }
     }
 
+    /// The complete rendering, byte for byte: any change to layout,
+    /// escaping or number formatting shows up here first.
+    #[test]
+    fn sample_renders_byte_for_byte() {
+        let expected = r#"{
+  "schema": 4,
+  "scale": "smoke",
+  "jobs": 4,
+  "total_wall_ms": 12.346,
+  "experiments": [
+    {
+      "id": "R-T1",
+      "title": "power-gating circuit design space",
+      "outcome": "ok",
+      "attempts": 1,
+      "wall_ms": 1.500,
+      "tables": [{"id": "R-T1", "rows": 7}]
+    },
+    {
+      "id": "R-F5",
+      "title": "wake \"latency\" sweep",
+      "outcome": "timed-out",
+      "attempts": 3,
+      "wall_ms": 2.250,
+      "tables": [{"id": "R-F5", "rows": 6}, {"id": "R-F5b", "rows": 2}]
+    }
+  ]
+}
+"#;
+        assert_eq!(sample().to_json(), expected);
+    }
+
+    /// A campaign manifest with one finding, byte for byte.
+    #[test]
+    fn fuzz_manifest_renders_byte_for_byte() {
+        let mut manifest = sample();
+        manifest.experiments.clear();
+        manifest.fuzz = Some(FuzzProvenance {
+            seed: 1,
+            scenarios: 200,
+            executed: 150,
+            findings: vec![FuzzFindingSummary {
+                scenario: 1928,
+                class: "panic".to_owned(),
+                shrink_steps: 4,
+            }],
+        });
+        let expected = r#"{
+  "schema": 4,
+  "scale": "smoke",
+  "jobs": 4,
+  "total_wall_ms": 12.346,
+  "fuzz": {
+    "seed": 1,
+    "scenarios": 200,
+    "executed": 150,
+    "findings": [
+      {"scenario": 1928, "class": "panic", "shrink_steps": 4}
+    ]
+  },
+  "experiments": []
+}
+"#;
+        assert_eq!(manifest.to_json(), expected);
+    }
+
     #[test]
     fn renders_the_documented_schema() {
         let json = sample().to_json();
@@ -344,7 +396,10 @@ mod tests {
     fn strings_are_escaped() {
         let json = sample().to_json();
         assert!(json.contains(r#""wake \"latency\" sweep""#), "{json}");
-        assert_eq!(json_string("a\\b\nc\t\u{1}"), "\"a\\\\b\\nc\\t\\u0001\"");
+        let mut manifest = sample();
+        manifest.experiments[0].title = "a\\b\nc\t\u{1}".to_owned();
+        let json = manifest.to_json();
+        assert!(json.contains(r#""title": "a\\b\nc\t\u0001","#), "{json}");
     }
 
     #[test]

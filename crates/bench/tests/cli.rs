@@ -63,12 +63,20 @@ fn unknown_flags_are_rejected_as_flags() {
     }
 }
 
-/// Options of the removed sharded engine and channel topology exit
-/// through the ordinary unknown-flag usage error, never a panic or a
-/// silently-ignored value.
+/// Options of removed modes — the sharded engine, the channel topology
+/// and the passive throughput harness — exit through the ordinary
+/// unknown-flag usage error, never a panic or a silently-ignored value.
 #[test]
-fn removed_topology_flags_are_unknown_flags() {
-    for flag in ["--shards", "--threads", "--thread-curve", "--channels"] {
+fn removed_flags_are_unknown_flags() {
+    for flag in [
+        "--shards",
+        "--threads",
+        "--thread-curve",
+        "--channels",
+        "--bench-throughput",
+        "--throughput-baseline",
+        "--repeats",
+    ] {
         let out = run(&[flag, "2", "--scale", "smoke", "rt1"]);
         assert_eq!(out.status.code(), Some(1), "'{flag}': {out:?}");
         let err = String::from_utf8(out.stderr).unwrap();
@@ -76,22 +84,6 @@ fn removed_topology_flags_are_unknown_flags() {
         assert!(err.contains("usage:"), "no usage line for '{flag}': {err}");
         assert!(!err.contains("panicked"), "'{flag}': {err}");
         assert!(out.stdout.is_empty(), "'{flag}' ran experiments anyway");
-    }
-}
-
-/// The dedicated throughput binary refuses the same options the same way.
-#[test]
-fn throughput_rejects_removed_topology_flags() {
-    for flag in ["--shards", "--threads", "--thread-curve", "--channels"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
-            .args(["/nonexistent-dir/bench.json", flag, "2"])
-            .output()
-            .expect("throughput binary should spawn");
-        assert_eq!(out.status.code(), Some(1), "'{flag}': {out:?}");
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains(&format!("unknown argument '{flag}'")), "{err}");
-        assert!(err.contains("usage: throughput"), "{err}");
-        assert!(!err.contains("panicked"), "'{flag}': {err}");
     }
 }
 

@@ -21,7 +21,10 @@ mod scenario;
 mod shrink;
 
 pub use differ::{check_reconciliation, run_scenario, Finding, FindingClass};
-pub use json::{parse as parse_json, write as write_json, JsonParseError, JsonValue};
+pub use json::{
+    parse as parse_json, render_string as render_json_string, write as write_json, JsonParseError,
+    JsonValue,
+};
 pub use repro::{ReproFile, REPRO_SCHEMA};
 pub use scenario::{PhaseSpec, ProfileSpec, Scenario, SplitMix64};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -254,8 +254,9 @@ pub struct Scenario {
     /// Workload-profile knobs (all cores run the same profile with
     /// per-core seeds, like the headline experiments).
     pub profile: ProfileSpec,
-    /// When set, drive the run from quantized recordings (the throughput
-    /// benchmark's replay path) instead of live generators.
+    /// When set, drive the run from quantized recordings (basic-block
+    /// replay, where compute batching folds the most events) instead of
+    /// live generators.
     pub compute_quantum: Option<u64>,
     /// Token-limited wake-ups with this capacity, when set.
     pub tokens: Option<usize>,

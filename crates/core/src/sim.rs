@@ -14,7 +14,7 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
-use crate::policy::PolicyKind;
+use crate::policy::{GatingPolicy, PolicyKind};
 use crate::report::RunReport;
 use crate::watchdog::WatchdogConfig;
 
@@ -344,10 +344,10 @@ impl SimConfig {
     /// instruction budget, compute runs are re-chunked at basic-block
     /// granularity (`quantum` instructions — see
     /// [`mapg_trace::RecordedTrace::quantize_compute`]), and the run
-    /// replays the recording. This is the throughput benchmark's workload
-    /// shape, where compute batching folds the most events; exposing it
-    /// here lets the differential fuzzer drive the full controller stack
-    /// through the replay path too.
+    /// replays the recording. This is the pintool-style workload shape,
+    /// where compute batching folds the most events; exposing it here lets
+    /// the differential fuzzer drive the full controller stack through the
+    /// replay path too.
     ///
     /// # Panics
     ///
@@ -377,9 +377,9 @@ impl SimConfig {
     /// hierarchy) instead of the optimized one.
     ///
     /// Reports must be identical either way — that is the equivalence the
-    /// proptest oracle enforces. The knob exists for those oracle tests
-    /// and for the `bench-throughput` harness, which measures the
-    /// optimized stack's speedup against this reference.
+    /// proptest oracle enforces. The knob exists for those oracle tests,
+    /// the differential fuzzer and the repository benchmark's own
+    /// live-versus-reference check.
     pub fn with_reference_scheduler(mut self) -> Self {
         self.reference_scheduler = true;
         self
@@ -489,15 +489,31 @@ const _: () = {
 
 /// One configured run: a cluster of cores, a shared hierarchy, and a gating
 /// controller executing the chosen policy.
-#[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    policy: PolicyKind,
+    policy: Box<dyn GatingPolicy>,
+}
+
+impl std::fmt::Debug for Simulation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Simulation")
+            .field("config", &self.config)
+            .field("policy", &self.policy.name())
+            .finish()
+    }
 }
 
 impl Simulation {
     /// Pairs a configuration with a policy.
     pub fn new(config: SimConfig, policy: PolicyKind) -> Self {
+        Simulation::with_policy(config, policy.instantiate())
+    }
+
+    /// Pairs a configuration with an already-built policy, for variants no
+    /// [`PolicyKind`] names (e.g. a [`crate::MapgPolicy`] with a custom
+    /// break-even guard). The run is otherwise identical to
+    /// [`Simulation::new`]: same accounting audits, same observability.
+    pub fn with_policy(config: SimConfig, policy: Box<dyn GatingPolicy>) -> Self {
         Simulation { config, policy }
     }
 
@@ -538,7 +554,7 @@ impl Simulation {
             fault_seed: config.seed,
             watchdog: config.watchdog,
         };
-        let mut controller = Controller::new(self.policy.instantiate(), controller_config);
+        let mut controller = Controller::new(self.policy, controller_config);
         if config.record_timeline {
             controller.enable_timeline();
         }

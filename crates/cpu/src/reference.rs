@@ -6,19 +6,17 @@
 //! linear `min_by_key` re-scan of every core on every event to find the next
 //! core to advance, and the frozen seed memory hierarchy
 //! ([`mapg_mem::ReferenceHierarchy`]) underneath. Together with that
-//! hierarchy it forms the complete seed simulator, retained for two jobs:
+//! hierarchy it forms the complete seed simulator, retained as the
+//! **equivalence oracle**: the scheduler-equivalence suite, the
+//! differential fuzzer and the repository benchmark demand that the
+//! optimized stack ([`Cluster::run`](crate::Cluster::run) with compute
+//! batching, the heap scheduler and the flattened caches) reproduces this
+//! stack's core interleaving, statistics and `RunReport`s bit-for-bit
+//! across random core counts, workload mixes and seeds. The `scheduler`
+//! criterion bench also times both stacks side by side.
 //!
-//! - **equivalence oracle** — the scheduler-equivalence suite demands that
-//!   the optimized stack ([`Cluster::run`](crate::Cluster::run) with compute
-//!   batching, the heap scheduler and the flattened caches) reproduces this
-//!   stack's core interleaving, statistics and `RunReport`s bit-for-bit
-//!   across random core counts, workload mixes and seeds;
-//! - **throughput baseline** — the `bench-throughput` harness and the
-//!   `scheduler` criterion bench measure the optimized stack's
-//!   simulated-cycles-per-second against this one, so the committed speedup
-//!   is a true before/after comparison reproducible in one binary.
-//!
-//! Nothing here should be optimized: its cost *is* the baseline.
+//! Nothing here should be optimized: it is the specification, and its
+//! cost is the "before" side of that bench.
 
 use mapg_mem::{HierarchyConfig, ReferenceHierarchy, ServiceLevel};
 use mapg_obs::{EventKind, ObsHandle, Scope};
@@ -186,7 +184,7 @@ impl<S: EventSource> ReferenceCore<S> {
 /// hierarchy.
 ///
 /// The API mirrors [`Cluster`](crate::Cluster) where the equivalence suite
-/// and the throughput harness need it: construction from the same configs
+/// and the `scheduler` bench need it: construction from the same configs
 /// and sources, [`set_obs`](ReferenceCluster::set_obs),
 /// [`run`](ReferenceCluster::run) /
 /// [`try_run`](ReferenceCluster::try_run), and a [`ClusterStats`] snapshot

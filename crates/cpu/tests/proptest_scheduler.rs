@@ -189,9 +189,9 @@ proptest! {
         prop_assert_eq!(live.stats(), reference.stats());
     }
 
-    /// Replayed basic-block-granularity recordings (the throughput
-    /// benchmark's workload shape, where compute batching folds the most
-    /// events) must also interleave identically.
+    /// Replayed basic-block-granularity recordings (the pintool-style
+    /// workload shape, where compute batching folds the most events) must
+    /// also interleave identically.
     #[test]
     fn quantized_replay_matches_reference(
         mixes in prop::collection::vec(0u8..3, 1..5),

@@ -5,20 +5,14 @@
 //! shipped it before the hot-path overhaul: per-set `Vec<Vec<Way>>` cache
 //! storage behind one pointer chase per probe, division-based index math in
 //! the cache and the DRAM controller, and the original hierarchy walk. It
-//! exists for two jobs:
-//!
-//! - **equivalence oracle** — the scheduler-equivalence suite runs whole
-//!   clusters against this stack and demands bit-identical statistics, which
-//!   pins every optimization in [`Cache`](crate::Cache) /
-//!   [`Dram`](crate::Dram) / [`MemoryHierarchy`](crate::MemoryHierarchy) to
-//!   the seed semantics;
-//! - **throughput baseline** — the `bench-throughput` harness measures the
-//!   optimized stack's simulated-cycles-per-second against this one, so the
-//!   committed speedup is a true before/after comparison reproducible in one
-//!   binary.
+//! exists as the **equivalence oracle**: the scheduler-equivalence suite
+//! and the differential fuzzer run whole clusters against this stack and
+//! demand bit-identical statistics, which pins every optimization in
+//! [`Cache`](crate::Cache) / [`Dram`](crate::Dram) /
+//! [`MemoryHierarchy`](crate::MemoryHierarchy) to the seed semantics.
 //!
 //! Nothing here is exported for production use, and nothing here should be
-//! optimized: its slowness *is* the baseline.
+//! optimized: it is the specification, not a fast path.
 
 use mapg_trace::{AccessKind, MemAccess};
 use mapg_units::{Cycle, Cycles};
