@@ -1,7 +1,7 @@
 //! The gating controller: executes policy decisions, charges energy,
 //! drives the per-core FSMs, and reports resume times to the cores.
 
-use mapg_cpu::{StallHandler, StallInfo};
+use mapg_cpu::{CoreId, StallHandler, StallInfo};
 use mapg_obs::{EventKind, FaultKind, ObsHandle, Scope};
 use mapg_power::{EnergyAccount, EnergyCategory, PgCircuitDesign, TechnologyParams};
 use mapg_units::{Cycle, Cycles, Hertz, Watts};
@@ -10,7 +10,6 @@ use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::fsm::{GatingFsm, PgState};
 use crate::invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
 use crate::policy::{GatingPolicy, PolicyContext, StallAction};
-use crate::timeline::Timeline;
 use crate::tokens::TokenManager;
 use crate::watchdog::{DegradationStats, Watchdog, WatchdogConfig};
 
@@ -141,7 +140,6 @@ pub struct Controller {
     ctx: PolicyContext,
     fsms: Vec<GatingFsm>,
     tokens: Option<TokenManager>,
-    timeline: Option<Timeline>,
     energy: EnergyAccount,
     stats: GatingStats,
     /// Constructed only for non-no-op fault plans, so fault-free runs
@@ -192,7 +190,6 @@ impl Controller {
             ctx,
             fsms: Vec::new(),
             tokens: config.tokens.map(TokenManager::new),
-            timeline: None,
             energy: EnergyAccount::new(),
             stats: GatingStats::default(),
             faults,
@@ -238,22 +235,6 @@ impl Controller {
             };
             self.obs.emit(at.raw(), Scope::Global, kind);
         }
-    }
-
-    /// Starts recording every power-state transition (for VCD export via
-    /// [`Timeline::to_vcd`]).
-    pub fn enable_timeline(&mut self) {
-        self.timeline.get_or_insert_with(Timeline::new);
-    }
-
-    /// The recorded timeline, when enabled.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
-    }
-
-    /// Takes ownership of the recorded timeline, when enabled.
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take()
     }
 
     /// The active policy's name.
@@ -565,124 +546,54 @@ impl StallHandler for Controller {
     }
 }
 
+/// A wake ramp opened by [`Controller::open_wake`]: when it starts, how
+/// long it takes, and whether a wake-path fault fired while opening it.
+struct Wake {
+    start: Cycle,
+    latency: Cycles,
+    faulted: bool,
+}
+
 impl Controller {
     /// Executes a power-gate decision; returns the resume time.
     fn execute_gate(&mut self, info: &StallInfo, gate_at: Cycle, wake_at: Cycle) -> Cycle {
         let entry = self.ctx.entry;
-        let nominal_wakeup = self.ctx.wakeup;
         let leak = self.config.tech.leakage_power();
-        let gated_power = self.config.circuit.gated_power(&self.config.tech);
         let gate_at = gate_at.max(info.start);
         let entry_done = gate_at + entry;
-        let scope = Scope::Core(info.core.0 as u32);
-        self.obs
-            .emit(entry_done.raw(), scope, EventKind::SleepEnter);
-        // A stuck-slow sleep switch inflates this ramp's wake latency.
-        let mut wake_failed = false;
-        let wakeup = match self.faults.as_mut() {
-            Some(faults) => {
-                let actual = faults.wake_latency(nominal_wakeup);
-                wake_failed |= actual > nominal_wakeup;
-                actual
-            }
-            None => nominal_wakeup,
-        };
-        let slow_wake = wakeup > nominal_wakeup;
         // The wake ramp begins at the scheduled time or when the memory
         // response arrives, whichever is first: the data-return signal is
         // observable by the PG controller and always triggers a (reactive)
         // wake, so an over-predicted schedule degrades to the reactive
         // wake penalty instead of sleeping past the data. It also cannot
         // begin before sleep entry completes.
-        let mut wake_start = wake_at.min(info.data_ready).max(entry_done);
-        // An open brownout window vetoes wake ramps until it closes.
-        if wake_start < self.brownout_until {
-            self.obs.emit(
-                wake_start.raw(),
-                scope,
-                EventKind::FaultInjected(FaultKind::BrownoutVeto),
-            );
-            wake_start = self.brownout_until;
-            if let Some(faults) = self.faults.as_mut() {
-                faults.note_brownout_delay();
-            }
-            wake_failed = true;
-        }
-        // Token limiting may delay it further; a grant dropped in flight
-        // forces a re-request after the retry latency.
-        if let Some(tokens) = &mut self.tokens {
-            let mut granted = tokens.acquire(wake_start, wakeup);
-            if let Some(faults) = self.faults.as_mut() {
-                if faults.drop_token_grant() {
-                    self.obs.emit(
-                        wake_start.raw(),
-                        scope,
-                        EventKind::FaultInjected(FaultKind::TokenDrop),
-                    );
-                    granted = tokens.acquire(granted + faults.token_retry(), wakeup);
-                    wake_failed = true;
-                }
-            }
-            if granted > wake_start {
-                self.obs.emit(wake_start.raw(), scope, EventKind::TokenDeny);
-                self.stats.token_delayed += 1;
-                self.stats.token_delay_cycles += (granted - wake_start).raw();
-            }
-            self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
-            wake_start = granted;
-        }
-        let wake_done = wake_start + wakeup;
+        let wake = self.open_wake(
+            info.core,
+            entry_done,
+            wake_at.min(info.data_ready).max(entry_done),
+        );
         // This wake's inrush may itself brown the rail out, vetoing
         // concurrent wake-ups for the hold window.
         if let Some(faults) = self.faults.as_mut() {
             if let Some(hold) = faults.brownout() {
-                self.brownout_until = self.brownout_until.max(wake_start + hold);
+                self.brownout_until = self.brownout_until.max(wake.start + hold);
                 self.obs.emit(
-                    wake_start.raw(),
-                    scope,
+                    wake.start.raw(),
+                    Scope::Core(info.core.0 as u32),
                     EventKind::FaultInjected(FaultKind::Brownout),
                 );
             }
         }
-        if slow_wake {
-            self.obs.emit(
-                wake_start.raw(),
-                scope,
-                EventKind::FaultInjected(FaultKind::SlowWake),
-            );
-        }
-        self.obs.emit(wake_start.raw(), scope, EventKind::SleepExit);
-        self.obs.emit(wake_start.raw(), scope, EventKind::WakeStart);
-        self.obs.emit(wake_done.raw(), scope, EventKind::WakeDone);
-
-        // --- primary sleep: energy, stats, FSM ---------------------------
         // Wait before gating (timeout policies): clock-gated, leakage only.
         self.charge(
             EnergyCategory::IdleStall,
             leak,
             gate_at.saturating_since(info.start),
         );
-        // Entry and wake ramps: rail is partially up; charge full leakage
-        // (conservative) — the CV² charge itself is in the transition term.
-        self.charge(EnergyCategory::IdleStall, leak, entry);
-        self.charge(EnergyCategory::IdleStall, leak, wakeup);
-        let sleeping = wake_start.saturating_since(entry_done);
-        self.charge(EnergyCategory::GatedResidual, gated_power, sleeping);
-        self.energy.add(
-            EnergyCategory::Transition,
-            self.config.circuit.transition_energy(),
-        );
         self.stats.gated += 1;
-        self.stats.gated_cycles += sleeping.raw();
         self.obs.count("gates", 1);
-        self.obs.observe("gated_duration", sleeping.raw());
-        self.obs.observe("wake_latency", wakeup.raw());
-        if sleeping < self.ctx.break_even {
-            self.obs.count("bet_misses", 1);
-            self.obs
-                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
-        }
-        self.record_pg_cycle(info.core, gate_at, entry_done, wake_start, wake_done);
+        let mut wake_failed = wake.faulted;
+        let wake_done = self.close_sleep(info.core, gate_at, entry_done, &wake);
 
         // --- nap chaining -------------------------------------------------
         // The core woke early (under-predicted stall) and the data is still
@@ -690,102 +601,22 @@ impl Controller {
         // signal wake it reactively. One re-gate always suffices — the
         // second nap ends at the response.
         let mut last_wake_done = wake_done;
-        let regate_threshold = self.ctx.break_even + nominal_wakeup;
+        let regate_threshold = self.ctx.break_even + self.ctx.wakeup;
         if self.config.regate_on_early_wake
             && info.data_ready.saturating_since(wake_done) > regate_threshold
         {
             let nap_entry_done = wake_done + entry;
-            self.obs
-                .emit(nap_entry_done.raw(), scope, EventKind::SleepEnter);
-            // The nap's ramp rolls its own stuck-slow fault.
-            let nap_wakeup = match self.faults.as_mut() {
-                Some(faults) => {
-                    let actual = faults.wake_latency(nominal_wakeup);
-                    wake_failed |= actual > nominal_wakeup;
-                    actual
-                }
-                None => nominal_wakeup,
-            };
-            let nap_slow = nap_wakeup > nominal_wakeup;
             // The nap's reactive wake draws the same inrush as any other:
             // it must hold a token too, which may delay it past the
             // response (more penalty, but the di/dt bound stays honest).
-            let mut nap_wake_start = info.data_ready;
-            if nap_wake_start < self.brownout_until {
-                self.obs.emit(
-                    nap_wake_start.raw(),
-                    scope,
-                    EventKind::FaultInjected(FaultKind::BrownoutVeto),
-                );
-                nap_wake_start = self.brownout_until;
-                if let Some(faults) = self.faults.as_mut() {
-                    faults.note_brownout_delay();
-                }
-                wake_failed = true;
-            }
-            if let Some(tokens) = &mut self.tokens {
-                let mut granted = tokens.acquire(nap_wake_start, nap_wakeup);
-                if let Some(faults) = self.faults.as_mut() {
-                    if faults.drop_token_grant() {
-                        self.obs.emit(
-                            nap_wake_start.raw(),
-                            scope,
-                            EventKind::FaultInjected(FaultKind::TokenDrop),
-                        );
-                        granted = tokens.acquire(granted + faults.token_retry(), nap_wakeup);
-                        wake_failed = true;
-                    }
-                }
-                if granted > nap_wake_start {
-                    self.obs
-                        .emit(nap_wake_start.raw(), scope, EventKind::TokenDeny);
-                    self.stats.token_delayed += 1;
-                    self.stats.token_delay_cycles += (granted - nap_wake_start).raw();
-                }
-                self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
-                nap_wake_start = granted;
-            }
-            let nap_wake_done = nap_wake_start + nap_wakeup;
-            let nap_span = nap_wake_start - nap_entry_done;
-            if nap_slow {
-                self.obs.emit(
-                    nap_wake_start.raw(),
-                    scope,
-                    EventKind::FaultInjected(FaultKind::SlowWake),
-                );
-            }
-            self.obs
-                .emit(nap_wake_start.raw(), scope, EventKind::SleepExit);
-            self.obs
-                .emit(nap_wake_start.raw(), scope, EventKind::WakeStart);
-            self.obs
-                .emit(nap_wake_done.raw(), scope, EventKind::WakeDone);
-
-            self.charge(EnergyCategory::IdleStall, leak, entry);
-            self.charge(EnergyCategory::IdleStall, leak, nap_wakeup);
-            self.charge(EnergyCategory::GatedResidual, gated_power, nap_span);
-            self.energy.add(
-                EnergyCategory::Transition,
-                self.config.circuit.transition_energy(),
-            );
+            // Unlike the primary wake it never rolls a brownout of its own.
+            // That asymmetry is kept on purpose — rolling one here would
+            // move R-F16 — and is a metamorphic-check candidate.
+            let nap = self.open_wake(info.core, nap_entry_done, info.data_ready);
             self.stats.regates += 1;
-            self.stats.gated_cycles += nap_span.raw();
             self.obs.count("regates", 1);
-            self.obs.observe("gated_duration", nap_span.raw());
-            self.obs.observe("wake_latency", nap_wakeup.raw());
-            if nap_span < self.ctx.break_even {
-                self.obs.count("bet_misses", 1);
-                self.obs
-                    .observe("bet_shortfall", (self.ctx.break_even - nap_span).raw());
-            }
-            self.record_pg_cycle(
-                info.core,
-                wake_done,
-                nap_entry_done,
-                nap_wake_start,
-                nap_wake_done,
-            );
-            last_wake_done = nap_wake_done;
+            wake_failed |= nap.faulted;
+            last_wake_done = self.close_sleep(info.core, wake_done, nap_entry_done, &nap);
         }
 
         // --- tail / penalty accounting ------------------------------------
@@ -820,12 +651,120 @@ impl Controller {
         resume
     }
 
+    /// Enters sleep at `entry_done` and opens its wake, requested at
+    /// `request`: draws the ramp's stuck-slow latency, holds the ramp
+    /// behind an open brownout window, and acquires a wake token, retrying
+    /// once after a grant dropped in flight.
+    fn open_wake(&mut self, core: CoreId, entry_done: Cycle, request: Cycle) -> Wake {
+        let scope = Scope::Core(core.0 as u32);
+        self.obs
+            .emit(entry_done.raw(), scope, EventKind::SleepEnter);
+        let nominal = self.ctx.wakeup;
+        // A stuck-slow sleep switch inflates this ramp's wake latency.
+        let latency = match self.faults.as_mut() {
+            Some(faults) => faults.wake_latency(nominal),
+            None => nominal,
+        };
+        let mut faulted = latency > nominal;
+        let mut start = request;
+        // An open brownout window vetoes wake ramps until it closes.
+        if start < self.brownout_until {
+            self.obs.emit(
+                start.raw(),
+                scope,
+                EventKind::FaultInjected(FaultKind::BrownoutVeto),
+            );
+            start = self.brownout_until;
+            if let Some(faults) = self.faults.as_mut() {
+                faults.note_brownout_delay();
+            }
+            faulted = true;
+        }
+        // Token limiting may delay it further; a grant dropped in flight
+        // forces a re-request after the retry latency.
+        if let Some(tokens) = &mut self.tokens {
+            let mut granted = tokens.acquire(start, latency);
+            if let Some(faults) = self.faults.as_mut() {
+                if faults.drop_token_grant() {
+                    self.obs.emit(
+                        start.raw(),
+                        scope,
+                        EventKind::FaultInjected(FaultKind::TokenDrop),
+                    );
+                    granted = tokens.acquire(granted + faults.token_retry(), latency);
+                    faulted = true;
+                }
+            }
+            if granted > start {
+                self.obs.emit(start.raw(), scope, EventKind::TokenDeny);
+                self.stats.token_delayed += 1;
+                self.stats.token_delay_cycles += (granted - start).raw();
+            }
+            self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
+            start = granted;
+        }
+        Wake {
+            start,
+            latency,
+            faulted,
+        }
+    }
+
+    /// Closes one sleep that began its entry ramp at `gate_at`: emits the
+    /// wake, charges the ramps, the gated residual and the transition,
+    /// records the sleep's metrics, and drives the core's FSM. Returns
+    /// when the wake completes.
+    fn close_sleep(
+        &mut self,
+        core: CoreId,
+        gate_at: Cycle,
+        entry_done: Cycle,
+        wake: &Wake,
+    ) -> Cycle {
+        let scope = Scope::Core(core.0 as u32);
+        let wake_done = wake.start + wake.latency;
+        if wake.latency > self.ctx.wakeup {
+            self.obs.emit(
+                wake.start.raw(),
+                scope,
+                EventKind::FaultInjected(FaultKind::SlowWake),
+            );
+        }
+        self.obs.emit(wake.start.raw(), scope, EventKind::SleepExit);
+        self.obs.emit(wake.start.raw(), scope, EventKind::WakeStart);
+        self.obs.emit(wake_done.raw(), scope, EventKind::WakeDone);
+
+        // Entry and wake ramps: rail is partially up; charge full leakage
+        // (conservative) — the CV² charge itself is in the transition term.
+        let leak = self.config.tech.leakage_power();
+        self.charge(EnergyCategory::IdleStall, leak, self.ctx.entry);
+        self.charge(EnergyCategory::IdleStall, leak, wake.latency);
+        let sleeping = wake.start.saturating_since(entry_done);
+        let gated_power = self.config.circuit.gated_power(&self.config.tech);
+        self.charge(EnergyCategory::GatedResidual, gated_power, sleeping);
+        self.energy.add(
+            EnergyCategory::Transition,
+            self.config.circuit.transition_energy(),
+        );
+        self.stats.gated_cycles += sleeping.raw();
+        self.obs.observe("gated_duration", sleeping.raw());
+        self.obs.observe("wake_latency", wake.latency.raw());
+        if sleeping < self.ctx.break_even {
+            self.obs.count("bet_misses", 1);
+            self.obs
+                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
+        }
+        self.record_pg_cycle(core, gate_at, entry_done, wake.start, wake_done);
+        wake_done
+    }
+
     /// Drives one complete entry → sleep → wake cycle through the core's
-    /// FSM and the timeline recorder. FSM errors become recorded invariant
-    /// violations — faulty environments must never panic a release sweep.
+    /// FSM, whose residency is the run's per-state record of the sleep.
+    /// FSM errors become recorded invariant violations — faulty
+    /// environments must never panic a release sweep.
     fn record_pg_cycle(
         &mut self,
-        core: mapg_cpu::CoreId,
+        core: CoreId,
         gate_at: Cycle,
         entry_done: Cycle,
         wake_start: Cycle,
@@ -847,9 +786,6 @@ impl Controller {
                 PgState::Active => fsm.try_complete_wake(at),
             };
             self.note_fsm(result, core.0, at);
-            if let Some(timeline) = &mut self.timeline {
-                timeline.record(at, core, next);
-            }
         }
     }
 }
@@ -858,7 +794,7 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::policy::{MapgPolicy, NaiveOnMiss, NoGating, PolicyKind};
-    use mapg_cpu::{CoreId, StallCause};
+    use mapg_cpu::StallCause;
 
     fn stall(duration: u64) -> StallInfo {
         StallInfo {

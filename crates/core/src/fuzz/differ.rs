@@ -179,9 +179,6 @@ fn diff_sections(live: &RunReport, reference: &RunReport) -> String {
     if live.faults != reference.faults {
         parts.push("faults");
     }
-    if live.timeline != reference.timeline {
-        parts.push("timeline");
-    }
     if live.trace != reference.trace {
         parts.push("trace");
     }

@@ -282,8 +282,6 @@ pub struct Scenario {
     pub dram_banks: u32,
     /// Nap chaining (re-gate after early wake) enabled.
     pub regate: bool,
-    /// Record the power-state timeline.
-    pub timeline: bool,
     /// Trace ring capacity; small values exercise the drop path.
     pub trace_capacity: usize,
 }
@@ -379,8 +377,12 @@ impl Scenario {
             // fallback in the flattened DRAM bank/row split.
             dram_banks: *rng.pick(&[1u32, 2, 3, 6, 8, 16]),
             regate: !rng.chance(0.2),
-            timeline: rng.chance(0.2),
-            trace_capacity: *rng.pick(&[1usize, 64, 1 << 20]),
+            trace_capacity: {
+                // The retired timeline flag still consumes its draw, so a
+                // campaign seed keeps mapping to the same scenarios.
+                rng.chance(0.2);
+                *rng.pick(&[1usize, 64, 1 << 20])
+            },
         }
     }
 
@@ -464,9 +466,6 @@ impl Scenario {
         }
         if !self.regate {
             config = config.without_regate();
-        }
-        if self.timeline {
-            config = config.with_timeline();
         }
         Ok(config)
     }
@@ -585,7 +584,6 @@ impl Scenario {
             ("dram_latency_scale".into(), num_f(self.dram_latency_scale)),
             ("dram_banks".into(), num_u(self.dram_banks.into())),
             ("regate".into(), JsonValue::Bool(self.regate)),
-            ("timeline".into(), JsonValue::Bool(self.timeline)),
             ("trace_capacity".into(), num_u(self.trace_capacity as u64)),
         ])
     }
@@ -744,20 +742,19 @@ impl Scenario {
             }
         };
 
-        // Repro files written while the multi-channel topology and the
-        // sharded engine existed carry `channels`/`shards`. A value of 1 is
-        // exactly the single shared hierarchy every run now uses, so it
-        // replays unchanged; anything else described a run that can no
-        // longer be reproduced and is refused rather than silently run on
-        // one channel.
-        for field in RETIRED_FIELDS {
+        // Repro files written before a dimension was removed still carry
+        // its field. A value that describes exactly the run every scenario
+        // now gets replays unchanged; anything else described a run that
+        // can no longer be reproduced and is refused by name rather than
+        // silently run without it.
+        for (field, replays, accepted) in RETIRED_FIELDS {
             match value.get(field) {
                 None | Some(JsonValue::Null) => {}
-                Some(v) if v.as_u64() == Some(1) => {}
+                Some(v) if replays(v) => {}
                 Some(v) => {
                     return Err(MapgError::invalid(format!(
-                        "scenario field '{field}' is {}, but multi-channel and \
-                         sharded runs were removed; only 1 replays",
+                        "scenario field '{field}' is {}, but its dimension was \
+                         removed; only {accepted} replays",
                         json::write(v)
                     )))
                 }
@@ -786,14 +783,24 @@ impl Scenario {
                 .and_then(JsonValue::as_u32)
                 .ok_or_else(|| missing("dram_banks"))?,
             regate: bool_of("regate")?,
-            timeline: bool_of("timeline")?,
             trace_capacity: u64_of("trace_capacity")? as usize,
         })
     }
 }
 
-/// Scenario fields from removed dimensions that older repro files carry.
-const RETIRED_FIELDS: [&str; 2] = ["channels", "shards"];
+/// Whether a retired field's recorded value still replays.
+type Replays = fn(&JsonValue) -> bool;
+
+/// Scenario fields from removed dimensions that older repro files carry:
+/// the name, which values still replay, and how the error names them.
+/// Multi-channel and sharded runs are gone, so only one channel and one
+/// shard replay. The timeline recorder never changed a run, so either
+/// flag replays.
+const RETIRED_FIELDS: [(&str, Replays, &str); 3] = [
+    ("channels", |v| v.as_u64() == Some(1), "1"),
+    ("shards", |v| v.as_u64() == Some(1), "1"),
+    ("timeline", |v| v.as_bool().is_some(), "a boolean"),
+];
 
 fn parse_policy_name(name: &str) -> Option<PolicyKind> {
     let fixed = [
@@ -900,6 +907,27 @@ mod tests {
         }
         let zero = with_retired_fields(&scenario, "0", "1");
         assert!(Scenario::from_json(&zero).is_err());
+    }
+
+    /// Repro files from when the timeline recorder existed carry its flag;
+    /// it never shaped a run, so either value replays.
+    #[test]
+    fn legacy_json_with_a_timeline_flag_parses() {
+        let scenario = Scenario::generate(0xCAFE, 3);
+        for flag in [true, false] {
+            let JsonValue::Object(mut fields) = scenario.to_json() else {
+                panic!("scenario JSON is an object");
+            };
+            fields.push(("timeline".into(), JsonValue::Bool(flag)));
+            let back = Scenario::from_json(&JsonValue::Object(fields)).unwrap();
+            assert_eq!(back, scenario);
+        }
+        let JsonValue::Object(mut fields) = scenario.to_json() else {
+            panic!("scenario JSON is an object");
+        };
+        fields.push(("timeline".into(), JsonValue::Number("1".into())));
+        let err = Scenario::from_json(&JsonValue::Object(fields)).unwrap_err();
+        assert!(err.to_string().contains("only a boolean replays"), "{err}");
     }
 
     #[test]

@@ -50,15 +50,6 @@ fn halve_cores(s: &Scenario) -> Option<Scenario> {
     Some(out)
 }
 
-fn drop_timeline(s: &Scenario) -> Option<Scenario> {
-    if !s.timeline {
-        return None;
-    }
-    let mut out = s.clone();
-    out.timeline = false;
-    Some(out)
-}
-
 fn drop_quantum(s: &Scenario) -> Option<Scenario> {
     s.compute_quantum?;
     let mut out = s.clone();
@@ -205,13 +196,12 @@ fn shorten_fault_holds(s: &Scenario) -> Option<Scenario> {
 
 /// Passes in the order tried each fixpoint round: big structural cuts
 /// first, knob resets last.
-const PASSES: [Pass; 17] = [
+const PASSES: [Pass; 16] = [
     ("halve-instructions", halve_instructions),
     ("halve-cores", halve_cores),
     ("drop-quantum", drop_quantum),
     ("drop-watchdog", drop_watchdog),
     ("drop-tokens", drop_tokens),
-    ("drop-timeline", drop_timeline),
     ("drop-idle", drop_idle),
     ("zero-slow-wake", zero_slow_wake),
     ("zero-token-drop", zero_token_drop),

@@ -55,7 +55,6 @@ mod replicate;
 mod report;
 mod sim;
 mod suite;
-mod timeline;
 mod tokens;
 mod watchdog;
 
@@ -77,6 +76,5 @@ pub use replicate::{MetricSummary, Replication};
 pub use report::{geometric_mean, RunReport};
 pub use sim::{SimConfig, Simulation};
 pub use suite::{SuiteMatrix, SuiteRunner};
-pub use timeline::{Timeline, TimelineEvent};
 pub use tokens::TokenManager;
 pub use watchdog::{DegradationStats, Watchdog, WatchdogConfig};

@@ -10,7 +10,6 @@ use crate::controller::GatingStats;
 use crate::faults::FaultStats;
 use crate::invariants::InvariantReport;
 use crate::predictor::PredictorScore;
-use crate::timeline::Timeline;
 use crate::watchdog::DegradationStats;
 
 use core::fmt;
@@ -50,9 +49,6 @@ pub struct RunReport {
     /// Controller-side fault-injection counts (all zero without a plan;
     /// DRAM spikes are in [`memory`](RunReport::memory)'s DRAM stats).
     pub faults: FaultStats,
-    /// Power-state transition record, when requested via
-    /// [`SimConfig::with_timeline`](crate::SimConfig::with_timeline).
-    pub timeline: Option<Timeline>,
     /// Structured event trace, when requested via
     /// [`SimConfig::with_trace`](crate::SimConfig::with_trace). Per-core
     /// sleep spans in the trace reconcile exactly with
@@ -245,7 +241,6 @@ mod tests {
             invariants: InvariantReport::default(),
             degradation: DegradationStats::default(),
             faults: FaultStats::default(),
-            timeline: None,
             trace: None,
             metrics: None,
         }

@@ -44,7 +44,6 @@ pub struct SimConfig {
     switch_width_ratio: f64,
     retention: RetentionStyle,
     tokens: Option<usize>,
-    record_timeline: bool,
     regate_on_early_wake: bool,
     dram_energy: DramEnergyModel,
     fault_plan: FaultPlan,
@@ -233,12 +232,6 @@ impl SimConfig {
         Ok(self)
     }
 
-    /// Disables token limiting (the default).
-    pub fn without_tokens(mut self) -> Self {
-        self.tokens = None;
-        self
-    }
-
     /// Enables fault injection per `plan`. The fault streams are keyed to
     /// the simulation seed, so `(seed, config, plan)` fully determine the
     /// run.
@@ -273,13 +266,6 @@ impl SimConfig {
     /// The configured fault plan (a no-op plan by default).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
-    }
-
-    /// Records every power-state transition into
-    /// [`RunReport::timeline`](crate::RunReport) (VCD-exportable).
-    pub fn with_timeline(mut self) -> Self {
-        self.record_timeline = true;
-        self
     }
 
     /// Records a structured event trace into
@@ -437,7 +423,6 @@ impl Default for SimConfig {
             switch_width_ratio: 0.03,
             retention: RetentionStyle::Retentive,
             tokens: None,
-            record_timeline: false,
             regate_on_early_wake: true,
             dram_energy: DramEnergyModel::ddr3(),
             fault_plan: FaultPlan::none(),
@@ -555,9 +540,6 @@ impl Simulation {
             watchdog: config.watchdog,
         };
         let mut controller = Controller::new(self.policy, controller_config);
-        if config.record_timeline {
-            controller.enable_timeline();
-        }
         // One observability handle per run, shared by every component via
         // cheap clones. Built here, on the thread that runs the simulation
         // (the handle is `!Send`), so emission order is simulation order
@@ -695,9 +677,7 @@ impl Simulation {
             feed.publish(&records);
         }
 
-        let timeline = controller.take_timeline();
         Ok(RunReport {
-            timeline,
             policy: controller.policy_name(),
             workload: config.workload_name(),
             cores: config.cores,

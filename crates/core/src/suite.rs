@@ -1,10 +1,9 @@
 //! Suite runner: the workload-suite × policy-set experiment driver shared
 //! by the benches, examples and integration tests.
 
-use mapg_pool::{JobOutcome, Pool, Supervisor};
+use mapg_pool::Pool;
 use mapg_trace::{WorkloadProfile, WorkloadSuite};
 
-use crate::error::MapgError;
 use crate::policy::PolicyKind;
 use crate::report::{geometric_mean, RunReport};
 use crate::sim::{SimConfig, Simulation};
@@ -85,76 +84,6 @@ impl SuiteRunner {
             Simulation::new(config, policy).run()
         });
         SuiteMatrix { reports }
-    }
-
-    /// Runs all combinations through the supervised engine: a panicking
-    /// or deadline-overrunning combination is quarantined instead of
-    /// taking the whole matrix down.
-    ///
-    /// The `supervisor` supplies the worker count, deadline, retry and
-    /// cancellation policy (this runner's own job pin is not consulted).
-    /// A fully successful matrix is bit-identical to [`run`](Self::run).
-    ///
-    /// ```
-    /// use mapg::{PolicyKind, SimConfig, SuiteRunner};
-    /// use mapg_pool::Supervisor;
-    /// use mapg_trace::WorkloadSuite;
-    ///
-    /// let runner = SuiteRunner::new(
-    ///     WorkloadSuite::extremes(),
-    ///     SimConfig::default().with_instructions(20_000),
-    /// );
-    /// let matrix = runner
-    ///     .run_supervised(&[PolicyKind::NoGating, PolicyKind::Mapg], &Supervisor::new(2))
-    ///     .expect("pure simulations do not fail");
-    /// assert_eq!(matrix.reports().len(), 4);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] naming every quarantined
-    /// (workload, policy) combination when any job failed; a partial
-    /// matrix is never returned.
-    pub fn run_supervised(
-        &self,
-        policies: &[PolicyKind],
-        supervisor: &Supervisor,
-    ) -> Result<SuiteMatrix, MapgError> {
-        let combos: Vec<(WorkloadProfile, PolicyKind)> = self
-            .suite
-            .iter()
-            .flat_map(|profile| policies.iter().map(|&policy| (profile.clone(), policy)))
-            .collect();
-        let labels: Vec<(String, PolicyKind)> = combos
-            .iter()
-            .map(|(profile, policy)| (profile.name().to_owned(), *policy))
-            .collect();
-        let base = self.base.clone();
-        let outcomes = supervisor.map_supervised(combos, move |(profile, policy), _ctx| {
-            let config = base.clone().with_profile(profile.clone());
-            Simulation::new(config, *policy).run()
-        });
-        let mut reports = Vec::with_capacity(outcomes.len());
-        let mut quarantined: Vec<String> = Vec::new();
-        for ((workload, policy), job) in labels.into_iter().zip(outcomes) {
-            match job.outcome {
-                JobOutcome::Ok(report) => reports.push(report),
-                outcome => quarantined.push(format!(
-                    "{workload}/{policy:?}: {} after {} attempt(s)",
-                    outcome.label(),
-                    job.attempts
-                )),
-            }
-        }
-        if quarantined.is_empty() {
-            Ok(SuiteMatrix { reports })
-        } else {
-            Err(MapgError::invalid(format!(
-                "supervised suite quarantined {} combination(s): {}",
-                quarantined.len(),
-                quarantined.join("; ")
-            )))
-        }
     }
 }
 
@@ -302,16 +231,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_jobs_rejected() {
         let _ = tiny_runner().with_jobs(0);
-    }
-
-    #[test]
-    fn supervised_matrix_is_bit_identical_to_plain_run() {
-        let policies = [PolicyKind::NoGating, PolicyKind::Mapg];
-        let plain = tiny_runner().with_jobs(2).run(&policies);
-        let supervised = tiny_runner()
-            .run_supervised(&policies, &Supervisor::new(2))
-            .expect("pure simulations do not fail");
-        assert_eq!(plain.reports(), supervised.reports());
     }
 
     #[test]

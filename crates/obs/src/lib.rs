@@ -10,7 +10,9 @@
 //!   [`TraceRecord`]s (stall begin/end, sleep enter/exit, wake start/done,
 //!   token grant/deny, safe-mode enter/exit, fault injections) with cycle
 //!   timestamps and core/bank scopes, exportable as Chrome `trace_event`
-//!   JSON (loadable in Perfetto / `chrome://tracing`).
+//!   JSON (loadable in Perfetto / `chrome://tracing`), and its sleep
+//!   records as a per-core power-state waveform
+//!   ([`TraceBuffer::to_vcd`]).
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters and
 //!   power-of-two-bucket histograms (stall length, gated duration, wake
 //!   latency, break-even shortfall) with a commutative [`merge`], so
@@ -54,6 +56,7 @@ mod feed;
 mod handle;
 mod metrics;
 mod trace;
+mod vcd;
 
 pub use event::{EventKind, FaultKind, Scope, TraceRecord};
 pub use feed::{

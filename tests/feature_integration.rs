@@ -1,13 +1,13 @@
 //! Integration tests for the extension features, driven end-to-end
-//! through the public API the way a downstream user would: timelines +
-//! VCD, retention styles, nap chaining, workload mixes, recorded traces,
-//! replication, idle injection, prefetching, and substrate design-space
-//! options.
+//! through the public API the way a downstream user would: VCD waveforms
+//! rendered from the trace, retention styles, nap chaining, workload
+//! mixes, recorded traces, replication, idle injection, prefetching, and
+//! substrate design-space options.
 
 #![deny(unused)]
 
 use mapg::{PolicyKind, Replication, SimConfig, Simulation};
-use mapg_cpu::{Core, CoreConfig, CoreId, PassiveHandler};
+use mapg_cpu::{Core, CoreConfig, PassiveHandler};
 use mapg_mem::{DramConfig, HierarchyConfig, MemoryHierarchy, PagePolicy, ReplacementPolicy};
 use mapg_power::RetentionStyle;
 use mapg_trace::{IdleInjection, RecordedTrace, SyntheticWorkload, WorkloadProfile};
@@ -17,30 +17,26 @@ fn quick() -> SimConfig {
 }
 
 #[test]
-fn timeline_round_trips_to_vcd_through_the_public_api() {
-    let report = Simulation::new(quick().with_cores(2).with_timeline(), PolicyKind::Mapg).run();
-    let timeline = report.timeline.as_ref().expect("recording was enabled");
-    assert!(!timeline.is_empty());
-    assert_eq!(timeline.cores(), 2);
+fn gating_trace_round_trips_to_vcd_through_the_public_api() {
+    let config = quick().with_cores(2).with_trace();
+    let entry = config.circuit().entry_cycles(CoreConfig::baseline().clock);
+    let report = Simulation::new(config, PolicyKind::Mapg).run();
+    let trace = report.trace.as_ref().expect("tracing was enabled");
 
-    // Gated cycles from the timeline must agree with the gating stats.
-    let from_timeline: u64 = (0..timeline.cores())
-        .map(|c| timeline.sleeping_cycles(CoreId(c)))
-        .sum();
-    assert_eq!(from_timeline, report.gating.gated_cycles);
+    // Gated cycles from the trace's sleep spans must agree with the
+    // gating stats.
+    let per_core = trace.gated_cycles_per_core();
+    assert_eq!(per_core.len(), 2);
+    assert_eq!(per_core.values().sum::<u64>(), report.gating.gated_cycles);
 
     let mut vcd = Vec::new();
-    timeline.to_vcd(&mut vcd).expect("in-memory write");
+    trace
+        .to_vcd(entry.raw(), &mut vcd)
+        .expect("in-memory write");
     let text = String::from_utf8(vcd).expect("vcd is ascii");
     assert!(text.contains("core0_pg_state"));
     assert!(text.contains("core1_pg_state"));
     assert!(text.lines().filter(|l| l.starts_with('#')).count() > 10);
-}
-
-#[test]
-fn timeline_is_absent_unless_requested() {
-    let report = Simulation::new(quick(), PolicyKind::Mapg).run();
-    assert!(report.timeline.is_none());
 }
 
 #[test]
