@@ -914,19 +914,17 @@ mod tests {
     #[test]
     fn legacy_json_with_a_timeline_flag_parses() {
         let scenario = Scenario::generate(0xCAFE, 3);
-        for flag in [true, false] {
+        let with_flag = |flag: JsonValue| {
             let JsonValue::Object(mut fields) = scenario.to_json() else {
                 panic!("scenario JSON is an object");
             };
-            fields.push(("timeline".into(), JsonValue::Bool(flag)));
-            let back = Scenario::from_json(&JsonValue::Object(fields)).unwrap();
-            assert_eq!(back, scenario);
-        }
-        let JsonValue::Object(mut fields) = scenario.to_json() else {
-            panic!("scenario JSON is an object");
+            fields.push(("timeline".into(), flag));
+            Scenario::from_json(&JsonValue::Object(fields))
         };
-        fields.push(("timeline".into(), JsonValue::Number("1".into())));
-        let err = Scenario::from_json(&JsonValue::Object(fields)).unwrap_err();
+        for flag in [true, false] {
+            assert_eq!(with_flag(JsonValue::Bool(flag)).unwrap(), scenario);
+        }
+        let err = with_flag(JsonValue::Number("1".into())).unwrap_err();
         assert!(err.to_string().contains("only a boolean replays"), "{err}");
     }
 
