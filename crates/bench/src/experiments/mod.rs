@@ -2,9 +2,12 @@
 //!
 //! One module per table/figure from DESIGN.md §5. Every experiment is a
 //! pure function `Scale -> Vec<Table>`, so the `experiments` binary, the
-//! criterion benches and the integration tests all drive the same code.
+//! `mapgd` daemon and the integration tests all drive the same code.
 
-use mapg::SimConfig;
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+use mapg::{RunCache, SimConfig};
 use mapg_trace::WorkloadSuite;
 
 use crate::scale::Scale;
@@ -166,7 +169,33 @@ pub(crate) fn suite_for(scale: Scale) -> WorkloadSuite {
     }
 }
 
+thread_local! {
+    /// Set while [`without_run_cache`] runs on this thread.
+    static CACHE_OFF: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the process-wide run memo switched off on this thread:
+/// every experiment `f` runs here simulates afresh. Determinism tests use
+/// this to compare two real computations inside one process.
+pub fn without_run_cache<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CACHE_OFF.with(|off| off.set(self.0));
+        }
+    }
+    let _restore = Restore(CACHE_OFF.with(|off| off.replace(true)));
+    f()
+}
+
 /// The base simulation configuration at `scale`.
+///
+/// Every run built on this base is memoized in one process-wide
+/// [`RunCache`] (unless [`without_run_cache`] is in effect): the
+/// experiments reread many of the same runs (R-F2 and R-F3 are views of
+/// R-T3's matrix; the no-gating baseline recurs in almost every figure),
+/// and a repeat returns the earlier report instead of simulating again.
+/// Nothing outside the experiment registry shares this cache.
 ///
 /// When an ambient [`mapg_obs::MetricsHub`] is installed (the
 /// `experiments` binary does this per experiment for `--metrics` and
@@ -174,7 +203,13 @@ pub(crate) fn suite_for(scale: Scale) -> WorkloadSuite {
 /// metrics into the hub; otherwise observability stays disabled and
 /// costs one branch per would-be event.
 pub(crate) fn base_config(scale: Scale) -> SimConfig {
+    static RUNS: OnceLock<RunCache> = OnceLock::new();
     let config = SimConfig::default().with_instructions(scale.instructions());
+    let config = if CACHE_OFF.with(Cell::get) {
+        config
+    } else {
+        config.with_run_cache(RUNS.get_or_init(RunCache::new).clone())
+    };
     let config = match mapg_obs::ambient_hub() {
         Some(hub) => config.with_metrics_hub(hub),
         None => config,

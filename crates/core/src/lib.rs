@@ -35,7 +35,7 @@
 //! | policies | [`GatingPolicy`], [`MapgPolicy`], [`NoGating`], [`ClockGating`], [`NaiveOnMiss`], [`TimeoutGating`], [`DvfsStall`], [`PolicyKind`] |
 //! | prediction | [`MissLatencyPredictor`], [`HistoryTablePredictor`], [`EwmaPredictor`], [`LastValuePredictor`], [`StaticPredictor`], [`OraclePredictor`], [`PredictorScore`] |
 //! | mechanism | [`GatingFsm`], [`PgState`], [`TokenManager`], [`Controller`] |
-//! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`SuiteRunner`], [`SuiteMatrix`] |
+//! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`RunCache`], [`SuiteRunner`], [`SuiteMatrix`] |
 //! | robustness | [`FaultPlan`], [`FaultStats`], [`InvariantReport`], [`Watchdog`], [`DegradationStats`], [`MapgError`] |
 //! | fuzzing | [`fuzz::Scenario`], [`fuzz::Finding`], [`fuzz::ShrinkOutcome`], [`fuzz::ReproFile`] |
 
@@ -49,6 +49,7 @@ mod fsm;
 pub mod fsutil;
 pub mod fuzz;
 mod invariants;
+mod memo;
 mod policy;
 mod predictor;
 mod replicate;
@@ -64,6 +65,7 @@ pub use faults::{FaultPlan, FaultStats};
 pub use fsm::{GatingFsm, PgState, StateResidency};
 pub use fsutil::write_atomic;
 pub use invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
+pub use memo::RunCache;
 pub use policy::{
     ClockGating, DvfsStall, GatingPolicy, MapgPolicy, NaiveOnMiss, NoGating, PolicyContext,
     PolicyKind, PredictorKind, StallAction, TimeoutGating,

@@ -14,6 +14,7 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
+use crate::memo::RunCache;
 use crate::policy::{GatingPolicy, PolicyKind};
 use crate::report::RunReport;
 use crate::watchdog::WatchdogConfig;
@@ -54,6 +55,7 @@ pub struct SimConfig {
     event_hub: Option<EventHub>,
     reference_scheduler: bool,
     compute_quantum: Option<u64>,
+    run_cache: Option<RunCache>,
 }
 
 impl SimConfig {
@@ -371,6 +373,73 @@ impl SimConfig {
         self
     }
 
+    /// Memoizes this run in `cache`: a repeated `(config, policy)` returns
+    /// the report computed earlier instead of simulating again. Only runs
+    /// built by [`Simulation::new`] without a trace or an event hub
+    /// consult the cache (see [`Simulation::try_run`]).
+    pub fn with_run_cache(mut self, cache: RunCache) -> Self {
+        self.run_cache = Some(cache);
+        self
+    }
+
+    /// Whether `self` and `other` describe the same run: equal on every
+    /// field that can change the report. The hubs and the cache handle
+    /// only observe or memoize a run, so they are not compared. The
+    /// destructure is exhaustive, so a new field does not compile until
+    /// it is either compared here or listed as ignored.
+    pub(crate) fn same_run(&self, other: &SimConfig) -> bool {
+        let SimConfig {
+            profiles,
+            cores,
+            instructions_per_core,
+            seed,
+            core,
+            memory,
+            tech,
+            switch_width_ratio,
+            retention,
+            tokens,
+            regate_on_early_wake,
+            dram_energy,
+            fault_plan,
+            watchdog,
+            trace_capacity,
+            metrics,
+            metrics_hub: _,
+            event_hub: _,
+            reference_scheduler,
+            compute_quantum,
+            run_cache: _,
+        } = self;
+        *profiles == other.profiles
+            && *cores == other.cores
+            && *instructions_per_core == other.instructions_per_core
+            && *seed == other.seed
+            && *core == other.core
+            && *memory == other.memory
+            && *tech == other.tech
+            && switch_width_ratio.to_bits() == other.switch_width_ratio.to_bits()
+            && *retention == other.retention
+            && *tokens == other.tokens
+            && *regate_on_early_wake == other.regate_on_early_wake
+            && *dram_energy == other.dram_energy
+            && *fault_plan == other.fault_plan
+            && *watchdog == other.watchdog
+            && *trace_capacity == other.trace_capacity
+            && *metrics == other.metrics
+            && *reference_scheduler == other.reference_scheduler
+            && *compute_quantum == other.compute_quantum
+    }
+
+    /// This configuration without its hubs and cache handle: what a
+    /// [`RunCache`] keeps as an entry's key.
+    pub(crate) fn without_observers(mut self) -> Self {
+        self.metrics_hub = None;
+        self.event_hub = None;
+        self.run_cache = None;
+        self
+    }
+
     /// The first configured profile (the only one outside mix mode).
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profiles[0]
@@ -433,6 +502,7 @@ impl Default for SimConfig {
             event_hub: None,
             reference_scheduler: false,
             compute_quantum: None,
+            run_cache: None,
         }
     }
 }
@@ -477,6 +547,8 @@ const _: () = {
 pub struct Simulation {
     config: SimConfig,
     policy: Box<dyn GatingPolicy>,
+    /// The kind `policy` was built from, when known: the run's memo key.
+    kind: Option<PolicyKind>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -491,15 +563,23 @@ impl std::fmt::Debug for Simulation {
 impl Simulation {
     /// Pairs a configuration with a policy.
     pub fn new(config: SimConfig, policy: PolicyKind) -> Self {
-        Simulation::with_policy(config, policy.instantiate())
+        Simulation {
+            kind: Some(policy),
+            ..Simulation::with_policy(config, policy.instantiate())
+        }
     }
 
     /// Pairs a configuration with an already-built policy, for variants no
     /// [`PolicyKind`] names (e.g. a [`crate::MapgPolicy`] with a custom
     /// break-even guard). The run is otherwise identical to
-    /// [`Simulation::new`]: same accounting audits, same observability.
+    /// [`Simulation::new`]: same accounting audits, same observability —
+    /// but it never consults a [`RunCache`], since no key names the policy.
     pub fn with_policy(config: SimConfig, policy: Box<dyn GatingPolicy>) -> Self {
-        Simulation { config, policy }
+        Simulation {
+            config,
+            policy,
+            kind: None,
+        }
     }
 
     /// Runs to completion and produces the report.
@@ -526,8 +606,44 @@ impl Simulation {
     ///
     /// Returns [`MapgError::InvalidConfig`] if the cluster rejects the
     /// configuration (zero cores or a zero instruction budget).
+    ///
+    /// With a [`RunCache`] attached ([`SimConfig::with_run_cache`]), a run
+    /// built by [`Simulation::new`] with no trace and no event hub returns
+    /// the cached report of an equal earlier run and merges its metrics
+    /// into the metrics hub, if one is attached — the same bytes a fresh
+    /// computation would produce and publish. Traced and published runs
+    /// always compute: their trace is not cached.
     pub fn try_run(self) -> Result<RunReport, MapgError> {
-        let config = self.config;
+        let Simulation {
+            mut config,
+            policy,
+            kind,
+        } = self;
+        let memo = match (config.run_cache.take(), kind) {
+            (Some(cache), Some(kind))
+                if config.trace_capacity.is_none() && config.event_hub.is_none() =>
+            {
+                Some((cache, kind))
+            }
+            _ => None,
+        };
+        let Some((cache, kind)) = memo else {
+            return Simulation::simulate(&config, policy);
+        };
+        if let Some(report) = cache.get(&config, kind) {
+            if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &report.metrics) {
+                hub.merge(metrics);
+            }
+            return Ok(report);
+        }
+        let report = Simulation::simulate(&config, policy)?;
+        cache.insert(config, kind, report.clone());
+        Ok(report)
+    }
+
+    /// Runs `config` under `policy` to completion: the uncached body of
+    /// [`Simulation::try_run`].
+    fn simulate(config: &SimConfig, policy: Box<dyn GatingPolicy>) -> Result<RunReport, MapgError> {
         let circuit = config.circuit();
         let controller_config = ControllerConfig {
             tech: config.tech,
@@ -539,7 +655,7 @@ impl Simulation {
             fault_seed: config.seed,
             watchdog: config.watchdog,
         };
-        let mut controller = Controller::new(self.policy, controller_config);
+        let mut controller = Controller::new(policy, controller_config);
         // One observability handle per run, shared by every component via
         // cheap clones. Built here, on the thread that runs the simulation
         // (the handle is `!Send`), so emission order is simulation order

@@ -186,6 +186,11 @@ pub struct Cache {
     /// High 32 bits of each way's tag (same layout as `tags_lo`). Read and
     /// written only when a tag with upper bits is actually involved; see
     /// [`Cache::hi_nonzero`].
+    ///
+    /// Empty until the first non-zero high half is stored, and read as
+    /// all zeros while empty ([`Cache::tag_hi`]): realistic address maps
+    /// never get there, so most caches never pay for the plane (128 KiB
+    /// of zeros for the 2 MiB L2).
     tags_hi: Vec<u32>,
     /// Per-way LRU/FIFO stamps for the *generic* path only, `assoc`
     /// consecutive words per set; empty for the specialized
@@ -216,7 +221,8 @@ pub struct Cache {
     /// path. Planes over-allocate up to one line of slack words and index
     /// from the first 64-byte boundary instead.
     lo_off: usize,
-    /// See [`Cache::lo_off`]; offset for the `tags_hi` plane.
+    /// See [`Cache::lo_off`]; offset for the `tags_hi` plane (zero while
+    /// the plane is unallocated).
     hi_off: usize,
     /// See [`Cache::lo_off`]; offset for the `stamps` plane.
     stamps_off: usize,
@@ -291,8 +297,6 @@ impl Cache {
         let n_ways = set_count as usize * assoc;
         let tags_lo = vec![0u32; n_ways + PLANE_SLACK_U32];
         let lo_off = plane_offset_u32(&tags_lo);
-        let tags_hi = vec![0u32; n_ways + PLANE_SLACK_U32];
-        let hi_off = plane_offset_u32(&tags_hi);
         let stamps = if specialized {
             Vec::new()
         } else {
@@ -313,11 +317,11 @@ impl Cache {
         Cache {
             config,
             tags_lo,
-            tags_hi,
+            tags_hi: Vec::new(),
             stamps,
             masks,
             lo_off,
-            hi_off,
+            hi_off: 0,
             stamps_off,
             masks_off,
             hi_nonzero: 0,
@@ -433,7 +437,7 @@ impl Cache {
         let valid = self.masks[mbase];
         let lo_tag = tag as u32;
         let hi_tag = (tag >> 32) as u32;
-        let hbase = self.hi_off + set_index * W;
+        let way0 = set_index * W;
 
         // Hit scan: a branchless fixed-trip match mask over the low tag
         // halves. An early-exit compare loop mispredicts on every probe
@@ -452,13 +456,14 @@ impl Cache {
             // it is unique — duplicate full tags cannot coexist).
             (hi_tag == 0).then(|| candidates.trailing_zeros() as usize)
         } else {
-            // Rare: some resident tag has upper bits, so each candidate
-            // must be verified against the high plane.
+            // Rare: some resident tag has upper bits (so the high plane
+            // is allocated), and each candidate must be verified
+            // against it.
             let mut rest = candidates;
             let mut found = None;
             while rest != 0 {
                 let way = rest.trailing_zeros() as usize;
-                if self.tags_hi[hbase + way] == hi_tag {
+                if self.tags_hi[self.hi_off + way0 + way] == hi_tag {
                     found = Some(way);
                     break;
                 }
@@ -513,7 +518,7 @@ impl Cache {
         let old_hi = if self.hi_nonzero == 0 {
             0
         } else {
-            self.tags_hi[hbase + victim]
+            self.tags_hi[self.hi_off + way0 + victim]
         };
         let writeback = if valid & bit != 0 && self.masks[mbase + 1] & bit != 0 {
             // Reconstruct the victim's line address from its tag.
@@ -524,11 +529,7 @@ impl Cache {
             None
         };
         tags_lo[victim] = lo_tag;
-        if hi_tag != old_hi {
-            self.tags_hi[hbase + victim] = hi_tag;
-            self.hi_nonzero -= u64::from(old_hi != 0);
-            self.hi_nonzero += u64::from(hi_tag != 0);
-        }
+        self.set_tag_hi(way0 + victim, old_hi, hi_tag);
         // A fill stamps both last-use and fill time in the seed, so LRU
         // and FIFO promote; Random's recency is never consulted.
         if !matches!(self.config.replacement, ReplacementPolicy::Random) {
@@ -561,7 +562,7 @@ impl Cache {
         let assoc = self.assoc;
         let mw = self.mask_words;
         let base = self.lo_off + set_index * assoc;
-        let hbase = self.hi_off + set_index * assoc;
+        let way0 = set_index * assoc;
         let sbase = self.stamps_off + set_index * assoc;
         let mbase = self.masks_off + set_index * self.mask_stride;
         let lo_tag = tag as u32;
@@ -577,7 +578,7 @@ impl Cache {
                     & self.masks[mbase + word];
             while candidates != 0 {
                 let way = lo + candidates.trailing_zeros() as usize;
-                if self.tags_hi[hbase + way] != hi_tag {
+                if self.tag_hi(way0 + way) != hi_tag {
                     candidates &= candidates - 1;
                     continue;
                 }
@@ -610,7 +611,7 @@ impl Cache {
         );
         let word = victim / 64;
         let bit = 1u64 << (victim % 64);
-        let old_hi = self.tags_hi[hbase + victim];
+        let old_hi = self.tag_hi(way0 + victim);
         let writeback =
             if self.masks[mbase + word] & bit != 0 && self.masks[mbase + mw + word] & bit != 0 {
                 let victim_tag = (u64::from(old_hi) << 32) | u64::from(self.tags_lo[base + victim]);
@@ -620,9 +621,7 @@ impl Cache {
                 None
             };
         self.tags_lo[base + victim] = lo_tag;
-        self.tags_hi[hbase + victim] = hi_tag;
-        self.hi_nonzero -= u64::from(old_hi != 0);
-        self.hi_nonzero += u64::from(hi_tag != 0);
+        self.set_tag_hi(way0 + victim, old_hi, hi_tag);
         self.stamps[sbase + victim] = stamp;
         self.masks[mbase + word] |= bit;
         if is_write {
@@ -654,7 +653,7 @@ impl Cache {
         let assoc = self.assoc;
         let mw = self.mask_words;
         let base = self.lo_off + set_index * assoc;
-        let hbase = self.hi_off + set_index * assoc;
+        let way0 = set_index * assoc;
         let sbase = self.stamps_off + set_index * assoc;
         let mbase = self.masks_off + set_index * self.mask_stride;
         let victim = if self.specialized {
@@ -672,7 +671,7 @@ impl Cache {
         let bit = 1u64 << (victim % 64);
         let lo_tag = tag as u32;
         let hi_tag = (tag >> 32) as u32;
-        let old_hi = self.tags_hi[hbase + victim];
+        let old_hi = self.tag_hi(way0 + victim);
         let writeback =
             if self.masks[mbase + word] & bit != 0 && self.masks[mbase + mw + word] & bit != 0 {
                 let victim_tag = (u64::from(old_hi) << 32) | u64::from(self.tags_lo[base + victim]);
@@ -682,9 +681,7 @@ impl Cache {
                 None
             };
         self.tags_lo[base + victim] = lo_tag;
-        self.tags_hi[hbase + victim] = hi_tag;
-        self.hi_nonzero -= u64::from(old_hi != 0);
-        self.hi_nonzero += u64::from(hi_tag != 0);
+        self.set_tag_hi(way0 + victim, old_hi, hi_tag);
         if self.specialized {
             // A prefetch fill stamps recency exactly like a demand fill.
             if !matches!(self.config.replacement, ReplacementPolicy::Random) {
@@ -707,7 +704,7 @@ impl Cache {
     #[inline]
     fn resident(&self, set_index: usize, tag: u64) -> bool {
         let base = self.lo_off + set_index * self.assoc;
-        let hbase = self.hi_off + set_index * self.assoc;
+        let way0 = set_index * self.assoc;
         let tags_lo = &self.tags_lo[base..base + self.assoc];
         let mbase = self.masks_off + set_index * self.mask_stride;
         let valid = &self.masks[mbase..mbase + self.mask_words];
@@ -717,7 +714,7 @@ impl Cache {
             let mut candidates = match_mask(&tags_lo[lo..lo + ways_here], tag as u32) & valid_word;
             while candidates != 0 {
                 let way = lo + candidates.trailing_zeros() as usize;
-                if self.tags_hi[hbase + way] == (tag >> 32) as u32 {
+                if self.tag_hi(way0 + way) == (tag >> 32) as u32 {
                     return true;
                 }
                 candidates &= candidates - 1;
@@ -764,6 +761,46 @@ impl Cache {
         self.resident(set_index, tag)
     }
 
+    /// The high tag half of way `i` (`set * assoc + way`); zero while the
+    /// plane is unallocated.
+    #[inline]
+    fn tag_hi(&self, i: usize) -> u32 {
+        if self.tags_hi.is_empty() {
+            0
+        } else {
+            self.tags_hi[self.hi_off + i]
+        }
+    }
+
+    /// Replaces way `i`'s high tag half `old` with `new`, keeping
+    /// [`Cache::hi_nonzero`] exact. The first non-zero half allocates the
+    /// plane.
+    #[inline]
+    fn set_tag_hi(&mut self, i: usize, old: u32, new: u32) {
+        if new == old {
+            return;
+        }
+        if self.tags_hi.is_empty() {
+            self.allocate_tags_hi();
+        }
+        self.tags_hi[self.hi_off + i] = new;
+        self.hi_nonzero -= u64::from(old != 0);
+        self.hi_nonzero += u64::from(new != 0);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate_tags_hi(&mut self) {
+        self.tags_hi = vec![0u32; self.set_count as usize * self.assoc + PLANE_SLACK_U32];
+        self.hi_off = plane_offset_u32(&self.tags_hi);
+    }
+
+    /// Whether the high tag plane has been allocated.
+    #[cfg(test)]
+    pub(crate) fn has_tags_hi(&self) -> bool {
+        !self.tags_hi.is_empty()
+    }
+
     /// Picks the eviction way for one set on the specialized (packed
     /// recency) layout: lowest invalid way first, then the recency back
     /// for LRU/FIFO or the next xorshift draw for Random — the same
@@ -787,7 +824,8 @@ impl Cache {
     /// measurement phases.
     pub fn reset(&mut self) {
         self.tags_lo.fill(0);
-        self.tags_hi.fill(0);
+        self.tags_hi = Vec::new();
+        self.hi_off = 0;
         self.hi_nonzero = 0;
         self.stamps.fill(0);
         self.masks.fill(0);
@@ -817,10 +855,14 @@ impl Clone for Cache {
         let lo_off = plane_offset_u32(&tags_lo);
         tags_lo[lo_off..lo_off + n_ways]
             .copy_from_slice(&self.tags_lo[self.lo_off..self.lo_off + n_ways]);
-        let mut tags_hi = vec![0u32; n_ways + PLANE_SLACK_U32];
-        let hi_off = plane_offset_u32(&tags_hi);
-        tags_hi[hi_off..hi_off + n_ways]
-            .copy_from_slice(&self.tags_hi[self.hi_off..self.hi_off + n_ways]);
+        let mut tags_hi = Vec::new();
+        let mut hi_off = 0;
+        if !self.tags_hi.is_empty() {
+            tags_hi = vec![0u32; n_ways + PLANE_SLACK_U32];
+            hi_off = plane_offset_u32(&tags_hi);
+            tags_hi[hi_off..hi_off + n_ways]
+                .copy_from_slice(&self.tags_hi[self.hi_off..self.hi_off + n_ways]);
+        }
         let mut stamps = Vec::new();
         let mut stamps_off = 0;
         if !self.stamps.is_empty() {
@@ -1087,6 +1129,29 @@ mod tests {
             hit_latency: Cycles::new(1),
             replacement: ReplacementPolicy::Lru,
         });
+    }
+
+    #[test]
+    fn only_upper_tag_bits_allocate_the_high_tag_plane() {
+        let mut l2 = Cache::new(CacheConfig::l2());
+        for i in 0..50_000u64 {
+            // Byte addresses below 1 TiB: tags stay under 2^32.
+            let addr = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (1 << 40);
+            l2.access(addr, i % 3 == 0);
+            l2.fill_prefetch(addr + 64);
+        }
+        assert!(!l2.has_tags_hi());
+        assert!(!l2.clone().has_tags_hi());
+        // Line 2^54 shares line 0's set and (zero) low tag half; only the
+        // high half tells them apart.
+        l2.access(0, false);
+        assert!(!l2.access(1 << 60, true).is_hit());
+        assert!(l2.has_tags_hi());
+        let copy = l2.clone();
+        for cache in [&l2, &copy] {
+            assert!(cache.probe(0) && cache.probe(1 << 60));
+            assert!(!cache.probe(1 << 59));
+        }
     }
 
     #[test]

@@ -663,4 +663,77 @@ mod tests {
             assert_eq!(live.stats(), reference.stats(), "{policy:?}");
         }
     }
+
+    /// Drives `live` and `reference` through the same demand accesses and
+    /// prefetch fills, checking every outcome, probe and writeback. With
+    /// `high` set, a third of the addresses carry tag bits above 2^32, and
+    /// their low tag halves collide with the realistic addresses'.
+    fn lockstep(live: &mut crate::Cache, reference: &mut RefCache, seed: u64, high: bool) {
+        for (i, (addr, is_write, prefetch)) in stream(seed, 6_000).into_iter().enumerate() {
+            let mut addr = addr % (1 << 16);
+            if high {
+                addr |= (addr.rotate_left(29) % 3) << 56;
+            }
+            if prefetch {
+                let next = addr + 64;
+                assert_eq!(
+                    live.fill_prefetch(next),
+                    reference.fill_prefetch(next),
+                    "{i}"
+                );
+            }
+            let a = live.access(addr, is_write);
+            let b = reference.access(addr, is_write);
+            assert_eq!(a, b, "access {i} @ {addr:#x}");
+            let other = addr ^ (1 << 57);
+            assert_eq!(live.probe(other), reference.probe(other), "probe {i}");
+        }
+        assert_eq!(live.stats(), reference.stats());
+    }
+
+    /// The high tag plane is allocated on the first tag with upper bits,
+    /// and neither that, a clone nor a reset changes an outcome — on the
+    /// specialized (4-, 16-way) and the generic (6-way) path alike.
+    #[test]
+    fn lazy_high_tag_plane_matches_reference() {
+        for (ways, policy) in [
+            (4, ReplacementPolicy::Lru),
+            (16, ReplacementPolicy::Fifo),
+            (6, ReplacementPolicy::Lru),
+            (6, ReplacementPolicy::Random),
+        ] {
+            let config = CacheConfig {
+                size_bytes: ways * 64 * 16,
+                associativity: ways as u32,
+                line_bytes: 64,
+                hit_latency: Cycles::new(1),
+                replacement: policy,
+            };
+            let mut live = crate::Cache::new(config);
+            let mut reference = RefCache::new(config);
+            lockstep(&mut live, &mut reference, 1, false);
+            assert!(
+                !live.has_tags_hi(),
+                "{ways}-way: realistic tags allocated the plane"
+            );
+            lockstep(&mut live, &mut reference, 2, true);
+            assert!(
+                live.has_tags_hi(),
+                "{ways}-way: upper tag bits left the plane empty"
+            );
+
+            let (mut live_copy, mut reference_copy) = (live.clone(), reference.clone());
+            lockstep(&mut live_copy, &mut reference_copy, 3, true);
+            lockstep(&mut live, &mut reference, 3, true);
+
+            live.reset();
+            assert!(!live.has_tags_hi(), "{ways}-way: reset kept the plane");
+            let mut fresh = RefCache::new(config);
+            lockstep(&mut live, &mut fresh, 4, false);
+            let mut empty_copy = live.clone();
+            assert!(!empty_copy.has_tags_hi());
+            lockstep(&mut empty_copy, &mut fresh.clone(), 5, true);
+            lockstep(&mut live, &mut fresh, 5, true);
+        }
+    }
 }

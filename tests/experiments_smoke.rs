@@ -48,12 +48,16 @@ fn experiment_registry_round_trips_through_cli_style_lookup() {
     }
 }
 
+/// Two real computations in one process must agree. Experiment runs are
+/// memoized process-wide, so both passes switch the memo off; otherwise
+/// the second pass (and, after the test above, the first) would only
+/// replay cached reports.
 #[test]
 fn experiments_are_deterministic() {
     for id in ["R-T2", "R-F1", "R-F9"] {
         let experiment = experiments::find(id).expect("registered");
-        let a = (experiment.run)(Scale::Smoke);
-        let b = (experiment.run)(Scale::Smoke);
+        let a = experiments::without_run_cache(|| (experiment.run)(Scale::Smoke));
+        let b = experiments::without_run_cache(|| (experiment.run)(Scale::Smoke));
         assert_eq!(a.len(), b.len(), "{id}");
         for (ta, tb) in a.iter().zip(&b) {
             assert_eq!(ta, tb, "{id}: tables differ between runs");
