@@ -5,8 +5,6 @@
 //! mapg-fuzz --scenarios 2000 --seed 7        # bigger sweep
 //! mapg-fuzz --out fuzz-artifacts             # write repro JSONs on divergence
 //! mapg-fuzz --max-seconds 60                 # wall-clock budget
-//! mapg-fuzz --journal j.json                 # crash-safe completion journal
-//! mapg-fuzz --resume j.json                  # replay completed scenarios
 //! ```
 //!
 //! Every scenario runs through the live event-wheel stack and the frozen
@@ -18,32 +16,23 @@
 //! campaign.
 //!
 //! `--max-seconds N` bounds the campaign's wall clock: once elapsed no
-//! new scenario starts, in-flight scenarios finish, and the manifest /
-//! journal stay valid with `executed < scenarios`. `--journal FILE`
-//! records every completed scenario atomically; `--resume FILE` replays
-//! those completions verbatim, producing byte-identical repro files and
-//! manifest without re-executing finished work.
+//! new scenario starts, in-flight scenarios finish, and the manifest
+//! stays valid with `executed < scenarios`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mapg_bench::{
-    run_campaign_supervised, CampaignConfig, FuzzProvenance, Journal, Manifest, Scale,
-};
+use mapg_bench::{run_campaign, CampaignConfig, FuzzProvenance, Manifest, Scale};
 
 const USAGE: &str = "usage: mapg-fuzz [--scenarios N] [--seed S] [--shrink-budget N] \
-     [--jobs N] [--out DIR] [--manifest FILE] [--max-seconds N] \
-     [--journal FILE | --resume FILE]";
+     [--jobs N] [--out DIR] [--manifest FILE] [--max-seconds N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = CampaignConfig::default();
     let mut out_dir: Option<PathBuf> = None;
     let mut manifest_path: Option<PathBuf> = None;
-    let mut journal_path: Option<PathBuf> = None;
-    let mut resume_path: Option<PathBuf> = None;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -127,20 +116,6 @@ fn main() -> ExitCode {
                 };
                 manifest_path = Some(PathBuf::from(path));
             }
-            "--journal" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--journal needs a journal path");
-                    return ExitCode::FAILURE;
-                };
-                journal_path = Some(PathBuf::from(path));
-            }
-            "--resume" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--resume needs a journal path");
-                    return ExitCode::FAILURE;
-                };
-                resume_path = Some(PathBuf::from(path));
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -151,35 +126,6 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    if journal_path.is_some() && resume_path.is_some() {
-        eprintln!("--journal and --resume are exclusive (resume continues its own journal)");
-        return ExitCode::FAILURE;
-    }
-    // The context pins the campaign identity; jobs and wall-clock budget
-    // only change scheduling, never which scenario produces what.
-    let context = format!(
-        "mapg-fuzz seed={} scenarios={} shrink-budget={}",
-        config.seed, config.scenarios, config.shrink_budget
-    );
-    let journal: Option<Arc<Mutex<Journal>>> =
-        match resume_path.as_deref().or(journal_path.as_deref()) {
-            None => None,
-            Some(path) => {
-                if resume_path.is_some() && !path.exists() {
-                    eprintln!("cannot resume: journal '{}' does not exist", path.display());
-                    return ExitCode::FAILURE;
-                }
-                match Journal::open(path, &context) {
-                    Ok(journal) => Some(Arc::new(Mutex::new(journal))),
-                    Err(error) => {
-                        eprintln!("{error}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        };
-    let journaled = journal.is_some();
 
     println!(
         "# MAPG differential fuzz — {} scenario(s), seed {}, {} job(s)",
@@ -192,7 +138,7 @@ fn main() -> ExitCode {
     let quiet_panics = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let started = Instant::now();
-    let report = run_campaign_supervised(&config, journal);
+    let report = run_campaign(&config);
     let elapsed = started.elapsed();
     std::panic::set_hook(quiet_panics);
 
@@ -229,8 +175,8 @@ fn main() -> ExitCode {
     }
     for failure in &report.failures {
         println!(
-            "QUARANTINED scenario {:05}: {} after {} attempt(s)",
-            failure.index, failure.outcome, failure.attempts
+            "QUARANTINED scenario {:05}: {}",
+            failure.index, failure.outcome
         );
     }
 
@@ -238,16 +184,10 @@ fn main() -> ExitCode {
         // Campaign manifests carry no experiments; the scale tag is
         // nominal (scenarios pick their own instruction budgets) and the
         // authoritative campaign size lives under `fuzz.scenarios`.
-        // Journaled manifests zero the wall time so an interrupted-then-
-        // resumed campaign's manifest is byte-identical to a clean one.
         let manifest = Manifest {
             scale: Scale::Smoke,
             jobs: config.jobs,
-            total_wall_ms: if journaled {
-                0.0
-            } else {
-                elapsed.as_secs_f64() * 1e3
-            },
+            total_wall_ms: elapsed.as_secs_f64() * 1e3,
             fuzz: Some(FuzzProvenance::of(&report)),
             experiments: Vec::new(),
         };

@@ -44,8 +44,8 @@
 //! key `<ID>@<scale>@<format>`; a restarted daemon replays completed
 //! keys verbatim (byte-identical payloads) instead of re-running them.
 //! The journal's advisory lock (see [`crate::JournalError::Held`])
-//! keeps a daemon and a CLI run from interleaving rewrites of the same
-//! file; a SIGKILLed daemon's stale lock is taken over on restart.
+//! keeps two daemons from interleaving rewrites of the same file; a
+//! SIGKILLed daemon's stale lock is taken over on restart.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -415,23 +415,24 @@ fn execute_job(
     let budget = shared.job_budget;
     let job_spec = spec.clone();
     let started = std::time::Instant::now();
-    let reports = supervisor.map_supervised(vec![()], move |_: &(), ctx| {
+    let outcomes = supervisor.map_supervised(vec![()], move |_: &(), _| {
         let hub = MetricsHub::new();
         let mut job =
             ExperimentJob::new(job_spec.experiment, job_spec.scale, job_spec.format, budget);
         job.metrics_hub = Some(hub.clone());
         job.event_hub = Some(feed.clone());
         let output = job.execute();
-        (output, hub.snapshot(), ctx.attempt)
+        (output, hub.snapshot())
     });
-    let report = reports.into_iter().next().expect("one report per job");
-    match report.outcome {
-        JobOutcome::Ok((output, metrics, attempt)) => {
+    match outcomes.into_iter().next().expect("one outcome per job") {
+        JobOutcome::Ok((output, metrics)) => {
+            // Every job runs once; the journal and the wire keep the
+            // attempt count their schema has always carried.
             let entry = JournalEntry::new(
                 "experiment",
                 key,
                 0,
-                attempt,
+                1,
                 started.elapsed().as_secs_f64() * 1e3,
                 output.rendered.clone(),
                 output.tables.clone(),
@@ -445,7 +446,7 @@ fn execute_job(
             let mut core = shared.lock();
             let record = core.jobs.get_mut(&id).expect("job registered");
             record.payload = Some(output.rendered);
-            record.attempts = attempt;
+            record.attempts = 1;
             record.counters = metrics
                 .counters()
                 .map(|(name, value)| (name.to_owned(), value))
@@ -454,9 +455,6 @@ fn execute_job(
         }
         JobOutcome::Cancelled => JobState::Cancelled,
         JobOutcome::Panicked { message } => JobState::Failed(format!("panicked: {message}")),
-        JobOutcome::TimedOut { deadline } => {
-            JobState::Failed(format!("timed out after {deadline:?}"))
-        }
     }
 }
 
@@ -641,7 +639,7 @@ fn op_cancel(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
             removed
         }
         JobState::Running => {
-            // Cancel the supervisor's batch token: the attempt is
+            // Cancel the supervisor's batch token: the job thread is
             // abandoned (supervisor semantics) and the runner freed.
             record.cancel.cancel();
             let record = core.jobs.get_mut(&id).expect("job registered");
@@ -880,4 +878,50 @@ fn respond(stream: &mut TcpStream, value: &JsonValue) -> std::io::Result<()> {
     let mut line = write_json(value);
     line.push('\n');
     stream.write_all(line.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One done job's status fields, byte for byte: the wire shape that
+    /// clients parse, `"attempts": 1` included.
+    #[test]
+    fn done_job_status_renders_byte_for_byte() {
+        let daemon = Daemon::start(DaemonConfig {
+            max_jobs: 1,
+            workers_total: 1,
+            ..DaemonConfig::default()
+        })
+        .expect("daemon starts");
+        let shared = Arc::clone(&daemon.shared);
+        let submit = parse_json(
+            r#"{"op": "submit", "client": "pin", "experiment": "R-T1", "scale": "smoke"}"#,
+        )
+        .unwrap();
+        let id = op_submit(&shared, &submit)
+            .get("id")
+            .and_then(JsonValue::as_u64)
+            .expect("submit returns an id");
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !shared.lock().jobs[&id].state.is_terminal() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job did not finish in time"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let request = parse_json(&format!(r#"{{"op": "status", "id": {id}}}"#)).unwrap();
+        let status = write_json(&op_status(&shared, &request));
+        daemon.shutdown();
+        daemon.wait();
+        assert_eq!(
+            status,
+            concat!(
+                r#"{"ok": true, "id": 1, "state": "done", "client": "pin", "#,
+                r#""experiment": "R-T1", "scale": "smoke", "format": "csv", "priority": 0, "#,
+                r#""attempts": 1, "replayed": false, "terminal": true, "started_seq": 0}"#
+            )
+        );
+    }
 }

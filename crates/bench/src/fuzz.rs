@@ -2,26 +2,17 @@
 //!
 //! Couples the `mapg::fuzz` primitives (scenario generation, the
 //! live-vs-reference differ, shrinking, repro files) with the
-//! supervised pool: scenarios fan out across workers under optional
-//! per-scenario deadlines and an optional campaign wall-clock budget,
-//! results come back in index order, and an uninterrupted campaign is
-//! a pure function of `(campaign seed, scenario count, shrink budget)`
-//! — job count only changes wall-clock time.
-//!
-//! With a [`Journal`] attached ([`run_campaign_supervised`]), every
-//! completed scenario is appended as it finishes (payload: the repro
-//! JSON for a divergence, empty for a clean scenario). Resuming from
-//! that journal replays completed scenarios verbatim instead of
-//! re-executing them, reproducing the same report — and therefore the
-//! same repro files and manifest — byte for byte.
+//! supervised pool: scenarios fan out across workers, a panicking
+//! scenario is quarantined instead of ending the campaign, an optional
+//! wall-clock budget stops new scenarios from starting, and results come
+//! back in index order. A campaign that runs to completion is a pure
+//! function of `(campaign seed, scenario count, shrink budget)`; the job
+//! count only changes wall-clock time.
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mapg::fuzz::{run_scenario, shrink, Finding, FindingClass, ReproFile, Scenario, ShrinkOutcome};
+use mapg::fuzz::{run_scenario, shrink, FindingClass, ReproFile, Scenario, ShrinkOutcome};
 use mapg_pool::{JobOutcome, Supervisor};
-
-use crate::journal::{Journal, JournalEntry};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -35,10 +26,6 @@ pub struct CampaignConfig {
     pub shrink_budget: u64,
     /// Worker threads.
     pub jobs: usize,
-    /// Per-scenario wall-clock deadline. A scenario (including its
-    /// shrink) that exceeds it is quarantined as a
-    /// [`CampaignFailure`] instead of hanging the campaign.
-    pub deadline: Option<Duration>,
     /// Campaign wall-clock budget (`--max-seconds`). Once elapsed, no
     /// new scenario starts; in-flight scenarios finish and the report
     /// stays valid with `executed < scenarios`.
@@ -52,7 +39,6 @@ impl Default for CampaignConfig {
             scenarios: 200,
             shrink_budget: 150,
             jobs: mapg_pool::default_jobs(),
-            deadline: None,
             max_seconds: None,
         }
     }
@@ -81,27 +67,6 @@ impl CampaignFinding {
             scenario: self.outcome.scenario.clone(),
         }
     }
-
-    /// Rebuilds a finding from its journaled repro payload. The
-    /// shrink-run count is not stored in repro files and comes back as
-    /// zero; every field that reaches a deterministic output (repro
-    /// JSON, manifest summary) round-trips exactly.
-    fn from_repro(repro: &ReproFile, campaign_seed: u64) -> Option<CampaignFinding> {
-        let index = repro.scenario_index?;
-        Some(CampaignFinding {
-            index,
-            original: Scenario::generate(campaign_seed, index),
-            outcome: ShrinkOutcome {
-                scenario: repro.scenario.clone(),
-                finding: Finding {
-                    class: repro.finding_class,
-                    detail: repro.finding_detail.clone(),
-                },
-                steps: repro.shrink_steps,
-                runs: 0,
-            },
-        })
-    }
 }
 
 /// A scenario the supervisor quarantined instead of finishing.
@@ -109,10 +74,8 @@ impl CampaignFinding {
 pub struct CampaignFailure {
     /// Index of the scenario within the campaign.
     pub index: u64,
-    /// Outcome label: `panicked`, `timed-out`, or `cancelled`.
+    /// Outcome label (`panicked`; a campaign is never cancelled).
     pub outcome: String,
-    /// Attempts the supervisor made.
-    pub attempts: u32,
 }
 
 /// A finished campaign.
@@ -122,13 +85,13 @@ pub struct CampaignReport {
     pub seed: u64,
     /// Scenarios the campaign was asked for.
     pub scenarios: u64,
-    /// Scenarios that completed (fresh or replayed from a journal).
-    /// Less than `scenarios` when a `--max-seconds` budget stopped the
-    /// campaign early or the supervisor quarantined jobs.
+    /// Scenarios that completed. Less than `scenarios` when a
+    /// `--max-seconds` budget stopped the campaign early or the
+    /// supervisor quarantined scenarios.
     pub executed: u64,
     /// All divergences, in scenario-index order.
     pub findings: Vec<CampaignFinding>,
-    /// Quarantined scenarios (panicked / timed out), in index order.
+    /// Quarantined scenarios, in index order.
     pub failures: Vec<CampaignFailure>,
 }
 
@@ -166,131 +129,56 @@ enum RunSlot {
 
 /// Runs a campaign: generate, diff, shrink. Scenario `i` is
 /// `Scenario::generate(config.seed, i)`; a scenario that produces a
-/// finding is shrunk immediately on the same worker. Equivalent to
-/// [`run_campaign_supervised`] without a journal.
+/// finding is shrunk immediately on the same worker. A panicking
+/// scenario is quarantined into [`CampaignReport::failures`] and the
+/// rest of the campaign keeps running.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    run_campaign_supervised(config, None)
-}
-
-/// Runs a campaign under full supervision, optionally journaling every
-/// completed scenario for crash-safe resume.
-///
-/// With `journal`, scenarios already recorded there (digest-verified)
-/// are replayed from their stored payload instead of re-executed, and
-/// every fresh completion is appended as it lands — a SIGKILL at any
-/// instant loses at most the in-flight scenarios. Panics and deadline
-/// overruns are quarantined into [`CampaignReport::failures`]; they
-/// are never journaled, so they re-run on resume.
-pub fn run_campaign_supervised(
-    config: &CampaignConfig,
-    journal: Option<Arc<Mutex<Journal>>>,
-) -> CampaignReport {
     let seed = config.seed;
     let shrink_budget = config.shrink_budget;
+    let jobs = if config.jobs == 0 {
+        mapg_pool::default_jobs()
+    } else {
+        config.jobs
+    };
+    let budget_end = config
+        .max_seconds
+        .map(|s| Instant::now() + Duration::from_secs_f64(s.max(0.0)));
+    let indices: Vec<u64> = (0..config.scenarios).collect();
+    let outcomes = Supervisor::new(jobs).map_supervised(indices, move |&index, _| {
+        if budget_end.is_some_and(|end| Instant::now() >= end) {
+            return RunSlot::Skipped;
+        }
+        let scenario = Scenario::generate(seed, index);
+        // Generated scenarios are valid by construction; an Err here
+        // would itself be a generator bug, surfaced as a panic.
+        let finding = run_scenario(&scenario)
+            .unwrap_or_else(|e| panic!("generated scenario {index} invalid: {e}"));
+        let finding = finding.map(|finding| CampaignFinding {
+            index,
+            outcome: shrink(&scenario, &finding, shrink_budget),
+            original: scenario,
+        });
+        RunSlot::Done(Box::new(finding))
+    });
+
     let mut findings: Vec<CampaignFinding> = Vec::new();
     let mut failures: Vec<CampaignFailure> = Vec::new();
     let mut executed: u64 = 0;
-
-    // Replay journaled completions; only the rest run.
-    let mut todo: Vec<u64> = Vec::new();
-    for index in 0..config.scenarios {
-        let entry = journal.as_ref().and_then(|j| {
-            let guard = j.lock().expect("journal lock");
-            guard
-                .completed("scenario", &index.to_string())
-                .map(|e| e.payload.clone())
-        });
-        match entry {
-            Some(payload) => {
+    for (index, outcome) in (0..config.scenarios).zip(outcomes) {
+        match outcome {
+            JobOutcome::Ok(RunSlot::Done(finding)) => {
                 executed += 1;
-                if !payload.is_empty() {
-                    let repro = ReproFile::from_json_text(&payload).unwrap_or_else(|e| {
-                        panic!("journaled scenario {index} payload invalid: {e}")
-                    });
-                    findings.extend(CampaignFinding::from_repro(&repro, seed));
-                }
+                findings.extend(*finding);
             }
-            None => todo.push(index),
-        }
-    }
-
-    if !todo.is_empty() {
-        let jobs = if config.jobs == 0 {
-            mapg_pool::default_jobs()
-        } else {
-            config.jobs
-        };
-        let budget_end = config
-            .max_seconds
-            .map(|s| Instant::now() + Duration::from_secs_f64(s.max(0.0)));
-        let mut supervisor = Supervisor::new(jobs);
-        if let Some(deadline) = config.deadline {
-            supervisor = supervisor.with_deadline(deadline);
-        }
-        let job_journal = journal.clone();
-        let reports = supervisor.map_supervised(todo.clone(), move |&index, ctx| {
-            if budget_end.is_some_and(|end| Instant::now() >= end) {
-                return RunSlot::Skipped;
-            }
-            let started = Instant::now();
-            let scenario = Scenario::generate(seed, index);
-            // Generated scenarios are valid by construction; an Err here
-            // would itself be a generator bug, surfaced as a panic.
-            let finding = run_scenario(&scenario)
-                .unwrap_or_else(|e| panic!("generated scenario {index} invalid: {e}"));
-            let finding = finding.map(|finding| CampaignFinding {
+            JobOutcome::Ok(RunSlot::Skipped) => {}
+            outcome => failures.push(CampaignFailure {
                 index,
-                outcome: shrink(&scenario, &finding, shrink_budget),
-                original: scenario,
-            });
-            // A worker abandoned by the deadline monitor sees its token
-            // cancelled: its (now unwanted) result must not reach the
-            // journal, or resume would disagree with the report.
-            if !ctx.token.is_cancelled() {
-                if let Some(journal) = &job_journal {
-                    let payload = finding
-                        .as_ref()
-                        .map(|f| f.to_repro(seed).to_json_text())
-                        .unwrap_or_default();
-                    let entry = JournalEntry::new(
-                        "scenario",
-                        index.to_string(),
-                        seed,
-                        ctx.attempt,
-                        started.elapsed().as_secs_f64() * 1e3,
-                        payload,
-                        Vec::new(),
-                    );
-                    journal
-                        .lock()
-                        .expect("journal lock")
-                        .append(entry)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-            }
-            RunSlot::Done(Box::new(finding))
-        });
-
-        for (index, report) in todo.into_iter().zip(reports) {
-            match report.outcome {
-                JobOutcome::Ok(RunSlot::Done(finding)) => {
-                    executed += 1;
-                    findings.extend(*finding);
-                }
-                JobOutcome::Ok(RunSlot::Skipped) => {}
-                outcome => failures.push(CampaignFailure {
-                    index,
-                    outcome: outcome.label().to_owned(),
-                    attempts: report.attempts,
-                }),
-            }
+                outcome: outcome.label().to_owned(),
+            }),
         }
     }
-
-    findings.sort_by_key(|f| f.index);
-    failures.sort_by_key(|f| f.index);
     CampaignReport {
-        seed: config.seed,
+        seed,
         scenarios: config.scenarios,
         executed,
         findings,
@@ -332,54 +220,11 @@ mod tests {
             shrink_budget: 10,
             jobs: 2,
             max_seconds: Some(0.0),
-            ..CampaignConfig::default()
         };
         let report = run_campaign(&config);
         assert_eq!(report.scenarios, 6);
         assert_eq!(report.executed, 0);
         assert!(report.findings.is_empty());
         assert!(report.failures.is_empty());
-    }
-
-    /// A resumed campaign replays the journal instead of re-running:
-    /// the reports match and the journal gains no entries.
-    #[test]
-    fn journaled_campaigns_resume_without_reexecution() {
-        let dir = std::env::temp_dir().join(format!("mapg-fuzz-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.json");
-        std::fs::remove_file(&path).ok();
-        let config = CampaignConfig {
-            seed: 0xABCD,
-            scenarios: 4,
-            shrink_budget: 10,
-            jobs: 2,
-            ..CampaignConfig::default()
-        };
-        let context = "fuzz test";
-
-        let journal = Arc::new(Mutex::new(Journal::open(&path, context).unwrap()));
-        let first = run_campaign_supervised(&config, Some(Arc::clone(&journal)));
-        let entries_after_first = journal.lock().unwrap().entries().len();
-        assert_eq!(entries_after_first as u64, first.executed);
-        drop(journal); // release the advisory lock before reopening
-
-        let journal = Arc::new(Mutex::new(Journal::open(&path, context).unwrap()));
-        let second = run_campaign_supervised(&config, Some(Arc::clone(&journal)));
-        assert_eq!(
-            journal.lock().unwrap().entries().len(),
-            entries_after_first,
-            "a full journal must replay, not re-execute"
-        );
-        assert_eq!(first.executed, second.executed);
-        assert_eq!(first.findings.len(), second.findings.len());
-        for (fa, fb) in first.findings.iter().zip(&second.findings) {
-            assert_eq!(
-                fa.to_repro(config.seed).to_json_text(),
-                fb.to_repro(config.seed).to_json_text(),
-                "replayed finding must regenerate the identical repro"
-            );
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

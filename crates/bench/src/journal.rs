@@ -1,27 +1,25 @@
-//! Crash-safe completion journals for long campaigns.
+//! The crash-safe completion journal of `mapgd`.
 //!
-//! `experiments --journal FILE` and `mapg-fuzz --journal FILE` append
-//! one [`JournalEntry`] per *completed* job (experiment or fuzz
-//! scenario). Every append rewrites the whole journal through
+//! `mapgd --journal FILE` appends one [`JournalEntry`] per *completed*
+//! job. Every append rewrites the whole journal through
 //! [`mapg::write_atomic`] (staged `*.tmp` + fsync + rename), so a
 //! crash — including SIGKILL — at any instant leaves either the
 //! previous journal or the new one at the final path, never a
 //! truncated JSON. A stale partial `*.tmp` from a killed writer is
-//! ignored (and left for the next atomic rename) on resume.
+//! ignored (and left for the next atomic rename) on reopen.
 //!
-//! `--resume FILE` replays the journal instead of the work: a
-//! digest-verified entry's payload (the rendered CSV, or a repro JSON)
-//! is emitted verbatim, so the resumed run's CSV/manifest/repro
-//! outputs are byte-identical to an uninterrupted run and no completed
-//! job is re-executed.
+//! A restarted daemon replays the journal instead of the work: a
+//! digest-verified entry's payload (the rendered tables) is served
+//! verbatim, so the replayed result is byte-identical to the original
+//! run and no completed job is re-executed.
 //!
 //! ```json
 //! {
 //!   "schema": 1,
-//!   "context": "experiments scale=smoke csv ids=R-T1,R-F5",
+//!   "context": "mapgd",
 //!   "entries": [
 //!     {
-//!       "kind": "experiment", "id": "R-T1", "seed": 0,
+//!       "kind": "experiment", "id": "R-T1@smoke@csv", "seed": 0,
 //!       "digest": 1234567890, "outcome": "ok", "attempts": 1,
 //!       "wall_ms": 12.345, "payload": "...",
 //!       "tables": [{"id": "R-T1", "rows": 7}]
@@ -30,16 +28,17 @@
 //! }
 //! ```
 //!
-//! The `context` string pins what the journal belongs to (driver,
-//! scale, selection, seed); resuming with a different configuration is
-//! rejected instead of silently mixing incompatible runs. Entry order
-//! is completion order (nondeterministic under parallelism) — readers
-//! index by `(kind, id)` and re-emit in their own deterministic order.
+//! The `context` string pins what the journal belongs to; opening it
+//! for a different one is rejected instead of silently mixing
+//! incompatible runs. Entry order is completion order (nondeterministic
+//! under parallelism) — readers index by `(kind, id)`. The layout is
+//! frozen at schema 1, `"outcome"` and `"attempts"` included, so
+//! journals written by earlier builds still replay.
 //!
 //! # Cross-process exclusivity
 //!
 //! Whole-file rewrites are atomic per append but not serialized across
-//! *processes*: two resumers of the same file would interleave rewrites
+//! *processes*: two daemons on the same file would interleave rewrites
 //! and silently lose each other's completions. [`Journal::open`]
 //! therefore takes an advisory lock — a sibling `<journal>.lock`
 //! sentinel created with `create_new` and holding the owner's pid —
@@ -245,9 +244,9 @@ impl Drop for JournalLock {
 /// One completed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
-    /// Job kind: `"experiment"` or `"scenario"`.
+    /// Job kind (`mapgd` writes `"experiment"`).
     pub kind: String,
-    /// Job id: an experiment id (`R-T1`) or a scenario index.
+    /// Job id (`mapgd` writes `<ID>@<scale>@<format>`).
     pub id: String,
     /// Seed the job ran under (0 when not applicable).
     pub seed: u64,
@@ -257,15 +256,14 @@ pub struct JournalEntry {
     /// Outcome label (`ok`; failed jobs are never journaled — they
     /// re-run on resume).
     pub outcome: String,
-    /// Attempts the job took (retries included).
+    /// Attempts the job took (`mapgd` runs each job once: 1).
     pub attempts: u32,
     /// Wall time of the original execution, in milliseconds. Kept for
     /// observability only; deterministic outputs never include it.
     pub wall_ms: f64,
-    /// The job's replayable output: the rendered CSV of an experiment,
-    /// a repro JSON for a fuzz finding, or empty for a clean scenario.
+    /// The job's replayable output: the experiment's rendered tables.
     pub payload: String,
-    /// Table summaries (experiments only; empty otherwise).
+    /// Summaries of the rendered tables.
     pub tables: Vec<TableSummary>,
 }
 
@@ -360,11 +358,6 @@ impl Journal {
             entries,
             _lock: lock,
         })
-    }
-
-    /// The run-configuration string this journal is bound to.
-    pub fn context(&self) -> &str {
-        &self.context
     }
 
     /// All entries, in completion order.
@@ -580,6 +573,39 @@ mod tests {
         );
         assert!(back.completed("experiment", "R-T9").is_none());
         assert!(back.completed("scenario", "R-T1").is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The complete two-entry document, byte for byte: `mapgd` replays
+    /// journals written by earlier builds, so layout, field order and
+    /// number formatting are part of the contract.
+    #[test]
+    fn two_entry_journal_renders_byte_for_byte() {
+        let path = temp_path("pinned.json");
+        let mut journal = Journal::open(&path, "mapgd").unwrap();
+        journal.append(entry("R-T1", "a,b\n1,2\n")).unwrap();
+        journal
+            .append(JournalEntry::new(
+                "scenario",
+                "17",
+                7,
+                1,
+                0.0,
+                "",
+                Vec::new(),
+            ))
+            .unwrap();
+        let expected = concat!(
+            r#"{"schema": 1, "context": "mapgd", "entries": ["#,
+            r#"{"kind": "experiment", "id": "R-T1", "seed": 0, "digest": 7787991481131376385, "#,
+            r#""outcome": "ok", "attempts": 1, "wall_ms": 3.250, "payload": "a,b\n1,2\n", "#,
+            r#""tables": [{"id": "R-T1", "rows": 2}]}, "#,
+            r#"{"kind": "scenario", "id": "17", "seed": 7, "digest": 14695981039346656037, "#,
+            r#""outcome": "ok", "attempts": 1, "wall_ms": 0.000, "payload": "", "tables": []}]}"#,
+            "\n"
+        );
+        assert_eq!(journal.to_json_text(), expected);
+        drop(journal);
         std::fs::remove_file(&path).ok();
     }
 

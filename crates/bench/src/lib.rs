@@ -42,10 +42,7 @@ mod table;
 pub use client::{Client, ClientError, JobResult, JobStatus, StreamEnd, StreamEvent};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
 pub use engine::{render_tables, ExperimentJob, ExperimentOutput, OutputFormat};
-pub use fuzz::{
-    run_campaign, run_campaign_supervised, CampaignConfig, CampaignFailure, CampaignFinding,
-    CampaignReport,
-};
+pub use fuzz::{run_campaign, CampaignConfig, CampaignFailure, CampaignFinding, CampaignReport};
 pub use journal::{fnv1a64, Journal, JournalEntry, JournalError, JOURNAL_SCHEMA};
 pub use manifest::{
     FuzzFindingSummary, FuzzProvenance, Manifest, ManifestEntry, TableSummary, MANIFEST_SCHEMA,

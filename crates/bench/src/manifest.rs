@@ -9,7 +9,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": 4,
+//!   "schema": 5,
 //!   "scale": "smoke",
 //!   "jobs": 4,
 //!   "total_wall_ms": 123.456,
@@ -25,8 +25,6 @@
 //!     {
 //!       "id": "R-T1",
 //!       "title": "power-gating circuit design space",
-//!       "outcome": "ok",
-//!       "attempts": 1,
 //!       "wall_ms": 1.234,
 //!       "metrics": {"counters": {"gates": 42}, "histograms": {}},
 //!       "tables": [{"id": "R-T1", "rows": 7}]
@@ -41,12 +39,11 @@
 //! provenance: campaign seed, scenario count, and one
 //! `{scenario, class, shrink_steps}` record per divergence), written by
 //! `mapg-fuzz --manifest`; v4 added per-entry supervision fields
-//! (`"outcome"`: `ok`/`panicked`/`timed-out`/`cancelled`, and
-//! `"attempts"`) plus `"executed"` under `"fuzz"` (scenarios actually
-//! run, which a `--max-seconds` budget can cap below `"scenarios"`).
-//! Journaled (checkpoint/resume) runs zero every wall-time field so the
-//! manifest is byte-identical between an uninterrupted run and a
-//! kill-and-resume run; real wall times live in the journal.
+//! (`"outcome"` and `"attempts"`) plus `"executed"` under `"fuzz"`
+//! (scenarios actually run, which a `--max-seconds` budget can cap below
+//! `"scenarios"`); v5 dropped `"outcome"` and `"attempts"` again, since
+//! a manifest is only written by a run in which every experiment
+//! finished.
 
 use mapg::fuzz::render_json_string;
 use mapg_obs::MetricsRegistry;
@@ -56,7 +53,7 @@ use crate::scale::Scale;
 use crate::table::Table;
 
 /// Schema version stamped into every manifest.
-pub const MANIFEST_SCHEMA: u32 = 4;
+pub const MANIFEST_SCHEMA: u32 = 5;
 
 /// Row counts of one rendered table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,13 +81,7 @@ pub struct ManifestEntry {
     pub id: String,
     /// One-line experiment title.
     pub title: String,
-    /// Supervision outcome: `ok`, `panicked`, `timed-out`, or
-    /// `cancelled` (schema v4).
-    pub outcome: String,
-    /// Attempts the supervised run took (1 = no retry; schema v4).
-    pub attempts: u32,
-    /// Wall time of the experiment's `run` call, in milliseconds
-    /// (zeroed in journaled runs for byte-stable resume).
+    /// Wall time of the experiment's `run` call, in milliseconds.
     pub wall_ms: f64,
     /// Aggregated observability metrics across the experiment's
     /// simulations, when the run collected them.
@@ -221,11 +212,6 @@ impl Manifest {
                 render_json_string(&entry.title)
             ));
             out.push_str(&format!(
-                "      \"outcome\": {},\n",
-                render_json_string(&entry.outcome)
-            ));
-            out.push_str(&format!("      \"attempts\": {},\n", entry.attempts));
-            out.push_str(&format!(
                 "      \"wall_ms\": {},\n",
                 json_number(entry.wall_ms)
             ));
@@ -279,8 +265,6 @@ mod tests {
                 ManifestEntry {
                     id: "R-T1".to_owned(),
                     title: "power-gating circuit design space".to_owned(),
-                    outcome: "ok".to_owned(),
-                    attempts: 1,
                     wall_ms: 1.5,
                     metrics: None,
                     tables: vec![TableSummary {
@@ -291,8 +275,6 @@ mod tests {
                 ManifestEntry {
                     id: "R-F5".to_owned(),
                     title: "wake \"latency\" sweep".to_owned(),
-                    outcome: "timed-out".to_owned(),
-                    attempts: 3,
                     wall_ms: 2.25,
                     metrics: None,
                     tables: vec![
@@ -315,7 +297,7 @@ mod tests {
     #[test]
     fn sample_renders_byte_for_byte() {
         let expected = r#"{
-  "schema": 4,
+  "schema": 5,
   "scale": "smoke",
   "jobs": 4,
   "total_wall_ms": 12.346,
@@ -323,16 +305,12 @@ mod tests {
     {
       "id": "R-T1",
       "title": "power-gating circuit design space",
-      "outcome": "ok",
-      "attempts": 1,
       "wall_ms": 1.500,
       "tables": [{"id": "R-T1", "rows": 7}]
     },
     {
       "id": "R-F5",
       "title": "wake \"latency\" sweep",
-      "outcome": "timed-out",
-      "attempts": 3,
       "wall_ms": 2.250,
       "tables": [{"id": "R-F5", "rows": 6}, {"id": "R-F5b", "rows": 2}]
     }
@@ -358,7 +336,7 @@ mod tests {
             }],
         });
         let expected = r#"{
-  "schema": 4,
+  "schema": 5,
   "scale": "smoke",
   "jobs": 4,
   "total_wall_ms": 12.346,
@@ -379,15 +357,13 @@ mod tests {
     #[test]
     fn renders_the_documented_schema() {
         let json = sample().to_json();
-        assert!(json.contains("\"schema\": 4"), "{json}");
+        assert!(json.contains("\"schema\": 5"), "{json}");
         assert!(json.contains("\"scale\": \"smoke\""), "{json}");
         assert!(json.contains("\"jobs\": 4"), "{json}");
         assert!(json.contains("\"total_wall_ms\": 12.346"), "{json}");
         assert!(json.contains("\"id\": \"R-T1\""), "{json}");
-        assert!(json.contains("\"outcome\": \"ok\""), "{json}");
-        assert!(json.contains("\"outcome\": \"timed-out\""), "{json}");
-        assert!(json.contains("\"attempts\": 1"), "{json}");
-        assert!(json.contains("\"attempts\": 3"), "{json}");
+        assert!(!json.contains("\"outcome\""), "{json}");
+        assert!(!json.contains("\"attempts\""), "{json}");
         assert!(json.contains("{\"id\": \"R-F5b\", \"rows\": 2}"), "{json}");
         assert!(json.ends_with("}\n"), "{json}");
     }

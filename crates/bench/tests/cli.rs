@@ -1,8 +1,10 @@
-//! End-to-end tests of the `experiments` binary: argument validation,
-//! duplicate-id dedup, and `--jobs` byte-equality of stdout.
+//! End-to-end tests of the `experiments` and `mapg-fuzz` binaries:
+//! argument validation, duplicate-id dedup, `--jobs` byte-equality of
+//! stdout, `--out-dir` files, manifests and the fuzz wall-clock budget.
 
 #![deny(unused)]
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
@@ -10,6 +12,21 @@ fn run(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("experiments binary should spawn")
+}
+
+fn run_fuzz(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mapg-fuzz"))
+        .args(args)
+        .output()
+        .expect("mapg-fuzz binary should spawn")
+}
+
+/// A fresh, empty directory unique to this test process.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mapg-cli-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
 }
 
 #[test]
@@ -63,9 +80,11 @@ fn unknown_flags_are_rejected_as_flags() {
     }
 }
 
-/// Options of removed modes — the sharded engine, the channel topology
-/// and the passive throughput harness — exit through the ordinary
-/// unknown-flag usage error, never a panic or a silently-ignored value.
+/// Options of removed modes — the sharded engine, the channel topology,
+/// the passive throughput harness and batch supervision (journal,
+/// resume, deadlines, retries, fault injection) — exit through the
+/// ordinary unknown-flag usage error, never a panic or a
+/// silently-ignored value.
 #[test]
 fn removed_flags_are_unknown_flags() {
     for flag in [
@@ -76,6 +95,13 @@ fn removed_flags_are_unknown_flags() {
         "--bench-throughput",
         "--throughput-baseline",
         "--repeats",
+        "--journal",
+        "--resume",
+        "--deadline-ms",
+        "--retries",
+        "--inject-panic",
+        "--inject-hang",
+        "--inject-flaky",
     ] {
         let out = run(&[flag, "2", "--scale", "smoke", "rt1"]);
         assert_eq!(out.status.code(), Some(1), "'{flag}': {out:?}");
@@ -157,9 +183,7 @@ fn manifest_records_the_run() {
     let json = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     for needle in [
-        "\"schema\": 4",
-        "\"outcome\": \"ok\"",
-        "\"attempts\": 1",
+        "\"schema\": 5",
         "\"metrics\": {",
         "\"counters\": {",
         "\"gates\":",
@@ -171,6 +195,9 @@ fn manifest_records_the_run() {
         "\"rows\":",
     ] {
         assert!(json.contains(needle), "manifest missing '{needle}': {json}");
+    }
+    for gone in ["\"outcome\"", "\"attempts\""] {
+        assert!(!json.contains(gone), "schema 5 dropped {gone}: {json}");
     }
 }
 
@@ -282,33 +309,30 @@ fn metrics_flag_requires_a_path_and_a_writable_target() {
 }
 
 /// `mapg-fuzz` end-to-end: a tiny clean campaign exits 0 and, with
-/// `--manifest`, records schema-4 fuzz provenance (seed, scenario count,
+/// `--manifest`, records schema-5 fuzz provenance (seed, scenario count,
 /// executed count, empty findings list) with no experiment entries.
 #[test]
 fn fuzz_campaign_writes_a_provenance_manifest() {
     let dir = std::env::temp_dir().join("mapg-fuzz-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("manifest.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_mapg-fuzz"))
-        .args([
-            "--scenarios",
-            "3",
-            "--seed",
-            "1",
-            "--jobs",
-            "2",
-            "--manifest",
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("mapg-fuzz binary should spawn");
+    let out = run_fuzz(&[
+        "--scenarios",
+        "3",
+        "--seed",
+        "1",
+        "--jobs",
+        "2",
+        "--manifest",
+        path.to_str().unwrap(),
+    ]);
     assert!(out.status.success(), "{:?}", out);
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("clean: 3 scenario(s)"), "{stdout}");
     let json = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     for needle in [
-        "\"schema\": 4",
+        "\"schema\": 5",
         "\"fuzz\": {",
         "\"seed\": 1",
         "\"scenarios\": 3",
@@ -327,11 +351,129 @@ fn fuzz_rejects_bad_arguments() {
         &["--seed", "not-a-number"],
         &["--manifest"],
         &["--frobnicate"],
+        // Journaled campaigns were removed.
+        &["--journal", "j.json"],
+        &["--resume", "j.json"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_mapg-fuzz"))
-            .args(args)
-            .output()
-            .expect("mapg-fuzz binary should spawn");
+        let out = run_fuzz(args);
         assert!(!out.status.success(), "{args:?} should be rejected");
     }
+}
+
+/// `--out-dir` writes one `<ID>.csv` per experiment, and each file is
+/// exactly that experiment's block of the `--csv` stdout.
+#[test]
+fn out_dir_files_equal_the_csv_stdout_blocks() {
+    let dir = temp_dir("out-dir");
+    let out = run(&[
+        "--scale",
+        "smoke",
+        "--csv",
+        "--jobs",
+        "2",
+        "--out-dir",
+        dir.to_str().unwrap(),
+        "rt1",
+        "rf5",
+        "rt3",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let mut expected = String::from("# MAPG reproduction — 3 experiment(s) at Smoke scale\n\n");
+    for id in ["R-T1", "R-F5", "R-T3"] {
+        let path = dir.join(format!("{id}.csv"));
+        let block = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        assert!(block.starts_with(&format!("# {id} — ")), "{block}");
+        expected.push_str(&block);
+    }
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_dir_requires_csv() {
+    let dir = temp_dir("out-dir-no-csv");
+    let out = run(&[
+        "--scale",
+        "smoke",
+        "--out-dir",
+        dir.to_str().unwrap(),
+        "rt1",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("requires --csv"), "{err}");
+    assert!(out.stdout.is_empty(), "rejected run printed output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `--out-dir` that cannot be created fails before the header is
+/// printed and before any experiment runs.
+#[test]
+fn uncreatable_out_dir_fails_before_running() {
+    let dir = temp_dir("out-dir-blocked");
+    let file = dir.join("a-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let blocked = file.join("sub");
+    let out = run(&[
+        "--scale",
+        "smoke",
+        "--csv",
+        "--out-dir",
+        blocked.to_str().unwrap(),
+        "rt1",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("cannot create --out-dir"), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run or print before the directory exists: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `mapg-fuzz --max-seconds`: a tiny wall-clock budget stops the
+/// campaign early; the run still exits cleanly with a valid manifest
+/// recording how many scenarios actually executed.
+#[test]
+fn fuzz_wall_clock_budget_stops_early_with_a_valid_manifest() {
+    let dir = temp_dir("fuzz-budget");
+    let manifest = dir.join("manifest.json");
+    let out = run_fuzz(&[
+        "--scenarios",
+        "500",
+        "--seed",
+        "1",
+        "--jobs",
+        "2",
+        "--max-seconds",
+        "0.000001",
+        "--manifest",
+        manifest.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let json = std::fs::read_to_string(&manifest).unwrap();
+    assert!(json.contains("\"scenarios\": 500"), "{json}");
+    // The budget is racy by nature; executed is whatever got started
+    // before it elapsed, and everything else is reported as skipped.
+    let executed: u64 = json
+        .split("\"executed\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.trim().parse().ok())
+        .expect("manifest records executed");
+    assert!(executed < 500, "budget should stop early: {json}");
+    assert!(stdout.contains("budget:"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fuzz_rejects_a_zero_second_budget() {
+    let out = run_fuzz(&["--max-seconds", "0"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("invalid budget '0'"), "{err}");
 }

@@ -13,11 +13,9 @@ use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::Duration;
 
 use mapg::fuzz::ReproFile;
 use mapg::{FaultPlan, PolicyKind, PredictorKind, SimConfig, Simulation};
-use mapg_pool::{JobOutcome, Supervisor};
 use mapg_trace::{WorkloadProfile, WorkloadSuite};
 
 const POLICIES: [(&str, PolicyKind); 11] = [
@@ -76,14 +74,11 @@ fn usage() {
          \x20 --trace PATH         write a Chrome trace_event JSON (Perfetto-loadable)\n\
          \x20                      of the run's power-gating events\n\
          \x20 --metrics PATH       write the run's counters and histograms as JSON\n\
-         \x20 --deadline-ms N      run under supervision with a wall-clock deadline;\n\
-         \x20                      an overrunning simulation is abandoned and the\n\
-         \x20                      exit is nonzero instead of hanging forever\n\
          \x20 --repro FILE         replay a fuzz repro file through the live and\n\
          \x20                      reference stacks; exits nonzero if it still\n\
          \x20                      diverges (conflicts with every run-shaping flag)\n\
          \x20 --list-workloads     print available workload names\n\
-         \x20 --list-policies     print available policy names"
+         \x20 --list-policies      print available policy names"
     );
 }
 
@@ -124,7 +119,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut compare = false;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut repro_path: Option<String> = None;
     // Flags that shape a run, recorded when explicitly given: `--repro`
     // replays a self-contained scenario, so combining it with any of them
@@ -149,7 +143,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 | "--compare"
                 | "--trace"
                 | "--metrics"
-                | "--deadline-ms"
         ) {
             run_flags.push(arg.clone());
         }
@@ -210,13 +203,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             "--metrics" => {
                 metrics_path = Some(parse_value(arg, "path", iter.next())?);
-            }
-            "--deadline-ms" => {
-                let ms: u64 = parse_value(arg, "count", iter.next())?;
-                if ms == 0 {
-                    return Err("--deadline-ms needs a count >= 1".to_owned());
-                }
-                deadline_ms = Some(ms);
             }
             "--repro" => {
                 repro_path = Some(parse_value(arg, "path", iter.next())?);
@@ -287,31 +273,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         config = config.with_metrics();
     }
 
-    // A plain run executes inline; with a deadline it routes through the
-    // supervised engine, which abandons an overrunning simulation and
-    // reports the overrun instead of hanging the invocation.
-    let report = match deadline_ms {
-        None => Simulation::new(config.clone(), policy)
-            .try_run()
-            .map_err(|e| e.to_string())?,
-        Some(ms) => {
-            let supervisor = Supervisor::new(1).with_deadline(Duration::from_millis(ms));
-            let reports = supervisor
-                .map_supervised(vec![(config.clone(), policy)], |(config, policy), _ctx| {
-                    Simulation::new(config.clone(), *policy).try_run()
-                });
-            match reports.into_iter().next().expect("one job").outcome {
-                JobOutcome::Ok(Ok(report)) => report,
-                JobOutcome::Ok(Err(error)) => return Err(error.to_string()),
-                outcome => {
-                    return Err(format!(
-                        "simulation {} (wall-clock deadline {ms} ms)",
-                        outcome.label()
-                    ))
-                }
-            }
-        }
-    };
+    let report = Simulation::new(config.clone(), policy)
+        .try_run()
+        .map_err(|e| e.to_string())?;
     print!("{report}");
 
     if let Some(path) = &trace_path {

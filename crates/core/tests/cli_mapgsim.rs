@@ -149,12 +149,19 @@ fn capture_flags_need_values() {
     }
 }
 
-/// Flags from the removed multi-channel topology and sharded engine exit
-/// through the ordinary unknown-option error: exit 1, no panic, and no
-/// report printed as if the flag had been honoured.
+/// Flags from the removed multi-channel topology, sharded engine and
+/// supervised (`--deadline-ms`) runs exit through the ordinary
+/// unknown-option error: exit 1, no panic, and no report printed as if
+/// the flag had been honoured.
 #[test]
 fn removed_topology_flags_are_unknown_options() {
-    for flag in ["--shards", "--threads", "--thread-curve", "--channels"] {
+    for flag in [
+        "--shards",
+        "--threads",
+        "--thread-curve",
+        "--channels",
+        "--deadline-ms",
+    ] {
         let out = run(&["--instructions", "5000", flag, "2"]);
         assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
         let err = String::from_utf8(out.stderr).unwrap();
@@ -236,33 +243,4 @@ fn repro_with_garbage_json_is_a_clean_error() {
     assert!(err.contains("usage: mapgsim --repro FILE"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_file(&path).ok();
-}
-
-/// A generous deadline routes the run through the supervised engine and
-/// still prints the normal report; a zero deadline is rejected.
-#[test]
-fn deadline_runs_are_supervised_and_validated() {
-    let supervised = run(&["--instructions", "20000", "--deadline-ms", "600000"]);
-    assert!(supervised.status.success(), "{:?}", supervised);
-    let plain = run(&["--instructions", "20000"]);
-    assert_eq!(
-        String::from_utf8(supervised.stdout).unwrap(),
-        String::from_utf8(plain.stdout).unwrap(),
-        "supervision must not perturb the report"
-    );
-
-    let zero = run(&["--deadline-ms", "0"]);
-    assert!(!zero.status.success());
-    let err = String::from_utf8(zero.stderr).unwrap();
-    assert!(err.contains("--deadline-ms"), "{err}");
-}
-
-/// `--deadline-ms` shapes a run, so it conflicts with `--repro`.
-#[test]
-fn deadline_conflicts_with_repro() {
-    let path = committed_repro();
-    let out = run(&["--repro", path.to_str().unwrap(), "--deadline-ms", "1000"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--deadline-ms"), "{err}");
 }

@@ -2,7 +2,7 @@
 //!
 //! [`FairQueue`] decides *which* job runs next when many clients share
 //! one daemon; the [`Supervisor`](crate::Supervisor) then decides *how*
-//! it runs (cancellation, deadlines, quarantine, retry). The policy:
+//! it runs (panic quarantine and cancellation). The policy:
 //!
 //! - **per-client FIFO** — within one client and one priority class,
 //!   jobs dispatch in submission order;

@@ -18,12 +18,11 @@
 //! - a **degenerate serial path** — `jobs == 1` (or a single item) runs
 //!   inline on the caller with no threads spawned, which is the baseline
 //!   the determinism tests compare against;
-//! - a **supervised mode** — [`Supervisor::map_supervised`] layers
-//!   hierarchical cancellation ([`CancelToken`]), per-job wall-clock
-//!   deadlines (a monitor thread), panic quarantine (per-job
-//!   [`JobOutcome`]s instead of batch aborts), and bounded
-//!   retry-with-backoff on top, for long campaigns where one bad job
-//!   must not take down the suite.
+//! - a **supervised mode** — [`Supervisor::map_supervised`] runs each
+//!   job on its own thread with panic quarantine (per-job
+//!   [`JobOutcome`]s instead of batch aborts) and cooperative
+//!   cancellation ([`CancelToken`]), for the daemon and the fuzz
+//!   campaign, where one bad job must not take down the rest.
 //!
 //! ```
 //! use mapg_pool::Pool;
@@ -50,9 +49,7 @@ mod fair;
 mod supervise;
 
 pub use fair::{ClientStats, Dispatch, FairQueue, Priority};
-pub use supervise::{
-    CancelToken, JobCtx, JobFailure, JobOutcome, JobReport, Supervisor, POLL_INTERVAL,
-};
+pub use supervise::{CancelToken, JobOutcome, Supervisor};
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

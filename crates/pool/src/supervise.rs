@@ -1,32 +1,22 @@
-//! Supervised job execution: cooperative cancellation, wall-clock
-//! deadlines, panic quarantine, and bounded retry.
+//! Supervised job execution: per-job panic quarantine and cooperative
+//! cancellation.
 //!
 //! [`Pool::map`](crate::Pool::map) is the right tool for a batch of
 //! trusted pure functions: a panic anywhere aborts the whole batch.
-//! Long campaigns (thousands of experiments or fuzz scenarios over
-//! hours) need the opposite discipline — one bad job must not take the
-//! suite down — so [`Supervisor::map_supervised`] quarantines every
-//! per-job failure into a [`JobOutcome`] instead:
+//! A service or a fuzz campaign needs the opposite discipline — one bad
+//! job must not take the rest down — so [`Supervisor::map_supervised`]
+//! turns every per-job failure into a [`JobOutcome`] instead:
 //!
 //! - **panic quarantine** — each job runs on its own thread under
 //!   `catch_unwind`; a panic becomes [`JobOutcome::Panicked`] with the
 //!   original payload message, and the rest of the batch keeps running;
-//! - **deadlines** — a dedicated monitor thread watches every in-flight
-//!   job and, once its wall-clock deadline passes, cancels the job's
-//!   token and releases the worker ([`JobOutcome::TimedOut`]); the hung
-//!   job thread is abandoned (it keeps running detached until the
-//!   process exits — quarantine, not preemption);
-//! - **cancellation** — a [`CancelToken`] is cooperative and
-//!   hierarchical: cancelling a parent cancels every child. Each job
-//!   receives a child of the supervisor's batch token through
-//!   [`JobCtx`]; cooperative jobs poll it and return early (their
-//!   outcome is `Ok`), non-cooperative jobs are abandoned and reported
-//!   [`JobOutcome::Cancelled`]. Workers poll every few milliseconds, so
-//!   cancellation latency is bounded by [`POLL_INTERVAL`] plus one
-//!   journal/checkpoint interval of the caller;
-//! - **retry with backoff** — failures classified transient by the
-//!   supervisor's filter are retried up to a bounded attempt count with
-//!   exponential backoff; [`JobReport::attempts`] records the cost.
+//! - **cancellation** — the batch shares one [`CancelToken`], handed to
+//!   every job. Cooperative jobs poll it and return early; a job still
+//!   running when the token is cancelled is abandoned (its thread keeps
+//!   running detached until it returns) and reported
+//!   [`JobOutcome::Cancelled`], as is every job not yet started. Workers
+//!   poll the token every few milliseconds, so cancellation latency is
+//!   bounded by that poll interval.
 //!
 //! Results come back in submission order, so a supervised batch is as
 //! deterministic as its jobs: outcomes depend only on job behaviour,
@@ -35,93 +25,51 @@
 //! ```
 //! use mapg_pool::{JobOutcome, Supervisor};
 //!
-//! let reports = Supervisor::new(4).map_supervised(vec![1u64, 2, 3], |&x, _ctx| {
+//! let outcomes = Supervisor::new(4).map_supervised(vec![1u64, 2, 3], |&x, _token| {
 //!     if x == 2 {
 //!         panic!("bad item");
 //!     }
 //!     x * 10
 //! });
-//! assert!(matches!(reports[0].outcome, JobOutcome::Ok(10)));
-//! assert!(matches!(reports[1].outcome, JobOutcome::Panicked { .. }));
-//! assert!(matches!(reports[2].outcome, JobOutcome::Ok(30)));
+//! assert!(matches!(outcomes[0], JobOutcome::Ok(10)));
+//! assert!(matches!(outcomes[1], JobOutcome::Panicked { .. }));
+//! assert!(matches!(outcomes[2], JobOutcome::Ok(30)));
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often waiting workers re-check their job's token and timeout
-/// flag. Bounds cancellation and deadline-detection latency.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// How often a waiting worker re-checks the batch token. Bounds
+/// cancellation latency.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
-/// How often the deadline monitor scans in-flight jobs.
-const MONITOR_TICK: Duration = Duration::from_millis(2);
-
-/// A cooperative, hierarchical cancellation token.
+/// A cooperative cancellation token.
 ///
-/// Cancelling a token cancels every token derived from it via
-/// [`child`](CancelToken::child); [`is_cancelled`](CancelToken::is_cancelled)
-/// walks the parent chain. Tokens are cheap to clone (an `Arc`) and
-/// cancellation is sticky — there is no un-cancel.
+/// Clones share one flag: cancelling any clone cancels them all.
+/// Cancellation is sticky — there is no un-cancel.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-#[derive(Debug, Default)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    parent: Option<CancelToken>,
+    cancelled: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// A fresh root token.
+    /// A fresh, uncancelled token.
     pub fn new() -> Self {
         CancelToken::default()
     }
 
-    /// A child token: cancelled when either it or any ancestor is
-    /// cancelled.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                parent: Some(self.clone()),
-            }),
-        }
-    }
-
-    /// Cancels this token (and, transitively, every child).
+    /// Cancels this token and every clone of it.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Release);
+        self.cancelled.store(true, Ordering::Release);
     }
 
-    /// True when this token or any ancestor has been cancelled.
+    /// True once the token has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        let mut token = self;
-        loop {
-            if token.inner.cancelled.load(Ordering::Acquire) {
-                return true;
-            }
-            match &token.inner.parent {
-                Some(parent) => token = parent,
-                None => return false,
-            }
-        }
+        self.cancelled.load(Ordering::Acquire)
     }
-}
-
-/// Per-job context handed to the job closure.
-#[derive(Debug, Clone)]
-pub struct JobCtx {
-    /// This job's cancellation token (a child of the batch token; also
-    /// cancelled when the job's deadline expires). Long-running
-    /// cooperative jobs should poll it and return early.
-    pub token: CancelToken,
-    /// 1-based attempt number (first run is 1, first retry is 2, …).
-    pub attempt: u32,
 }
 
 /// How one supervised job ended.
@@ -134,104 +82,31 @@ pub enum JobOutcome<R> {
         /// The panic payload, rendered as text.
         message: String,
     },
-    /// The job exceeded its wall-clock deadline and was abandoned.
-    TimedOut {
-        /// The deadline that was enforced.
-        deadline: Duration,
-    },
     /// The batch was cancelled before (or while) the job ran.
     Cancelled,
 }
 
 impl<R> JobOutcome<R> {
-    /// True for [`JobOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, JobOutcome::Ok(_))
-    }
-
-    /// The result value, when the job succeeded.
-    pub fn ok(&self) -> Option<&R> {
-        match self {
-            JobOutcome::Ok(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome, yielding the result value if any.
-    pub fn into_ok(self) -> Option<R> {
-        match self {
-            JobOutcome::Ok(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// A stable machine-readable tag: `ok`, `panicked`, `timed-out` or
-    /// `cancelled` (used by manifests and journals).
+    /// A stable machine-readable tag: `ok`, `panicked` or `cancelled`.
     pub fn label(&self) -> &'static str {
         match self {
             JobOutcome::Ok(_) => "ok",
             JobOutcome::Panicked { .. } => "panicked",
-            JobOutcome::TimedOut { .. } => "timed-out",
             JobOutcome::Cancelled => "cancelled",
         }
     }
 }
 
-/// The record of one supervised job: final outcome, attempts spent, and
-/// total wall time across attempts (including backoff sleeps).
+/// A supervised batch executor: a worker count and the batch
+/// [`CancelToken`].
 #[derive(Debug, Clone)]
-pub struct JobReport<R> {
-    /// How the job's final attempt ended.
-    pub outcome: JobOutcome<R>,
-    /// Attempts spent (1 = no retry).
-    pub attempts: u32,
-    /// Wall time across all attempts.
-    pub wall: Duration,
-}
-
-/// A failure presented to the transient-failure filter.
-#[derive(Debug, Clone)]
-pub enum JobFailure<'a> {
-    /// The attempt panicked with this message.
-    Panicked {
-        /// The panic payload, rendered as text.
-        message: &'a str,
-    },
-    /// The attempt exceeded this deadline.
-    TimedOut {
-        /// The enforced deadline.
-        deadline: Duration,
-    },
-}
-
-type TransientFilter = Arc<dyn Fn(&JobFailure) -> bool + Send + Sync>;
-
-/// A supervised batch executor: worker count, optional per-job
-/// deadline, a batch [`CancelToken`], and a bounded retry policy.
-#[derive(Clone)]
 pub struct Supervisor {
     jobs: usize,
-    deadline: Option<Duration>,
     token: CancelToken,
-    max_attempts: u32,
-    backoff: Duration,
-    transient: TransientFilter,
-}
-
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor")
-            .field("jobs", &self.jobs)
-            .field("deadline", &self.deadline)
-            .field("max_attempts", &self.max_attempts)
-            .field("backoff", &self.backoff)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Supervisor {
-    /// A supervisor running at most `jobs` items concurrently, with no
-    /// deadline and no retry.
+    /// A supervisor running at most `jobs` items concurrently.
     ///
     /// # Panics
     ///
@@ -240,124 +115,47 @@ impl Supervisor {
         assert!(jobs > 0, "job count must be at least 1");
         Supervisor {
             jobs,
-            deadline: None,
             token: CancelToken::new(),
-            max_attempts: 1,
-            backoff: Duration::from_millis(100),
-            // By default every failure is considered transient; with
-            // max_attempts == 1 this is moot, and with_retries alone
-            // then retries everything. Narrow with
-            // with_transient_filter.
-            transient: Arc::new(|_| true),
         }
     }
 
-    /// Sets a per-job wall-clock deadline, enforced by the monitor
-    /// thread.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Uses `token` as the batch cancellation token (so an external
-    /// holder — a signal handler, a server, a test — can cancel the
-    /// batch while it runs).
+    /// Uses `token` as the batch cancellation token, so an external
+    /// holder — a server, a test — can cancel the batch while it runs.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.token = token;
         self
     }
 
-    /// Enables retry: up to `max_attempts` total attempts per job, with
-    /// exponential backoff starting at `backoff` (doubled per retry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    pub fn with_retries(mut self, max_attempts: u32, backoff: Duration) -> Self {
-        assert!(max_attempts > 0, "max_attempts must be at least 1");
-        self.max_attempts = max_attempts;
-        self.backoff = backoff;
-        self
-    }
-
-    /// Restricts retry to failures `filter` classifies transient.
-    pub fn with_transient_filter(
-        mut self,
-        filter: impl Fn(&JobFailure) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.transient = Arc::new(filter);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The configured per-job deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The batch cancellation token. Cancelling it stops the batch:
-    /// unstarted jobs come back [`JobOutcome::Cancelled`], in-flight
-    /// cooperative jobs see their child token cancelled, in-flight
-    /// non-cooperative jobs are abandoned.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.token
-    }
-
     /// Applies `f` to every item under supervision, returning one
-    /// [`JobReport`] per item in **submission order**.
+    /// [`JobOutcome`] per item in **submission order**. `f` receives the
+    /// batch token so a long job can poll it and stop early.
     ///
-    /// Each attempt runs on a dedicated job thread so panics and
-    /// deadline overruns are quarantined per job instead of aborting
-    /// the batch. `T: Sync + 'static` and `F: 'static` are required
-    /// because an abandoned (hung) job thread may outlive this call.
-    pub fn map_supervised<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<JobReport<R>>
+    /// Each job runs on a dedicated thread so a panic is quarantined
+    /// instead of aborting the batch. `T: Sync + 'static` and
+    /// `F: 'static` are required because an abandoned (cancelled) job
+    /// thread may outlive this call.
+    pub fn map_supervised<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<JobOutcome<R>>
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
-        F: Fn(&T, &JobCtx) -> R + Send + Sync + 'static,
+        F: Fn(&T, &CancelToken) -> R + Send + Sync + 'static,
     {
         let total = items.len();
-        if total == 0 {
-            return Vec::new();
-        }
         let items = Arc::new(items);
         let f = Arc::new(f);
-        let results: Vec<Mutex<Option<JobReport<R>>>> =
+        let results: Vec<Mutex<Option<JobOutcome<R>>>> =
             (0..total).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let inflight = InFlightRegistry::default();
-        let workers = self.jobs.min(total);
-        let live_workers = AtomicUsize::new(workers);
 
         std::thread::scope(|scope| {
-            // Deadline monitor: scans in-flight jobs and trips the ones
-            // whose wall-clock deadline has passed. Only needed when a
-            // deadline is configured — batch cancellation propagates
-            // through the token hierarchy without help. Exits once the
-            // last worker has retired (the scope joins it afterwards).
-            if self.deadline.is_some() {
-                scope.spawn(|| {
-                    while live_workers.load(Ordering::Acquire) > 0 {
-                        inflight.expire_overdue();
-                        std::thread::park_timeout(MONITOR_TICK);
+            for _ in 0..self.jobs.min(total) {
+                scope.spawn(|| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= total {
+                        break;
                     }
-                });
-            }
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
-                            break;
-                        }
-                        let report = self.run_one(index, &items, &f, &inflight);
-                        *results[index].lock().expect("result slot poisoned") = Some(report);
-                    }
-                    live_workers.fetch_sub(1, Ordering::Release);
+                    let outcome = self.run_one(index, &items, &f);
+                    *results[index].lock().expect("result slot poisoned") = Some(outcome);
                 });
             }
         });
@@ -372,215 +170,65 @@ impl Supervisor {
             .collect()
     }
 
-    /// Runs one item through the attempt loop.
-    fn run_one<T, R, F>(
-        &self,
-        index: usize,
-        items: &Arc<Vec<T>>,
-        f: &Arc<F>,
-        inflight: &InFlightRegistry,
-    ) -> JobReport<R>
+    /// Runs one item on a fresh job thread and waits for its result or
+    /// for the batch to be cancelled.
+    fn run_one<T, R, F>(&self, index: usize, items: &Arc<Vec<T>>, f: &Arc<F>) -> JobOutcome<R>
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
-        F: Fn(&T, &JobCtx) -> R + Send + Sync + 'static,
+        F: Fn(&T, &CancelToken) -> R + Send + Sync + 'static,
     {
-        let started = Instant::now();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if self.token.is_cancelled() {
-                return JobReport {
-                    outcome: JobOutcome::Cancelled,
-                    attempts,
-                    wall: started.elapsed(),
-                };
-            }
-            let outcome = self.run_attempt(index, attempts, items, f, inflight);
-            let retry = match &outcome {
-                JobOutcome::Ok(_) | JobOutcome::Cancelled => false,
-                JobOutcome::Panicked { message } => (self.transient)(&JobFailure::Panicked {
-                    message: message.as_str(),
-                }),
-                JobOutcome::TimedOut { deadline } => (self.transient)(&JobFailure::TimedOut {
-                    deadline: *deadline,
-                }),
-            };
-            if !outcome.is_ok() && retry && attempts < self.max_attempts {
-                let backoff = self.backoff.saturating_mul(1 << (attempts - 1).min(16));
-                // Back off in poll-sized slices so batch cancellation
-                // still lands promptly mid-sleep.
-                let wake = Instant::now() + backoff;
-                while Instant::now() < wake && !self.token.is_cancelled() {
-                    std::thread::sleep(POLL_INTERVAL.min(backoff));
-                }
-                continue;
-            }
-            return JobReport {
-                outcome,
-                attempts,
-                wall: started.elapsed(),
-            };
+        if self.token.is_cancelled() {
+            return JobOutcome::Cancelled;
         }
-    }
-
-    /// Runs one attempt on a fresh job thread and waits for completion,
-    /// timeout, or cancellation.
-    fn run_attempt<T, R, F>(
-        &self,
-        index: usize,
-        attempt: u32,
-        items: &Arc<Vec<T>>,
-        f: &Arc<F>,
-        inflight: &InFlightRegistry,
-    ) -> JobOutcome<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(&T, &JobCtx) -> R + Send + Sync + 'static,
-    {
-        let job_token = self.token.child();
-        let timed_out = Arc::new(AtomicBool::new(false));
-        let guard = inflight.register(InFlight {
-            deadline: self.deadline.map(|d| Instant::now() + d),
-            token: job_token.clone(),
-            timed_out: timed_out.clone(),
-        });
-
         let (tx, rx) = mpsc::channel();
-        let ctx = JobCtx {
-            token: job_token.clone(),
-            attempt,
-        };
         let spawned = {
             let items = Arc::clone(items);
             let f = Arc::clone(f);
+            let token = self.token.clone();
             std::thread::Builder::new()
                 .name(format!("mapg-job-{index}"))
                 .spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| f(&items[index], &ctx)));
+                    let result = catch_unwind(AssertUnwindSafe(|| f(&items[index], &token)));
                     // The receiver may be gone (job abandoned) — ignore.
                     let _ = tx.send(result.map_err(panic_message));
                 })
         };
-        let mut handle = match spawned {
-            Ok(handle) => Some(handle),
+        let handle = match spawned {
+            Ok(handle) => handle,
             Err(error) => {
-                drop(guard);
                 return JobOutcome::Panicked {
                     message: format!("cannot spawn job thread: {error}"),
-                };
+                }
             }
         };
-        // Join the job thread whenever it actually finished (result or
-        // panic received): its teardown releases the closure's shared
-        // resources (journal locks, observer handles), which callers
-        // may reuse immediately after `map_supervised` returns. Only
-        // abandoned attempts — timed out or cancelled, possibly stuck —
-        // stay detached.
-        let reap = |handle: &mut Option<std::thread::JoinHandle<()>>| {
-            if let Some(handle) = handle.take() {
-                let _ = handle.join();
-            }
-        };
-
         loop {
             match rx.recv_timeout(POLL_INTERVAL) {
-                Ok(Ok(value)) => {
-                    reap(&mut handle);
-                    return JobOutcome::Ok(value);
-                }
-                Ok(Err(message)) => {
-                    reap(&mut handle);
-                    return JobOutcome::Panicked { message };
+                // Join a job thread that finished: its teardown releases
+                // the closure's shared resources (observer handles, for
+                // one), which callers may reuse as soon as
+                // `map_supervised` returns. Only a cancelled job's thread
+                // stays detached.
+                Ok(result) => {
+                    let _ = handle.join();
+                    return match result {
+                        Ok(value) => JobOutcome::Ok(value),
+                        Err(message) => JobOutcome::Panicked { message },
+                    };
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Deadline first: the monitor cancels the job token
-                    // *after* setting the flag, so a timed-out job is
-                    // never misreported as merely cancelled.
-                    if timed_out.load(Ordering::Acquire) {
-                        return JobOutcome::TimedOut {
-                            deadline: self.deadline.unwrap_or_default(),
-                        };
-                    }
-                    if job_token.is_cancelled() {
+                    if self.token.is_cancelled() {
                         return JobOutcome::Cancelled;
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    reap(&mut handle);
+                    let _ = handle.join();
                     return JobOutcome::Panicked {
                         message: "job thread exited without reporting".to_owned(),
                     };
                 }
             }
         }
-    }
-}
-
-/// One registered in-flight attempt, visible to the monitor.
-struct InFlight {
-    deadline: Option<Instant>,
-    token: CancelToken,
-    timed_out: Arc<AtomicBool>,
-}
-
-/// The monitor's view of running attempts. Slots are keyed so removal
-/// is O(1) amortized without an external slab crate.
-#[derive(Default)]
-struct InFlightRegistry {
-    slots: Mutex<Vec<Option<InFlight>>>,
-}
-
-impl InFlightRegistry {
-    fn register(&self, entry: InFlight) -> InFlightGuard<'_> {
-        let mut slots = self.slots.lock().expect("in-flight registry poisoned");
-        let key = match slots.iter().position(Option::is_none) {
-            Some(free) => {
-                slots[free] = Some(entry);
-                free
-            }
-            None => {
-                slots.push(Some(entry));
-                slots.len() - 1
-            }
-        };
-        InFlightGuard {
-            registry: self,
-            key,
-        }
-    }
-
-    /// Trips every registered attempt whose deadline has passed: sets
-    /// its timed-out flag, then cancels its token (ordering matters —
-    /// see `run_attempt`).
-    fn expire_overdue(&self) {
-        let now = Instant::now();
-        let slots = self.slots.lock().expect("in-flight registry poisoned");
-        for entry in slots.iter().flatten() {
-            if let Some(deadline) = entry.deadline {
-                if now >= deadline && !entry.timed_out.load(Ordering::Acquire) {
-                    entry.timed_out.store(true, Ordering::Release);
-                    entry.token.cancel();
-                }
-            }
-        }
-    }
-}
-
-struct InFlightGuard<'a> {
-    registry: &'a InFlightRegistry,
-    key: usize,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        let mut slots = self
-            .registry
-            .slots
-            .lock()
-            .expect("in-flight registry poisoned");
-        slots[self.key] = None;
     }
 }
 
@@ -599,55 +247,50 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::Pool;
+    use std::time::Instant;
 
     #[test]
-    fn tokens_are_hierarchical_and_sticky() {
-        let root = CancelToken::new();
-        let child = root.child();
-        let grandchild = child.child();
-        assert!(!grandchild.is_cancelled());
-        root.cancel();
-        assert!(child.is_cancelled());
-        assert!(grandchild.is_cancelled());
-        // Cancelling a child never propagates upward.
-        let root = CancelToken::new();
-        let child = root.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!root.is_cancelled());
+    fn tokens_are_shared_and_sticky() {
+        let token = CancelToken::new();
+        let clone = token.clone();
+        assert!(!clone.is_cancelled());
+        token.cancel();
+        assert!(clone.is_cancelled());
+        assert!(token.is_cancelled());
+        // Independent tokens do not share a flag.
+        assert!(!CancelToken::new().is_cancelled());
     }
 
     #[test]
     fn ok_batch_matches_plain_map() {
-        let reports = Supervisor::new(4).map_supervised((0..16u64).collect(), |&x, _| x * x);
-        assert_eq!(reports.len(), 16);
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(report.outcome.ok(), Some(&((i as u64) * (i as u64))));
-            assert_eq!(report.attempts, 1);
+        let outcomes = Supervisor::new(4).map_supervised((0..16u64).collect(), |&x, _| x * x);
+        assert_eq!(outcomes.len(), 16);
+        for (i, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(*outcome, JobOutcome::Ok((i as u64) * (i as u64)));
         }
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let reports: Vec<JobReport<u32>> =
+        let outcomes: Vec<JobOutcome<u32>> =
             Supervisor::new(4).map_supervised(Vec::new(), |&x: &u32, _| x);
-        assert!(reports.is_empty());
+        assert!(outcomes.is_empty());
     }
 
     #[test]
     fn panic_is_quarantined_not_propagated() {
-        let reports = Supervisor::new(2).map_supervised((0..8u32).collect(), |&x, _| {
+        let outcomes = Supervisor::new(2).map_supervised((0..8u32).collect(), |&x, _| {
             if x == 3 {
                 panic!("boom at {x}");
             }
             x
         });
-        assert_eq!(reports.len(), 8);
-        match &reports[3].outcome {
+        assert_eq!(outcomes.len(), 8);
+        match &outcomes[3] {
             JobOutcome::Panicked { message } => assert_eq!(message, "boom at 3"),
             other => panic!("expected quarantined panic, got {other:?}"),
         }
-        let ok = reports.iter().filter(|r| r.outcome.is_ok()).count();
+        let ok = outcomes.iter().filter(|o| o.label() == "ok").count();
         assert_eq!(ok, 7, "every other job should complete");
     }
 
@@ -655,61 +298,31 @@ mod tests {
     /// (no off-by-one in the pull loop or result collection).
     #[test]
     fn panic_in_last_job_is_quarantined() {
-        let reports = Supervisor::new(3).map_supervised((0..5u32).collect(), |&x, _| {
+        let outcomes = Supervisor::new(3).map_supervised((0..5u32).collect(), |&x, _| {
             if x == 4 {
                 panic!("last job");
             }
             x
         });
-        assert_eq!(reports[4].outcome.label(), "panicked");
-        assert!(reports[..4].iter().all(|r| r.outcome.is_ok()));
+        assert_eq!(outcomes[4].label(), "panicked");
+        assert!(outcomes[..4].iter().all(|o| o.label() == "ok"));
     }
 
-    #[test]
-    fn hung_job_times_out_and_batch_completes() {
-        let supervisor = Supervisor::new(2).with_deadline(Duration::from_millis(50));
-        let started = Instant::now();
-        let reports = supervisor.map_supervised((0..4u32).collect(), |&x, _| {
-            if x == 1 {
-                // Non-cooperative hang: ignores its token entirely.
-                std::thread::sleep(Duration::from_secs(30));
-            }
-            x
-        });
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "hung job stalled the batch"
-        );
-        match reports[1].outcome {
-            JobOutcome::TimedOut { deadline } => {
-                assert_eq!(deadline, Duration::from_millis(50));
-            }
-            ref other => panic!("expected timeout, got {other:?}"),
-        }
-        assert_eq!(
-            reports.iter().filter(|r| r.outcome.is_ok()).count(),
-            3,
-            "other jobs should finish"
-        );
-    }
-
-    /// Batch cancellation: unstarted jobs report `Cancelled`, the call
-    /// returns promptly (bounded by the worker poll interval — the
-    /// "journal interval" of a supervised campaign), and in-flight
-    /// non-cooperative jobs are abandoned.
+    /// Batch cancellation: unstarted jobs report `Cancelled`, and the
+    /// call returns promptly (bounded by the worker poll interval).
     #[test]
     fn cancellation_latency_is_bounded() {
-        let supervisor = Supervisor::new(4);
-        let token = supervisor.cancel_token().clone();
+        let token = CancelToken::new();
+        let supervisor = Supervisor::new(4).with_cancel_token(token.clone());
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             token.cancel();
         });
         let started = Instant::now();
         // 64 jobs of 10s each on 4 workers would run ~160s uncancelled.
-        let reports = supervisor.map_supervised((0..64u32).collect(), |_, ctx| {
+        let outcomes = supervisor.map_supervised((0..64u32).collect(), |_, token| {
             let wake = Instant::now() + Duration::from_secs(10);
-            while Instant::now() < wake && !ctx.token.is_cancelled() {
+            while Instant::now() < wake && !token.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(2));
             }
         });
@@ -718,65 +331,30 @@ mod tests {
         // Generous wall-clock bound: cancel at 50ms + poll slack; CI
         // boxes are slow, so allow seconds, not the 160s of a runaway.
         assert!(elapsed < Duration::from_secs(10), "cancel took {elapsed:?}");
-        let cancelled = reports
+        let cancelled = outcomes
             .iter()
-            .filter(|r| r.outcome.label() == "cancelled")
+            .filter(|o| **o == JobOutcome::Cancelled)
             .count();
-        let ok = reports.iter().filter(|r| r.outcome.is_ok()).count();
+        let ok = outcomes.iter().filter(|o| o.label() == "ok").count();
         assert_eq!(cancelled + ok, 64);
         assert!(cancelled > 0, "most of the batch should be cancelled");
     }
 
     #[test]
-    fn cooperative_jobs_see_their_token_and_finish_ok() {
-        let supervisor = Supervisor::new(2);
-        supervisor.cancel_token().cancel();
-        // Already-cancelled batch: nothing runs.
-        let reports = supervisor.map_supervised(vec![1u32, 2], |&x, _| x);
-        assert!(reports
-            .iter()
-            .all(|r| matches!(r.outcome, JobOutcome::Cancelled)));
+    fn cancelled_batch_runs_nothing() {
+        let token = CancelToken::new();
+        token.cancel();
+        let outcomes = Supervisor::new(2)
+            .with_cancel_token(token)
+            .map_supervised(vec![1u32, 2], |&x, _| x);
+        assert!(outcomes.iter().all(|o| *o == JobOutcome::Cancelled));
     }
 
+    /// Nested pools: a supervised job may fan out across a [`Pool`] of
+    /// its own (each `mapgd` job's inner suite runs on a nested pool).
     #[test]
-    fn transient_failures_retry_with_attempt_count() {
-        let supervisor = Supervisor::new(2)
-            .with_retries(3, Duration::from_millis(1))
-            .with_transient_filter(|failure| {
-                matches!(failure, JobFailure::Panicked { message } if message.contains("transient"))
-            });
-        let reports = supervisor.map_supervised(vec![0u32, 1, 2], |&x, ctx| {
-            match x {
-                // Heals on the second attempt.
-                0 if ctx.attempt < 2 => panic!("transient glitch"),
-                // Never transient: must not be retried.
-                1 => panic!("fatal"),
-                _ => {}
-            }
-            x
-        });
-        assert!(reports[0].outcome.is_ok());
-        assert_eq!(reports[0].attempts, 2);
-        assert_eq!(reports[1].outcome.label(), "panicked");
-        assert_eq!(reports[1].attempts, 1, "fatal failures must not retry");
-        assert!(reports[2].outcome.is_ok());
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let supervisor = Supervisor::new(1).with_retries(3, Duration::from_millis(1));
-        let reports =
-            supervisor.map_supervised(vec![0u32], |_, _| -> u32 { panic!("always fails") });
-        assert_eq!(reports[0].attempts, 3);
-        assert_eq!(reports[0].outcome.label(), "panicked");
-    }
-
-    /// Nested pools: a supervised job may fan out across a scoped
-    /// [`Pool`] of its own (the experiments binary does exactly this —
-    /// each experiment's inner suite runs on a nested pool).
-    #[test]
-    fn supervised_jobs_can_nest_scoped_pools() {
-        let reports = Supervisor::new(2).map_supervised(vec![4u64, 5, 6], |&n, _| {
+    fn supervised_jobs_can_nest_pools() {
+        let outcomes = Supervisor::new(2).map_supervised(vec![4u64, 5, 6], |&n, _| {
             crate::with_default_jobs(2, || {
                 Pool::with_default_jobs()
                     .map((0..n).collect(), |x| x + 1)
@@ -784,36 +362,31 @@ mod tests {
                     .sum::<u64>()
             })
         });
-        let sums: Vec<u64> = reports
-            .into_iter()
-            .map(|r| r.outcome.into_ok().unwrap())
-            .collect();
-        assert_eq!(sums, vec![10, 15, 21]);
+        assert_eq!(
+            outcomes,
+            vec![JobOutcome::Ok(10), JobOutcome::Ok(15), JobOutcome::Ok(21)]
+        );
     }
 
     /// A nested *supervised* batch inside a supervised job: panics in
     /// the inner batch stay quarantined there.
     #[test]
     fn supervised_batches_nest() {
-        let reports = Supervisor::new(2).map_supervised(vec![0u32, 1], |&outer, _| {
+        let outcomes = Supervisor::new(2).map_supervised(vec![0u32, 1], |&outer, _| {
             let inner = Supervisor::new(2).map_supervised(vec![0u32, 1, 2], move |&x, _| {
                 if outer == 1 && x == 1 {
                     panic!("inner");
                 }
                 x
             });
-            inner.iter().filter(|r| r.outcome.is_ok()).count()
+            inner.iter().filter(|o| o.label() == "ok").count()
         });
-        assert_eq!(reports[0].outcome.ok(), Some(&3));
-        assert_eq!(reports[1].outcome.ok(), Some(&2));
+        assert_eq!(outcomes, vec![JobOutcome::Ok(3), JobOutcome::Ok(2)]);
     }
 
     #[test]
     fn zero_worker_supervisor_rejected() {
         assert!(catch_unwind(|| Supervisor::new(0)).is_err());
-        assert!(
-            catch_unwind(|| Supervisor::new(1).with_retries(0, Duration::from_millis(1))).is_err()
-        );
     }
 
     #[test]
@@ -826,26 +399,16 @@ mod tests {
             .label(),
             "panicked"
         );
-        assert_eq!(
-            JobOutcome::<u8>::TimedOut {
-                deadline: Duration::ZERO
-            }
-            .label(),
-            "timed-out"
-        );
         assert_eq!(JobOutcome::<u8>::Cancelled.label(), "cancelled");
     }
 
     #[test]
-    fn reports_come_back_in_submission_order() {
-        let reports = Supervisor::new(8).map_supervised((0..32u64).collect(), |&x, _| {
+    fn outcomes_come_back_in_submission_order() {
+        let outcomes = Supervisor::new(8).map_supervised((0..32u64).collect(), |&x, _| {
             std::thread::sleep(Duration::from_millis(32 - x));
             x
         });
-        let values: Vec<u64> = reports
-            .into_iter()
-            .map(|r| r.outcome.into_ok().unwrap())
-            .collect();
-        assert_eq!(values, (0..32).collect::<Vec<_>>());
+        let values: Vec<JobOutcome<u64>> = (0..32).map(JobOutcome::Ok).collect();
+        assert_eq!(outcomes, values);
     }
 }
