@@ -31,7 +31,7 @@
 //! Jobs land in a [`FairQueue`]: FIFO per client, round-robin across
 //! clients, higher [`Priority`] first, and a per-client in-flight
 //! quota. `max_jobs` runner threads pull from the queue; each job's
-//! *inner* fan-out (suite runner) is budgeted to
+//! *inner* fan-out (its `mapg::run_all` batches) is budgeted to
 //! `workers_total / max_jobs` via the pool's thread-local override, so
 //! N concurrent jobs never oversubscribe the host N-fold. Each job runs
 //! as a single-item supervised batch, inheriting the supervisor's

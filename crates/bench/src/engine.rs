@@ -73,8 +73,8 @@ pub struct ExperimentJob {
     pub scale: Scale,
     /// Output rendering.
     pub format: OutputFormat,
-    /// Worker budget for the experiment's *inner* fan-out (its suite
-    /// runner). A scheduler running several jobs
+    /// Worker budget for the experiment's *inner* fan-out (its
+    /// `mapg::run_all` batches). A scheduler running several jobs
     /// concurrently hands each job a slice of the host so N jobs never
     /// oversubscribe to N × `available_parallelism`.
     pub jobs: usize,

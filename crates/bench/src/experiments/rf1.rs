@@ -5,7 +5,7 @@
 //! time the core sits idle waiting for DRAM, split into stalls longer than
 //! the circuit's break-even time (gateable) and shorter ones.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{PolicyKind, SuiteRunner};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 
 use crate::experiments::{base_config, suite_for};
@@ -29,9 +29,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "p95_stall",
         ],
     );
-    for profile in suite_for(scale).iter() {
-        let config = base_config(scale).with_profile(profile.clone());
-        let report = Simulation::new(config, PolicyKind::NoGating).run();
+    let matrix =
+        SuiteRunner::new(suite_for(scale), base_config(scale)).run(&[PolicyKind::NoGating]);
+    for report in matrix.reports() {
         // Stall-duration distribution is aggregated across cores.
         let durations =
             report
@@ -42,7 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     acc
                 });
         table.push_row(vec![
-            profile.name().to_owned(),
+            report.workload.clone(),
             format!("{:.1}", report.stall_fraction() * 100.0),
             format!("{:.1}", durations.fraction_above(bet) * 100.0),
             durations.mean().to_string(),

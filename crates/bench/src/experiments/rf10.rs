@@ -8,7 +8,7 @@
 //!   the break-even comparison buys (energy on short stalls).
 //! - `naive-on-miss`: drop both.
 
-use mapg::{PolicyKind, Simulation, SuiteRunner};
+use mapg::{run_all, PolicyKind, SuiteRunner};
 use mapg_mem::{DramConfig, HierarchyConfig};
 use mapg_trace::WorkloadProfile;
 
@@ -70,7 +70,20 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let marginal_config = base_config(scale)
         .with_profile(marginal_profile)
         .with_memory(fast_memory);
-    let marginal_baseline = Simulation::new(marginal_config.clone(), PolicyKind::NoGating).run();
+    // The baseline and the four ablations, then MAPG without nap chaining
+    // (re-gate after an early wake), the third mechanism.
+    let mut runs: Vec<_> = ABLATIONS
+        .into_iter()
+        .map(|policy| (marginal_config.clone(), policy))
+        .collect();
+    runs.push((marginal_config.without_regate(), PolicyKind::Mapg));
+    let reports = run_all(runs);
+    let (marginal_baseline, variants) = reports.split_first().expect("baseline first");
+    let labels = ABLATIONS
+        .into_iter()
+        .skip(1)
+        .map(|policy| policy.name())
+        .chain(["mapg-no-regate"]);
     let mut marginal = Table::new(
         "R-F10b",
         "ablations near the break-even boundary (0.4x DRAM latency)",
@@ -82,26 +95,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "norm_EDP",
         ],
     );
-    for policy in ABLATIONS.into_iter().skip(1) {
-        let report = Simulation::new(marginal_config.clone(), policy).run();
+    for (label, report) in labels.zip(variants) {
         marginal.push_row(vec![
-            policy.name().to_owned(),
+            label.to_owned(),
             format!("{:.1}", report.gating.gated_fraction() * 100.0),
             ratio(report.core_energy() / marginal_baseline.core_energy()),
             ratio(report.makespan_cycles as f64 / marginal_baseline.makespan_cycles as f64),
             ratio(report.edp() / marginal_baseline.edp()),
         ]);
     }
-
-    // Third mechanism: nap chaining (re-gate after an early wake).
-    let no_regate = Simulation::new(marginal_config.without_regate(), PolicyKind::Mapg).run();
-    marginal.push_row(vec![
-        "mapg-no-regate".to_owned(),
-        format!("{:.1}", no_regate.gating.gated_fraction() * 100.0),
-        ratio(no_regate.core_energy() / marginal_baseline.core_energy()),
-        ratio(no_regate.makespan_cycles as f64 / marginal_baseline.makespan_cycles as f64),
-        ratio(no_regate.edp() / marginal_baseline.edp()),
-    ]);
     vec![table, marginal]
 }
 

@@ -7,7 +7,7 @@
 //! an extension beyond the original evaluation, which ran without
 //! prefetching.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_mem::HierarchyConfig;
 use mapg_trace::WorkloadProfile;
 
@@ -55,27 +55,35 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "pf_accuracy",
         ],
     );
-    for profile in [streaming_profile(), chasing_profile()] {
-        let mut no_pf_runtime = 0u64;
-        for (label, memory) in [
-            ("off", HierarchyConfig::baseline()),
-            ("on", HierarchyConfig::with_stream_prefetcher()),
-        ] {
+    let profiles = [streaming_profile(), chasing_profile()];
+    let prefetch = [
+        ("off", HierarchyConfig::baseline()),
+        ("on", HierarchyConfig::with_stream_prefetcher()),
+    ];
+    let mut runs = Vec::new();
+    for profile in &profiles {
+        for (_, memory) in prefetch {
             let config = base_config(scale)
                 .with_profile(profile.clone())
                 .with_memory(memory);
-            let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
-            let mapg = Simulation::new(config, PolicyKind::Mapg).run();
-            if label == "off" {
-                no_pf_runtime = baseline.makespan_cycles;
-            }
+            runs.push((config.clone(), PolicyKind::NoGating));
+            runs.push((config, PolicyKind::Mapg));
+        }
+    }
+    let reports = run_all(runs);
+    for (profile, reports) in profiles.iter().zip(reports.chunks(2 * prefetch.len())) {
+        let no_pf_runtime = reports[0].makespan_cycles;
+        for (&(label, _), pair) in prefetch.iter().zip(reports.chunks(2)) {
+            let [baseline, mapg] = pair else {
+                unreachable!()
+            };
             let runtime_delta = baseline.makespan_cycles as f64 / no_pf_runtime as f64 - 1.0;
             table.push_row(vec![
                 profile.name().to_owned(),
                 label.to_owned(),
                 format!("{:.1}", baseline.stall_fraction() * 100.0),
                 pct(runtime_delta),
-                pct(mapg.core_energy_savings_vs(&baseline)),
+                pct(mapg.core_energy_savings_vs(baseline)),
                 format!("{:.0}%", baseline.memory.prefetch.accuracy() * 100.0),
             ]);
         }

@@ -6,7 +6,7 @@
 //! per-stall granularity the wake rate is enormous, so the cold-start tax
 //! compounds — this table shows why the paper's design retains state.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_power::{PgCircuitDesign, RetentionStyle, TechnologyParams};
 
 use crate::experiments::base_config;
@@ -17,7 +17,16 @@ use crate::table::{pct, Table};
 pub fn run(scale: Scale) -> Vec<Table> {
     let tech = TechnologyParams::bulk_45nm();
     let clock = tech.nominal_clock();
-    let baseline = Simulation::new(base_config(scale), PolicyKind::NoGating).run();
+    let styles = [
+        ("retentive", RetentionStyle::Retentive),
+        ("non-retentive", RetentionStyle::NonRetentive),
+    ];
+    let mut runs = vec![(base_config(scale), PolicyKind::NoGating)];
+    for (_, style) in styles {
+        runs.push((base_config(scale).with_retention(style), PolicyKind::Mapg));
+    }
+    let reports = run_all(runs);
+    let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
         "R-F12",
@@ -32,21 +41,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "overhead",
         ],
     );
-    for (label, style) in [
-        ("retentive", RetentionStyle::Retentive),
-        ("non-retentive", RetentionStyle::NonRetentive),
-    ] {
+    for ((label, style), report) in styles.into_iter().zip(swept) {
         let circuit = PgCircuitDesign::fast_wakeup(&tech).with_retention(style);
-        let config = base_config(scale).with_retention(style);
-        let report = Simulation::new(config, PolicyKind::Mapg).run();
         table.push_row(vec![
             label.to_owned(),
             format!("{:.1}", circuit.residual_leakage().as_percent()),
             circuit.entry_cycles(clock).raw().to_string(),
             circuit.cold_start_cycles(clock).raw().to_string(),
             circuit.break_even_cycles(&tech, clock).raw().to_string(),
-            pct(report.core_energy_savings_vs(&baseline)),
-            pct(report.perf_overhead_vs(&baseline)),
+            pct(report.core_energy_savings_vs(baseline)),
+            pct(report.perf_overhead_vs(baseline)),
         ]);
     }
     table.push_note(

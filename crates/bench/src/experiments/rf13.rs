@@ -7,7 +7,7 @@
 //! power into the steady-state thermal solver and reports the compounded
 //! effect.
 
-use mapg::{PolicyKind, RunReport, Simulation};
+use mapg::{run_all, PolicyKind, RunReport};
 use mapg_power::{EnergyCategory, ThermalParams};
 use mapg_units::Watts;
 
@@ -49,8 +49,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         PolicyKind::MapgOracle,
     ];
     let mut baseline_power: Option<Watts> = None;
-    for policy in policies {
-        let report = Simulation::new(base_config(scale), policy).run();
+    let runs = policies.map(|policy| (base_config(scale), policy)).to_vec();
+    for (policy, report) in policies.into_iter().zip(run_all(runs)) {
         let (dynamic, leakage) = average_power_split(&report);
         let point = thermal
             .steady_state(dynamic, leakage)

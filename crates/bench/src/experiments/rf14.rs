@@ -8,7 +8,7 @@
 //! detection, free transitions; see
 //! [`OperatingPoint::estimate_interval_governor`]).
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_power::{OperatingPoint, PgCircuitDesign, TechnologyParams};
 use mapg_trace::WorkloadProfile;
 use mapg_units::Cycles;
@@ -31,12 +31,26 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "EDP_delta",
         ],
     );
-    for profile in [
+    let profiles = [
         WorkloadProfile::mem_bound("mem_bound"),
         WorkloadProfile::compute_bound("compute_bound"),
-    ] {
-        let config = base_config(scale).with_profile(profile.clone());
-        let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
+    ];
+    let policies = [
+        PolicyKind::NoGating,
+        PolicyKind::ClockGating,
+        PolicyKind::Mapg,
+    ];
+    let runs = profiles
+        .iter()
+        .flat_map(|profile| {
+            let config = base_config(scale).with_profile(profile.clone());
+            policies.map(|policy| (config.clone(), policy))
+        })
+        .collect();
+    for (profile, reports) in profiles.iter().zip(run_all(runs).chunks(policies.len())) {
+        let [baseline, clock_gated, mapg] = reports else {
+            unreachable!()
+        };
         let clock = tech.nominal_clock();
         let core = &baseline.core_stats[0];
         let active = Cycles::new(core.active_cycles()).at(clock);
@@ -59,14 +73,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
 
         // Measured MAPG, re-normalized to the same clock-gated baseline.
-        let clock_gated = Simulation::new(config.clone(), PolicyKind::ClockGating).run();
-        let mapg = Simulation::new(config, PolicyKind::Mapg).run();
         table.push_row(vec![
             profile.name().to_owned(),
             "mapg (measured)".to_owned(),
-            pct(mapg.perf_overhead_vs(&clock_gated)),
-            pct(mapg.core_energy_savings_vs(&clock_gated)),
-            pct(mapg.edp_delta_vs(&clock_gated)),
+            pct(mapg.perf_overhead_vs(clock_gated)),
+            pct(mapg.core_energy_savings_vs(clock_gated)),
+            pct(mapg.edp_delta_vs(clock_gated)),
         ]);
 
         // The techniques compose: gate the stalls AND downclock the active

@@ -8,7 +8,7 @@
 //! policy harvests only the long idles, MAPG harvests the idles *and* the
 //! memory stalls.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_trace::{IdleInjection, WorkloadProfile};
 
 use crate::experiments::base_config;
@@ -34,7 +34,19 @@ fn interactive_profile(scale: Scale) -> WorkloadProfile {
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let config = base_config(scale).with_profile(interactive_profile(scale));
-    let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
+    let policies = [
+        PolicyKind::ClockGating,
+        PolicyKind::Timeout { idle_cycles: 100 },
+        PolicyKind::NaiveOnMiss,
+        PolicyKind::Mapg,
+        PolicyKind::MapgOracle,
+    ];
+    let runs = std::iter::once(PolicyKind::NoGating)
+        .chain(policies)
+        .map(|policy| (config.clone(), policy))
+        .collect();
+    let reports = run_all(runs);
+    let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
         "R-F15",
@@ -47,20 +59,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "overhead",
         ],
     );
-    for policy in [
-        PolicyKind::ClockGating,
-        PolicyKind::Timeout { idle_cycles: 100 },
-        PolicyKind::NaiveOnMiss,
-        PolicyKind::Mapg,
-        PolicyKind::MapgOracle,
-    ] {
-        let report = Simulation::new(config.clone(), policy).run();
+    for (policy, report) in policies.into_iter().zip(swept) {
         table.push_row(vec![
             policy.name().to_owned(),
             format!("{:.1}", report.gating.gated_fraction() * 100.0),
             format!("{:.1}", report.gated_stall_coverage() * 100.0),
-            pct(report.core_energy_savings_vs(&baseline)),
-            pct(report.perf_overhead_vs(&baseline)),
+            pct(report.core_energy_savings_vs(baseline)),
+            pct(report.perf_overhead_vs(baseline)),
         ]);
     }
     table.push_note(

@@ -13,7 +13,7 @@
 //! gating to clock gating, and periodically re-arms to probe for recovery —
 //! keeping worst-case overhead bounded at the cost of some energy savings.
 
-use mapg::{FaultPlan, PolicyKind, RunReport, SimConfig, Simulation};
+use mapg::{run_all, FaultPlan, PolicyKind, SimConfig};
 use mapg_trace::WorkloadProfile;
 
 use crate::experiments::base_config;
@@ -43,12 +43,14 @@ fn faulty_config(scale: Scale, intensity: f64) -> SimConfig {
         .with_fault_plan(FaultPlan::moderate().with_intensity(intensity))
 }
 
-fn run_variant(scale: Scale, intensity: f64, policy: PolicyKind, watchdog: bool) -> RunReport {
-    let mut config = faulty_config(scale, intensity);
+/// [`faulty_config`], with the safe-mode watchdog armed if `watchdog`.
+fn variant_config(scale: Scale, intensity: f64, watchdog: bool) -> SimConfig {
+    let config = faulty_config(scale, intensity);
     if watchdog {
-        config = config.with_safe_mode_default();
+        config.with_safe_mode_default()
+    } else {
+        config
     }
-    Simulation::new(config, policy).run()
 }
 
 /// Runs the experiment.
@@ -68,15 +70,22 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "demoted",
         ],
     );
+    let mut runs = Vec::new();
     for &intensity in &INTENSITIES {
-        let baseline = Simulation::new(faulty_config(scale, intensity), PolicyKind::NoGating).run();
-        for &(label, policy, watchdog) in &VARIANTS {
-            let report = run_variant(scale, intensity, policy, watchdog);
+        runs.push((faulty_config(scale, intensity), PolicyKind::NoGating));
+        for &(_, policy, watchdog) in &VARIANTS {
+            runs.push((variant_config(scale, intensity, watchdog), policy));
+        }
+    }
+    let reports = run_all(runs);
+    for (&intensity, reports) in INTENSITIES.iter().zip(reports.chunks(1 + VARIANTS.len())) {
+        let (baseline, variants) = reports.split_first().expect("baseline first");
+        for (&(label, _, _), report) in VARIANTS.iter().zip(variants) {
             table.push_row(vec![
                 format!("{intensity:.1}"),
                 label.to_owned(),
-                pct(report.core_energy_savings_vs(&baseline)),
-                pct(report.perf_overhead_vs(&baseline)),
+                pct(report.core_energy_savings_vs(baseline)),
+                pct(report.perf_overhead_vs(baseline)),
                 (report.faults.total() + report.memory.dram.fault_spikes).to_string(),
                 report.invariants.total_violations.to_string(),
                 report.degradation.safe_mode_entries.to_string(),
@@ -96,6 +105,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapg::Simulation;
 
     #[test]
     fn sweep_covers_every_variant_and_intensity() {
@@ -121,8 +131,11 @@ mod tests {
     fn watchdog_bounds_overhead_under_heavy_faults() {
         let scale = Scale::Smoke;
         let intensity = 2.0;
-        let guarded = run_variant(scale, intensity, PolicyKind::Mapg, true);
-        let unguarded = run_variant(scale, intensity, PolicyKind::Mapg, false);
+        let run = |watchdog| {
+            Simulation::new(variant_config(scale, intensity, watchdog), PolicyKind::Mapg).run()
+        };
+        let guarded = run(true);
+        let unguarded = run(false);
         assert!(
             guarded.degradation.safe_mode_entries > 0,
             "heavy faults must trip the watchdog: {}",

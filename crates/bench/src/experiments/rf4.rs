@@ -6,6 +6,7 @@
 //! thresholds leave long stalls unharvested. The figure locates the knee.
 
 use mapg::{MapgPolicy, PolicyKind, Simulation};
+use mapg_pool::Pool;
 use mapg_trace::WorkloadProfile;
 
 use crate::experiments::base_config;
@@ -21,10 +22,29 @@ pub fn run(scale: Scale) -> Vec<Table> {
         WorkloadProfile::mem_bound("mem_bound"),
         WorkloadProfile::compute_bound("compute_bound"),
     ];
+    // Per profile: the no-gating baseline (`None`), then one run per guard.
+    // A custom guard has no `PolicyKind`, and a boxed policy is not `Send`,
+    // so this is the one sweep that maps on the pool itself and builds
+    // each policy inside the worker; the configs are still built here.
+    let runs = profiles
+        .iter()
+        .flat_map(|profile| {
+            let base = base_config(scale).with_profile(profile.clone());
+            std::iter::once(None)
+                .chain(GUARDS.map(Some))
+                .map(move |guard| (base.clone(), guard))
+        })
+        .collect();
+    let reports = Pool::with_default_jobs().map(runs, |(config, guard)| match guard {
+        None => Simulation::new(config, PolicyKind::NoGating).run(),
+        Some(guard) => {
+            let policy = MapgPolicy::predictive().with_guard(guard);
+            Simulation::with_policy(config, Box::new(policy)).run()
+        }
+    });
     let mut tables = Vec::new();
-    for profile in &profiles {
-        let base = base_config(scale).with_profile(profile.clone());
-        let baseline = Simulation::new(base.clone(), PolicyKind::NoGating).run();
+    for (profile, reports) in profiles.iter().zip(reports.chunks(1 + GUARDS.len())) {
+        let (baseline, swept) = reports.split_first().expect("baseline first");
         let mut table = Table::new(
             "R-F4",
             format!("break-even guard sweep — {}", profile.name()),
@@ -36,15 +56,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 "EDP_delta",
             ],
         );
-        for &guard in &GUARDS {
-            let policy = MapgPolicy::predictive().with_guard(guard);
-            let report = Simulation::with_policy(base.clone(), Box::new(policy)).run();
+        for (guard, report) in GUARDS.iter().zip(swept) {
             table.push_row(vec![
                 format!("{guard:.2}"),
                 format!("{:.1}", report.gating.gated_fraction() * 100.0),
-                pct(report.core_energy_savings_vs(&baseline)),
-                pct(report.perf_overhead_vs(&baseline)),
-                pct(report.edp_delta_vs(&baseline)),
+                pct(report.core_energy_savings_vs(baseline)),
+                pct(report.perf_overhead_vs(baseline)),
+                pct(report.edp_delta_vs(baseline)),
             ]);
         }
         tables.push(table);

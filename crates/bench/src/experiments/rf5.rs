@@ -6,7 +6,7 @@
 //! paper's fast-wakeup circuit is load-bearing: slow wake-ups both shrink
 //! the break-even window and push penalty onto the critical path.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 
 use crate::experiments::base_config;
@@ -20,7 +20,14 @@ pub const WIDTH_RATIOS: [f64; 6] = [0.005, 0.01, 0.02, 0.03, 0.08, 0.2];
 pub fn run(scale: Scale) -> Vec<Table> {
     let tech = TechnologyParams::bulk_45nm();
     let clock = tech.nominal_clock();
-    let baseline = Simulation::new(base_config(scale), PolicyKind::NoGating).run();
+    let mut runs = vec![(base_config(scale), PolicyKind::NoGating)];
+    for &ratio in &WIDTH_RATIOS {
+        let config = base_config(scale).with_switch_width(ratio);
+        runs.push((config.clone(), PolicyKind::Mapg));
+        runs.push((config, PolicyKind::NaiveOnMiss));
+    }
+    let reports = run_all(runs);
+    let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
         "R-F5",
@@ -35,19 +42,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "naive_overhead",
         ],
     );
-    for &ratio in &WIDTH_RATIOS {
+    for (&ratio, pair) in WIDTH_RATIOS.iter().zip(swept.chunks(2)) {
         let circuit = PgCircuitDesign::from_switch_width(ratio, &tech);
-        let config = base_config(scale).with_switch_width(ratio);
-        let mapg = Simulation::new(config.clone(), PolicyKind::Mapg).run();
-        let naive = Simulation::new(config, PolicyKind::NaiveOnMiss).run();
+        let [mapg, naive] = pair else { unreachable!() };
         table.push_row(vec![
             format!("{:.1}", ratio * 100.0),
             circuit.wakeup_cycles(clock).raw().to_string(),
             circuit.break_even_cycles(&tech, clock).raw().to_string(),
-            pct(mapg.core_energy_savings_vs(&baseline)),
-            pct(mapg.perf_overhead_vs(&baseline)),
-            pct(naive.core_energy_savings_vs(&baseline)),
-            pct(naive.perf_overhead_vs(&baseline)),
+            pct(mapg.core_energy_savings_vs(baseline)),
+            pct(mapg.perf_overhead_vs(baseline)),
+            pct(naive.core_energy_savings_vs(baseline)),
+            pct(naive.perf_overhead_vs(baseline)),
         ]);
     }
     table.push_note(

@@ -5,7 +5,7 @@
 //! stalls, more of them above the break-even time, and larger savings —
 //! the trend that made memory-access gating increasingly attractive.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_mem::{DramConfig, HierarchyConfig};
 
 use crate::experiments::base_config;
@@ -29,20 +29,26 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "gated%",
         ],
     );
+    let mut runs = Vec::new();
     for &factor in &LATENCY_SCALES {
         let memory = HierarchyConfig {
             dram: DramConfig::ddr3_1333().with_latency_scaled(factor),
             ..HierarchyConfig::baseline()
         };
         let config = base_config(scale).with_memory(memory);
-        let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
-        let mapg = Simulation::new(config, PolicyKind::Mapg).run();
+        runs.push((config.clone(), PolicyKind::NoGating));
+        runs.push((config, PolicyKind::Mapg));
+    }
+    for (&factor, pair) in LATENCY_SCALES.iter().zip(run_all(runs).chunks(2)) {
+        let [baseline, mapg] = pair else {
+            unreachable!()
+        };
         table.push_row(vec![
             format!("{factor:.1}x"),
             baseline.memory.miss_latency.mean().to_string(),
             format!("{:.1}", baseline.stall_fraction() * 100.0),
-            pct(mapg.core_energy_savings_vs(&baseline)),
-            pct(mapg.perf_overhead_vs(&baseline)),
+            pct(mapg.core_energy_savings_vs(baseline)),
+            pct(mapg.perf_overhead_vs(baseline)),
             format!("{:.1}", mapg.gating.gated_fraction() * 100.0),
         ]);
     }

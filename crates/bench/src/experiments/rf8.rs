@@ -5,7 +5,7 @@
 //! fewer tokens bound the worst-case rush current (peak concurrent wakes)
 //! at the price of token-wait penalty. The TAP companion trade-off.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 use mapg_trace::WorkloadProfile;
 
@@ -44,18 +44,26 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "miss_avg",
         ],
     );
-    for &cores in &CORE_COUNTS {
-        let config = base_config(scale)
+    let cores_config = |cores: usize| {
+        base_config(scale)
             .with_profile(multicore_profile())
             .with_instructions(per_core)
-            .with_cores(cores);
-        let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
-        let mapg = Simulation::new(config, PolicyKind::Mapg).run();
+            .with_cores(cores)
+    };
+    let mut runs = Vec::new();
+    for &cores in &CORE_COUNTS {
+        runs.push((cores_config(cores), PolicyKind::NoGating));
+        runs.push((cores_config(cores), PolicyKind::Mapg));
+    }
+    for (&cores, pair) in CORE_COUNTS.iter().zip(run_all(runs).chunks(2)) {
+        let [baseline, mapg] = pair else {
+            unreachable!()
+        };
         scaling.push_row(vec![
             cores.to_string(),
             format!("{:.1}", baseline.stall_fraction() * 100.0),
-            pct(mapg.core_energy_savings_vs(&baseline)),
-            pct(mapg.perf_overhead_vs(&baseline)),
+            pct(mapg.core_energy_savings_vs(baseline)),
+            pct(mapg.perf_overhead_vs(baseline)),
             baseline.memory.miss_latency.mean().to_string(),
         ]);
     }
@@ -74,18 +82,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "mapg_overhead",
         ],
     );
-    let base8 = base_config(scale)
-        .with_profile(multicore_profile())
-        .with_instructions(per_core)
-        .with_cores(8);
-    let baseline8 = Simulation::new(base8.clone(), PolicyKind::NoGating).run();
+    // Part 1 already ran the 8-core baseline, so part 2 is a second batch
+    // in which it is a memo hit. In part 1's batch it would compute twice
+    // (DESIGN.md §7.1); reusing part 1's report would skip the metrics
+    // merge a hit makes.
+    let mut runs = vec![(cores_config(8), PolicyKind::NoGating)];
     for &budget in &TOKEN_BUDGETS {
-        let config = if budget == usize::MAX {
-            base8.clone().with_tokens(64) // effectively unlimited for 8 cores
-        } else {
-            base8.clone().with_tokens(budget)
-        };
-        let report = Simulation::new(config, PolicyKind::Mapg).run();
+        // 64 tokens is effectively unlimited for 8 cores.
+        let tokens = if budget == usize::MAX { 64 } else { budget };
+        runs.push((cores_config(8).with_tokens(tokens), PolicyKind::Mapg));
+    }
+    let reports = run_all(runs);
+    let (baseline8, swept) = reports.split_first().expect("baseline first");
+    for (&budget, report) in TOKEN_BUDGETS.iter().zip(swept) {
         let label = if budget == usize::MAX {
             "inf".to_owned()
         } else {
@@ -97,8 +106,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             peak.to_string(),
             format!("{}", per_core_rush * peak as f64),
             report.gating.token_delay_cycles.to_string(),
-            pct(report.core_energy_savings_vs(&baseline8)),
-            pct(report.perf_overhead_vs(&baseline8)),
+            pct(report.core_energy_savings_vs(baseline8)),
+            pct(report.perf_overhead_vs(baseline8)),
         ]);
     }
     tokens.push_note(

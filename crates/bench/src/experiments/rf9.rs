@@ -6,7 +6,7 @@
 //! MAPG's grow with the leakage share — the crossover is the figure's
 //! point.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{run_all, PolicyKind};
 use mapg_power::TechnologyParams;
 
 use crate::experiments::base_config;
@@ -15,6 +15,15 @@ use crate::table::{pct, Table};
 
 /// Leakage fractions swept.
 pub const LEAKAGE_FRACTIONS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
+
+/// The baseline, then the schemes compared against it at each fraction.
+const POLICIES: [PolicyKind; 5] = [
+    PolicyKind::NoGating,
+    PolicyKind::ClockGating,
+    PolicyKind::DvfsStall,
+    PolicyKind::Mapg,
+    PolicyKind::MapgOracle,
+];
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -29,20 +38,23 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "mapg_oracle",
         ],
     );
-    for &fraction in &LEAKAGE_FRACTIONS {
-        let tech = TechnologyParams::bulk_45nm().with_leakage_fraction(fraction);
-        let config = base_config(scale).with_tech(tech);
-        let baseline = Simulation::new(config.clone(), PolicyKind::NoGating).run();
+    let runs = LEAKAGE_FRACTIONS
+        .iter()
+        .flat_map(|&fraction| {
+            let tech = TechnologyParams::bulk_45nm().with_leakage_fraction(fraction);
+            let config = base_config(scale).with_tech(tech);
+            POLICIES.map(|policy| (config.clone(), policy))
+        })
+        .collect();
+    let reports = run_all(runs);
+    for (&fraction, reports) in LEAKAGE_FRACTIONS.iter().zip(reports.chunks(POLICIES.len())) {
+        let (baseline, schemes) = reports.split_first().expect("baseline first");
         let mut row = vec![format!("{:.0}%", fraction * 100.0)];
-        for policy in [
-            PolicyKind::ClockGating,
-            PolicyKind::DvfsStall,
-            PolicyKind::Mapg,
-            PolicyKind::MapgOracle,
-        ] {
-            let report = Simulation::new(config.clone(), policy).run();
-            row.push(pct(report.core_energy_savings_vs(&baseline)));
-        }
+        row.extend(
+            schemes
+                .iter()
+                .map(|r| pct(r.core_energy_savings_vs(baseline))),
+        );
         table.push_row(row);
     }
     table.push_note(

@@ -5,7 +5,7 @@
 //! MPKI, memory-stall fraction, miss-latency distribution and DRAM
 //! row-buffer behaviour.
 
-use mapg::{PolicyKind, Simulation};
+use mapg::{PolicyKind, SuiteRunner};
 
 use crate::experiments::{base_config, suite_for};
 use crate::scale::Scale;
@@ -13,7 +13,6 @@ use crate::table::Table;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let suite = suite_for(scale);
     let mut table = Table::new(
         "R-T2",
         "workload characterization (no power management)",
@@ -30,9 +29,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "stalls/Mi",
         ],
     );
-    for profile in suite.iter() {
-        let config = base_config(scale).with_profile(profile.clone());
-        let report = Simulation::new(config, PolicyKind::NoGating).run();
+    let matrix =
+        SuiteRunner::new(suite_for(scale), base_config(scale)).run(&[PolicyKind::NoGating]);
+    for report in matrix.reports() {
         let stalls_per_mi = report.gating.stalls as f64 * 1e6 / report.instructions as f64;
         let core = &report.core_stats[0];
         let share = |cycles: u64| {
@@ -43,7 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             }
         };
         table.push_row(vec![
-            profile.name().to_owned(),
+            report.workload.clone(),
             format!("{:.2}", report.ipc()),
             format!("{:.1}", report.memory.llc_mpki(report.instructions)),
             format!("{:.1}", report.stall_fraction() * 100.0),

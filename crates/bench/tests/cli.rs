@@ -150,8 +150,9 @@ fn duplicate_ids_run_once_with_a_warning() {
 
 #[test]
 fn jobs_do_not_change_stdout_bytes() {
-    // A slice of the registry that exercises SuiteRunner fan-out (rt3),
-    // direct sweeps (rf5) and the token/many-core path (rf8).
+    // A slice of the registry that exercises a suite matrix (rt3), a
+    // parameter sweep (rf5) and the token/many-core path (rf8), each
+    // fanned out as run batches.
     let ids = ["rt3", "rf5", "rf8"];
     let serial = run(&[&["--scale", "smoke", "--csv", "--jobs", "1"][..], &ids].concat());
     let parallel = run(&[&["--scale", "smoke", "--csv", "--jobs", "8"][..], &ids].concat());

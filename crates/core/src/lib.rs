@@ -35,7 +35,7 @@
 //! | policies | [`GatingPolicy`], [`MapgPolicy`], [`NoGating`], [`ClockGating`], [`NaiveOnMiss`], [`TimeoutGating`], [`DvfsStall`], [`PolicyKind`] |
 //! | prediction | [`MissLatencyPredictor`], [`HistoryTablePredictor`], [`EwmaPredictor`], [`LastValuePredictor`], [`StaticPredictor`], [`OraclePredictor`], [`PredictorScore`] |
 //! | mechanism | [`GatingFsm`], [`PgState`], [`TokenManager`], [`Controller`] |
-//! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`RunCache`], [`SuiteRunner`], [`SuiteMatrix`] |
+//! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`RunCache`], [`run_all`], [`SuiteRunner`], [`SuiteMatrix`], [`Replication`] |
 //! | robustness | [`FaultPlan`], [`FaultStats`], [`InvariantReport`], [`Watchdog`], [`DegradationStats`], [`MapgError`] |
 //! | fuzzing | [`fuzz::Scenario`], [`fuzz::Finding`], [`fuzz::ShrinkOutcome`], [`fuzz::ReproFile`] |
 
@@ -77,6 +77,6 @@ pub use predictor::{
 pub use replicate::{MetricSummary, Replication};
 pub use report::{geometric_mean, RunReport};
 pub use sim::{SimConfig, Simulation};
-pub use suite::{SuiteMatrix, SuiteRunner};
+pub use suite::{run_all, SuiteMatrix, SuiteRunner};
 pub use tokens::TokenManager;
 pub use watchdog::{DegradationStats, Watchdog, WatchdogConfig};

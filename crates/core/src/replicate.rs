@@ -4,12 +4,17 @@
 //! workload generator's distribution. Replicating a configuration across
 //! seeds and reporting mean ± deviation separates real policy effects from
 //! generator noise — the hygiene behind experiment R-T4.
+//!
+//! The replicas are one [`run_all`] batch: the seeded configs are built on
+//! the calling thread and fanned out across the caller's worker budget,
+//! and the reports come back in seed order at any job count.
 
 use core::fmt;
 
 use crate::policy::PolicyKind;
 use crate::report::RunReport;
-use crate::sim::{SimConfig, Simulation};
+use crate::sim::SimConfig;
+use crate::suite::run_all;
 
 /// Summary statistics of one scalar metric across replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,20 +114,20 @@ pub struct Replication {
 }
 
 impl Replication {
-    /// Runs `config` under `policy` once per seed (`base_seed + i`).
+    /// Runs `config` under `policy` once per seed (`1_000 + 977·i` for
+    /// replica `i`), as one [`run_all`] batch.
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is zero.
     pub fn run(config: SimConfig, policy: PolicyKind, replicas: usize) -> Self {
         assert!(replicas > 0, "need at least one replica");
-        let reports = (0..replicas)
-            .map(|i| {
-                let seeded = config.clone().with_seed(1_000 + 977 * i as u64);
-                Simulation::new(seeded, policy).run()
-            })
+        let runs = (0..replicas as u64)
+            .map(|i| (config.clone().with_seed(1_000 + 977 * i), policy))
             .collect();
-        Replication { reports }
+        Replication {
+            reports: run_all(runs),
+        }
     }
 
     /// The individual reports (seed order).
@@ -164,6 +169,7 @@ impl Replication {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Simulation;
 
     #[test]
     fn summary_statistics_are_correct() {
@@ -211,6 +217,22 @@ mod tests {
             "coefficient of variation too large: {}",
             cycles.cv()
         );
+    }
+
+    #[test]
+    fn replicas_are_equal_at_any_job_count_and_in_seed_order() {
+        let config = SimConfig::default().with_instructions(10_000);
+        let serial = mapg_pool::with_default_jobs(1, || {
+            Replication::run(config.clone(), PolicyKind::Mapg, 4)
+        });
+        let parallel = mapg_pool::with_default_jobs(4, || {
+            Replication::run(config.clone(), PolicyKind::Mapg, 4)
+        });
+        assert_eq!(serial.reports(), parallel.reports());
+        for (i, report) in parallel.reports().iter().enumerate() {
+            let seeded = config.clone().with_seed(1_000 + 977 * i as u64);
+            assert_eq!(report, &Simulation::new(seeded, PolicyKind::Mapg).run());
+        }
     }
 
     #[test]

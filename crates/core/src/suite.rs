@@ -1,21 +1,60 @@
-//! Suite runner: the workload-suite × policy-set experiment driver shared
-//! by the benches, examples and integration tests.
+//! Batch execution: [`run_all`], the one ordered fan-out every suite,
+//! replication and experiment sweep goes through, and [`SuiteRunner`], the
+//! workload-suite × policy-set driver built on it.
+//!
+//! A batch is a list of `(SimConfig, PolicyKind)` runs. Every simulation is
+//! a seeded pure function of its pair, so the batch's reports are identical
+//! bit-for-bit at any worker count; [`mapg_pool::Pool::map`] returns them in
+//! submission order regardless of completion order.
+//!
+//! Workers run [`Simulation::new`]`(config, policy).run()` and nothing
+//! else. Build every [`SimConfig`] on the calling thread: pool workers do
+//! not inherit the caller's thread-locals (an ambient metrics or event
+//! hub, a `with_default_jobs` override), so a config assembled inside a
+//! worker would silently lose them.
 
 use mapg_pool::Pool;
-use mapg_trace::{WorkloadProfile, WorkloadSuite};
+use mapg_trace::WorkloadSuite;
 
 use crate::policy::PolicyKind;
 use crate::report::{geometric_mean, RunReport};
 use crate::sim::{SimConfig, Simulation};
 
+/// Runs every `(config, policy)` pair on a [`Pool`] sized by
+/// [`mapg_pool::default_jobs`] and returns the reports in submission
+/// order.
+///
+/// The worker count is the caller's: the innermost
+/// [`mapg_pool::with_default_jobs`] override on this thread, else the
+/// host's parallelism. `1` runs the batch inline on the calling thread.
+///
+/// ```
+/// use mapg::{run_all, PolicyKind, SimConfig};
+///
+/// let config = SimConfig::default().with_instructions(20_000);
+/// let reports = run_all(vec![
+///     (config.clone(), PolicyKind::NoGating),
+///     (config, PolicyKind::Mapg),
+/// ]);
+/// assert_eq!(reports[0].policy, "no-gating");
+/// assert_eq!(reports[1].policy, "mapg");
+/// ```
+///
+/// # Panics
+///
+/// Re-raises the first panicking run's payload (an invalid config), after
+/// cancelling the runs not yet started.
+pub fn run_all(runs: Vec<(SimConfig, PolicyKind)>) -> Vec<RunReport> {
+    Pool::with_default_jobs().map(runs, |(config, policy)| {
+        Simulation::new(config, policy).run()
+    })
+}
+
 /// Runs every (profile, policy) combination of a suite and collects the
 /// reports.
 ///
-/// The matrix is fanned out across a work-sharing thread pool
-/// ([`mapg_pool::Pool`]); because every simulation is a seeded pure
-/// function, the matrix is identical bit-for-bit at any job count — the
-/// pool's ordered map keeps reports in (workload-major, policy-minor)
-/// submission order regardless of completion order.
+/// The matrix is one [`run_all`] batch in (workload-major, policy-minor)
+/// order, so it is identical bit-for-bit at any job count.
 ///
 /// ```
 /// use mapg::{PolicyKind, SimConfig, SuiteRunner};
@@ -32,38 +71,12 @@ use crate::sim::{SimConfig, Simulation};
 pub struct SuiteRunner {
     suite: WorkloadSuite,
     base: SimConfig,
-    jobs: Option<usize>,
 }
 
 impl SuiteRunner {
     /// Creates a runner; `base` supplies everything but the profile.
-    ///
-    /// Parallelism defaults to [`mapg_pool::default_jobs`] (available
-    /// parallelism, or the ambient [`mapg_pool::with_default_jobs`]
-    /// override); pin it explicitly with [`with_jobs`](Self::with_jobs).
     pub fn new(suite: WorkloadSuite, base: SimConfig) -> Self {
-        SuiteRunner {
-            suite,
-            base,
-            jobs: None,
-        }
-    }
-
-    /// Pins the worker count used by [`run`](Self::run); `1` forces the
-    /// serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        assert!(jobs > 0, "job count must be at least 1");
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// The worker count [`run`](Self::run) will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(mapg_pool::default_jobs)
+        SuiteRunner { suite, base }
     }
 
     /// The suite being run.
@@ -71,19 +84,20 @@ impl SuiteRunner {
         &self.suite
     }
 
-    /// Runs all combinations, in parallel across [`jobs`](Self::jobs)
-    /// workers.
+    /// Runs all combinations as one [`run_all`] batch.
     pub fn run(&self, policies: &[PolicyKind]) -> SuiteMatrix {
-        let combos: Vec<(WorkloadProfile, PolicyKind)> = self
+        let runs = self
             .suite
             .iter()
-            .flat_map(|profile| policies.iter().map(|&policy| (profile.clone(), policy)))
+            .flat_map(|profile| {
+                policies
+                    .iter()
+                    .map(|&policy| (self.base.clone().with_profile(profile.clone()), policy))
+            })
             .collect();
-        let reports = Pool::new(self.jobs()).map(combos, |(profile, policy)| {
-            let config = self.base.clone().with_profile(profile);
-            Simulation::new(config, policy).run()
-        });
-        SuiteMatrix { reports }
+        SuiteMatrix {
+            reports: run_all(runs),
+        }
     }
 }
 
@@ -214,23 +228,10 @@ mod tests {
             PolicyKind::Mapg,
             PolicyKind::NaiveOnMiss,
         ];
-        let serial = tiny_runner().with_jobs(1).run(&policies);
-        let parallel = tiny_runner().with_jobs(8).run(&policies);
-        assert_eq!(serial.reports(), parallel.reports());
-    }
-
-    #[test]
-    fn ambient_default_jobs_override_is_honoured() {
         let runner = tiny_runner();
-        let pinned = mapg_pool::with_default_jobs(3, || runner.jobs());
-        assert_eq!(pinned, 3);
-        assert_eq!(runner.clone().with_jobs(5).jobs(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_jobs_rejected() {
-        let _ = tiny_runner().with_jobs(0);
+        let serial = mapg_pool::with_default_jobs(1, || runner.run(&policies));
+        let parallel = mapg_pool::with_default_jobs(8, || runner.run(&policies));
+        assert_eq!(serial.reports(), parallel.reports());
     }
 
     #[test]

@@ -33,31 +33,12 @@ proptest! {
             .with_seed(seed);
         let runner = SuiteRunner::new(WorkloadSuite::extremes(), base);
 
-        let serial = runner.clone().with_jobs(1).run(policies);
-        let parallel = runner.with_jobs(jobs).run(policies);
+        let serial = mapg_pool::with_default_jobs(1, || runner.run(policies));
+        let parallel = mapg_pool::with_default_jobs(jobs, || runner.run(policies));
 
         prop_assert_eq!(serial.reports().len(), parallel.reports().len());
         for (s, p) in serial.reports().iter().zip(parallel.reports()) {
             prop_assert_eq!(s, p, "jobs={} diverged from serial", jobs);
         }
-    }
-
-    #[test]
-    fn ambient_jobs_override_matches_serial(
-        seed in any::<u64>(),
-        jobs in 2usize..6,
-    ) {
-        // The thread-local default (what the experiments binary pins per
-        // worker) must behave exactly like the explicit builder.
-        let base = SimConfig::default()
-            .with_instructions(8_000)
-            .with_seed(seed);
-        let runner = SuiteRunner::new(WorkloadSuite::extremes(), base);
-        let policies = [PolicyKind::NoGating, PolicyKind::Mapg];
-
-        let serial = runner.clone().with_jobs(1).run(&policies);
-        let ambient = mapg_pool::with_default_jobs(jobs, || runner.run(&policies));
-
-        prop_assert_eq!(serial.reports(), ambient.reports());
     }
 }

@@ -36,11 +36,11 @@
 //! [`default_jobs`] resolves to [`std::thread::available_parallelism`],
 //! overridable per-thread with [`with_default_jobs`] so a harness (or a
 //! test) can pin the whole call tree beneath it — e.g. the `experiments`
-//! binary pins each experiment's inner [`SuiteRunner`] fan-out to the
+//! binary pins each experiment's inner [`run_all`] batches to the
 //! `--jobs` value, and the determinism tests pin `1` vs `N` without
 //! touching process-global state.
 //!
-//! [`SuiteRunner`]: https://docs.rs/mapg
+//! [`run_all`]: https://docs.rs/mapg
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

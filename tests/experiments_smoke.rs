@@ -5,6 +5,7 @@
 #![deny(unused)]
 
 use mapg_bench::{experiments, Scale};
+use mapg_obs::MetricsHub;
 
 #[test]
 fn every_experiment_produces_populated_tables() {
@@ -48,19 +49,32 @@ fn experiment_registry_round_trips_through_cli_style_lookup() {
     }
 }
 
-/// Two real computations in one process must agree. Experiment runs are
-/// memoized process-wide, so both passes switch the memo off; otherwise
-/// the second pass (and, after the test above, the first) would only
-/// replay cached reports.
+/// Two real computations in one process must agree, at one worker and at
+/// two. Experiment runs are memoized process-wide, so both passes switch
+/// the memo off; otherwise the second pass (and, after the test above, the
+/// first) would only replay cached reports. Both passes also collect their
+/// metrics into an ambient hub: pool workers inherit neither the hub nor
+/// the memo switch, so a config built on a worker instead of the calling
+/// thread loses its metrics and the two snapshots differ.
 #[test]
 fn experiments_are_deterministic() {
-    for id in ["R-T2", "R-F1", "R-F9"] {
-        let experiment = experiments::find(id).expect("registered");
-        let a = experiments::without_run_cache(|| (experiment.run)(Scale::Smoke));
-        let b = experiments::without_run_cache(|| (experiment.run)(Scale::Smoke));
-        assert_eq!(a.len(), b.len(), "{id}");
-        for (ta, tb) in a.iter().zip(&b) {
-            assert_eq!(ta, tb, "{id}: tables differ between runs");
-        }
+    let pass = |experiment: &experiments::Experiment, jobs| {
+        let hub = MetricsHub::new();
+        let tables = mapg_pool::with_default_jobs(jobs, || {
+            experiments::without_run_cache(|| {
+                mapg_obs::with_ambient_hub(hub.clone(), || (experiment.run)(Scale::Smoke))
+            })
+        });
+        (tables, hub.snapshot())
+    };
+    for experiment in experiments::all() {
+        let id = experiment.id;
+        let (serial, serial_metrics) = pass(&experiment, 1);
+        let (parallel, parallel_metrics) = pass(&experiment, 2);
+        assert_eq!(serial, parallel, "{id}: tables differ between job counts");
+        assert_eq!(
+            serial_metrics, parallel_metrics,
+            "{id}: metrics differ between job counts"
+        );
     }
 }

@@ -21,12 +21,9 @@ fn observed_base() -> SimConfig {
 #[test]
 fn suite_traces_are_byte_identical_across_job_counts() {
     let policies = [PolicyKind::Mapg, PolicyKind::NaiveOnMiss];
-    let serial = SuiteRunner::new(WorkloadSuite::extremes(), observed_base())
-        .with_jobs(1)
-        .run(&policies);
-    let parallel = SuiteRunner::new(WorkloadSuite::extremes(), observed_base())
-        .with_jobs(4)
-        .run(&policies);
+    let runner = SuiteRunner::new(WorkloadSuite::extremes(), observed_base());
+    let serial = mapg_pool::with_default_jobs(1, || runner.run(&policies));
+    let parallel = mapg_pool::with_default_jobs(4, || runner.run(&policies));
     assert_eq!(serial.reports().len(), parallel.reports().len());
     for (a, b) in serial.reports().iter().zip(parallel.reports()) {
         let ta = a.trace.as_ref().expect("trace requested").to_chrome_trace();
@@ -44,9 +41,8 @@ fn suite_traces_are_byte_identical_across_job_counts() {
 
 #[test]
 fn suite_traces_reconcile_with_their_reports() {
-    let matrix = SuiteRunner::new(WorkloadSuite::extremes(), observed_base())
-        .with_jobs(4)
-        .run(&[PolicyKind::Mapg]);
+    let runner = SuiteRunner::new(WorkloadSuite::extremes(), observed_base());
+    let matrix = mapg_pool::with_default_jobs(4, || runner.run(&[PolicyKind::Mapg]));
     for report in matrix.reports() {
         let trace = report.trace.as_ref().expect("trace requested");
         assert_eq!(trace.dropped(), 0, "ring wrapped at this scale");
