@@ -19,8 +19,9 @@ use mapg::{PolicyKind, SimConfig, Simulation, TokenManager};
 use mapg_obs::{EventKind, ObsHandle, Scope};
 use mapg_units::{Cycle, Cycles};
 
-/// A dozen of the metric names a MAPG run updates, as the (counter,
-/// histogram) pairs their sites update together.
+/// A dozen of the metric names a MAPG run's registry holds, as (counter,
+/// histogram) pairs. A run renders some of them once, from its report
+/// (DESIGN §8.2); the cell times the registry's per-name update path.
 const NAMES: [(&str, &str); 6] = [
     ("core_stalls", "stall_length"),
     ("llc_misses", "miss_latency"),

@@ -591,7 +591,6 @@ impl Controller {
             gate_at.saturating_since(info.start),
         );
         self.stats.gated += 1;
-        self.obs.count("gates", 1);
         let mut wake_failed = wake.faulted;
         let wake_done = self.close_sleep(info.core, gate_at, entry_done, &wake);
 
@@ -614,7 +613,6 @@ impl Controller {
             // move R-F16 — and is a metamorphic-check candidate.
             let nap = self.open_wake(info.core, nap_entry_done, info.data_ready);
             self.stats.regates += 1;
-            self.obs.count("regates", 1);
             wake_failed |= nap.faulted;
             last_wake_done = self.close_sleep(info.core, wake_done, nap_entry_done, &nap);
         }

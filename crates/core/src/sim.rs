@@ -1,16 +1,16 @@
 //! The full-system simulation: workload → cores → hierarchy → controller →
 //! energy ledger → report.
 
-use mapg_cpu::{Cluster, CoreConfig};
-use mapg_mem::HierarchyConfig;
-use mapg_obs::{EventHub, MetricsHub, ObsHandle};
+use mapg_cpu::{Cluster, ClusterStats, CoreConfig};
+use mapg_mem::{HierarchyConfig, LatencyHistogram};
+use mapg_obs::{EventHub, MetricsHub, MetricsRegistry, ObsHandle};
 use mapg_power::{
     DramEnergyModel, EnergyCategory, PgCircuitDesign, RetentionStyle, TechnologyParams,
 };
 use mapg_trace::{EventSource, RecordedTrace, SyntheticWorkload, WorkloadProfile};
 use mapg_units::{Cycle, Cycles};
 
-use crate::controller::{Controller, ControllerConfig};
+use crate::controller::{Controller, ControllerConfig, GatingStats};
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
@@ -519,7 +519,7 @@ fn drive_cluster<S: EventSource>(
     obs: &ObsHandle,
     controller: &mut Controller,
     instructions_per_core: u64,
-) -> Result<mapg_cpu::ClusterStats, MapgError> {
+) -> Result<ClusterStats, MapgError> {
     if reference {
         let mut cluster = mapg_cpu::ReferenceCluster::try_new(core, memory, sources)?;
         cluster.set_obs(obs.clone());
@@ -530,6 +530,47 @@ fn drive_cluster<S: EventSource>(
         cluster.set_obs(obs.clone());
         cluster.try_run(instructions_per_core, controller)?;
         Ok(cluster.stats())
+    }
+}
+
+/// Renders the metrics a run's statistics already hold, once, at the end
+/// of the run: the stall, LLC-miss, DRAM and gating counts, and the
+/// stall-length and miss-latency histograms (copied exactly; see
+/// [`mapg_mem::LatencyHistogram`]). They reconcile with the report by
+/// construction. As when they were counted per event, each appears only
+/// when the run touched it.
+fn record_report_metrics(
+    metrics: &mut MetricsRegistry,
+    cluster: &ClusterStats,
+    gating: &GatingStats,
+) {
+    let mut stall_length = LatencyHistogram::new();
+    for core in &cluster.per_core {
+        stall_length.merge(&core.stall_durations);
+    }
+    let memory = &cluster.memory;
+    for (name, count) in [
+        (
+            "core_stalls",
+            cluster.per_core.iter().map(|c| c.stall_count).sum(),
+        ),
+        ("llc_misses", memory.miss_latency.count()),
+        ("dram_accesses", memory.dram.accesses()),
+        ("dram_fault_spikes", memory.dram.fault_spikes),
+        ("gates", gating.gated),
+        ("regates", gating.regates),
+    ] {
+        if count > 0 {
+            metrics.count(name, count);
+        }
+    }
+    for (name, histogram) in [
+        ("stall_length", &stall_length),
+        ("miss_latency", &memory.miss_latency),
+    ] {
+        if histogram.count() > 0 {
+            metrics.merge_histogram(name, histogram.histogram());
+        }
     }
 }
 
@@ -784,13 +825,15 @@ impl Simulation {
             }
         }
 
-        let (trace, metrics) = obs.take();
+        let (trace, mut metrics) = obs.take();
+        if let Some(metrics) = &mut metrics {
+            record_report_metrics(metrics, &cluster_stats, controller.stats());
+        }
         if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &metrics) {
             hub.merge(metrics);
         }
         if let (Some(feed), Some(trace)) = (&config.event_hub, &trace) {
-            let records: Vec<_> = trace.iter().copied().collect();
-            feed.publish(&records);
+            feed.publish(trace.iter());
         }
 
         Ok(RunReport {

@@ -1,4 +1,5 @@
-//! Pins the gated-sleep path byte for byte.
+//! Pins the gated-sleep path and the observability artifacts byte for
+//! byte.
 //!
 //! One small run drives every branch of the controller's sleep: the
 //! primary gate and the nap re-gate, token denials and dropped grants,
@@ -6,10 +7,15 @@
 //! Its Chrome trace and metrics JSON are compared against committed
 //! digests, so a refactor of that path that reorders an emit, an RNG draw
 //! or an energy add shows up here before it reaches a golden.
+//!
+//! Two more runs pin what that run leaves out: a trace ring small enough
+//! to wrap, and the metrics of a run whose DRAM traffic also comes from
+//! prefetches, writebacks and injected latency spikes.
 
 #![deny(unused)]
 
 use mapg::{FaultPlan, PolicyKind, SimConfig, Simulation};
+use mapg_mem::HierarchyConfig;
 use mapg_obs::{EventKind, FaultKind};
 use mapg_trace::WorkloadSuite;
 
@@ -74,6 +80,71 @@ fn faulty_gated_path_trace_and_metrics_are_pinned() {
     assert_eq!(
         (metrics_json.len(), fnv1a(metrics_json.as_bytes())),
         (1_519, 8_876_904_560_411_650_792),
+        "metrics JSON bytes moved"
+    );
+}
+
+#[test]
+fn wrapped_trace_ring_is_pinned() {
+    let config = SimConfig::default()
+        .with_cores(2)
+        .with_instructions(20_000)
+        .with_tokens(1)
+        .with_trace_capacity(500)
+        .with_metrics();
+    let report = Simulation::new(config, PolicyKind::Mapg).run();
+    let trace = report.trace.as_ref().expect("trace was requested");
+    let metrics = report.metrics.as_ref().expect("metrics were requested");
+    assert!(trace.dropped() > 0, "the ring must wrap");
+    assert_eq!(
+        (trace.len(), trace.dropped()),
+        (500, 15_544),
+        "ring occupancy"
+    );
+    let chrome = trace.to_chrome_trace();
+    assert_eq!(
+        (chrome.len(), fnv1a(chrome.as_bytes())),
+        (42_055, 4_523_945_141_310_701_080),
+        "wrapped Chrome trace bytes moved"
+    );
+    // A fault-free run never spikes: the metric must be absent, not 0.
+    let metrics_json = metrics.to_json();
+    assert!(
+        !metrics_json.contains("dram_fault_spikes"),
+        "{metrics_json}"
+    );
+    assert_eq!(
+        (metrics_json.len(), fnv1a(metrics_json.as_bytes())),
+        (1_355, 17_414_261_707_635_881_733),
+        "metrics JSON bytes moved"
+    );
+}
+
+#[test]
+fn prefetch_writeback_and_spike_metrics_are_pinned() {
+    let config = SimConfig::default()
+        .with_cores(4)
+        .with_instructions(20_000)
+        .with_memory(HierarchyConfig::with_stream_prefetcher())
+        .with_fault_plan(FaultPlan::moderate())
+        .with_metrics();
+    let report = Simulation::new(config, PolicyKind::Mapg).run();
+    let metrics = report.metrics.as_ref().expect("metrics were requested");
+    let memory = &report.memory;
+    assert!(
+        memory.prefetch.issued > 0,
+        "no prefetches in the pinned run"
+    );
+    assert!(memory.dram.writes > 0, "no writebacks in the pinned run");
+    assert!(memory.dram.fault_spikes > 0, "no spikes in the pinned run");
+    assert!(
+        memory.dram.accesses() > memory.miss_latency.count(),
+        "DRAM traffic beyond demand misses"
+    );
+    let metrics_json = metrics.to_json();
+    assert_eq!(
+        (metrics_json.len(), fnv1a(metrics_json.as_bytes())),
+        (1_306, 14_982_622_367_486_477_383),
         "metrics JSON bytes moved"
     );
 }

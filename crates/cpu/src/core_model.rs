@@ -192,8 +192,8 @@ impl<S: EventSource> Core<S> {
         }
     }
 
-    /// Attaches an observability handle; stall begin/end events and
-    /// stall-length metrics flow through it from now on.
+    /// Attaches an observability handle; stall begin/end events flow
+    /// through it from now on.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
@@ -412,9 +412,6 @@ impl<S: EventSource> Core<S> {
         };
         let scope = Scope::Core(self.id.0 as u32);
         self.obs.emit(self.now.raw(), scope, EventKind::StallBegin);
-        self.obs.count("core_stalls", 1);
-        self.obs
-            .observe("stall_length", info.natural_duration().raw());
         let resume = handler.on_stall(&info);
         debug_assert!(
             resume >= data_ready,

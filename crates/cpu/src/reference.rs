@@ -146,9 +146,6 @@ impl<S: EventSource> ReferenceCore<S> {
         };
         let scope = Scope::Core(self.id.0 as u32);
         self.obs.emit(self.now.raw(), scope, EventKind::StallBegin);
-        self.obs.count("core_stalls", 1);
-        self.obs
-            .observe("stall_length", info.natural_duration().raw());
         let resume = handler.on_stall(&info);
         debug_assert!(
             resume >= data_ready,

@@ -344,8 +344,8 @@ impl Dram {
         }
     }
 
-    /// Attaches an observability handle; access counters and injected
-    /// latency-spike events (per-bank scope) flow through it.
+    /// Attaches an observability handle; injected latency-spike events
+    /// (per-bank scope) flow through it.
     pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
         self.obs = obs;
     }
@@ -395,9 +395,7 @@ impl Dram {
                 mapg_obs::Scope::Bank(bank_index as u32),
                 mapg_obs::EventKind::FaultInjected(mapg_obs::FaultKind::DramSpike),
             );
-            self.obs.count("dram_fault_spikes", 1);
         }
-        self.obs.count("dram_accesses", 1);
 
         // Data leaves the array, then must win the shared channel.
         let data_ready = start + array_latency;

@@ -157,7 +157,6 @@ pub struct MemoryHierarchy {
     next_prefetch_ready: Cycle,
     miss_latency: LatencyHistogram,
     mshr_stalls: u64,
-    obs: mapg_obs::ObsHandle,
 }
 
 impl MemoryHierarchy {
@@ -179,7 +178,6 @@ impl MemoryHierarchy {
             miss_latency: LatencyHistogram::new(),
             mshr_stalls: 0,
             config,
-            obs: mapg_obs::ObsHandle::disabled(),
         }
     }
 
@@ -196,11 +194,11 @@ impl MemoryHierarchy {
         &self.config
     }
 
-    /// Attaches an observability handle to the hierarchy and its DRAM:
-    /// LLC-miss metrics and per-bank fault events flow through it.
+    /// Attaches an observability handle to the hierarchy's DRAM: per-bank
+    /// fault events flow through it. LLC-miss and DRAM counts live in
+    /// [`HierarchyStats`], which the run renders as metrics once.
     pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
-        self.dram.set_obs(obs.clone());
-        self.obs = obs;
+        self.dram.set_obs(obs);
     }
 
     /// Serves one reference issued at `now`.
@@ -290,9 +288,6 @@ impl MemoryHierarchy {
                     self.mshrs.commit(line, completion);
                     self.miss_latency
                         .record(completion.saturating_since(issued));
-                    self.obs.count("llc_misses", 1);
-                    self.obs
-                        .observe("miss_latency", completion.saturating_since(issued).raw());
                     self.issue_prefetches(line, completion);
                     return AccessResponse {
                         completion,

@@ -244,9 +244,7 @@ impl RefDram {
                 mapg_obs::Scope::Bank(bank_index as u32),
                 mapg_obs::EventKind::FaultInjected(mapg_obs::FaultKind::DramSpike),
             );
-            self.obs.count("dram_fault_spikes", 1);
         }
-        self.obs.count("dram_accesses", 1);
 
         let data_ready = start + array_latency;
         let burst_start = data_ready.max(self.bus_free);
@@ -362,7 +360,7 @@ impl RefMshr {
 /// The seed L1 → L2 → MSHR → DRAM hierarchy, frozen.
 ///
 /// Construction mirrors [`MemoryHierarchy::new`](crate::MemoryHierarchy);
-/// the access path, statistics and observability emissions are the seed
+/// the access path, statistics and trace emissions are the seed
 /// implementation verbatim, so a run against this hierarchy must produce
 /// exactly the counters a run against the optimized one does.
 #[derive(Debug, Clone)]
@@ -376,7 +374,6 @@ pub struct ReferenceHierarchy {
     pending_prefetches: Vec<(Cycle, u64)>,
     miss_latency: LatencyHistogram,
     mshr_stalls: u64,
-    obs: mapg_obs::ObsHandle,
 }
 
 impl ReferenceHierarchy {
@@ -402,14 +399,12 @@ impl ReferenceHierarchy {
             miss_latency: LatencyHistogram::new(),
             mshr_stalls: 0,
             config,
-            obs: mapg_obs::ObsHandle::disabled(),
         }
     }
 
     /// Attaches an observability handle (same wiring as the live stack).
     pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
-        self.dram.set_obs(obs.clone());
-        self.obs = obs;
+        self.dram.set_obs(obs);
     }
 
     /// Serves one reference issued at `now` — the seed access path.
@@ -484,9 +479,6 @@ impl ReferenceHierarchy {
                     self.mshrs.commit(line, completion);
                     self.miss_latency
                         .record(completion.saturating_since(issued));
-                    self.obs.count("llc_misses", 1);
-                    self.obs
-                        .observe("miss_latency", completion.saturating_since(issued).raw());
                     self.issue_prefetches(line, completion);
                     return AccessResponse {
                         completion,

@@ -1,5 +1,6 @@
 //! Latency distribution bookkeeping.
 
+use mapg_obs::Histogram;
 use mapg_units::Cycles;
 
 use core::fmt;
@@ -11,6 +12,10 @@ use core::fmt;
 /// every DRAM-serviced latency here. Power-of-two buckets give ~1 bit of
 /// relative precision, plenty for the "how much of the mass is above the
 /// break-even time" questions the experiments ask.
+///
+/// The storage is a [`mapg_obs::Histogram`] — 65 buckets spanning every
+/// `u64`, saturating sum — so a run renders its `stall_length` and
+/// `miss_latency` metrics by copying these histograms exactly.
 ///
 /// ```
 /// use mapg_mem::LatencyHistogram;
@@ -25,68 +30,37 @@ use core::fmt;
 /// assert!(h.percentile(0.95) >= Cycles::new(256));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// `buckets[i]` counts samples in `[2^(i-1), 2^i)`; `buckets[0]` counts
-    /// zero-latency samples.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
+pub struct LatencyHistogram(Histogram);
 
 impl LatencyHistogram {
-    const BUCKETS: usize = 33;
-
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        LatencyHistogram(Histogram::new())
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Cycles) {
-        let raw = latency.raw();
-        let index = if raw == 0 {
-            0
-        } else {
-            (64 - raw.leading_zeros()) as usize
-        };
-        let index = index.min(Self::BUCKETS - 1);
-        self.buckets[index] += 1;
-        self.count += 1;
-        self.sum += raw;
-        self.min = self.min.min(raw);
-        self.max = self.max.max(raw);
+        self.0.record(latency.raw());
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Exact mean latency (zero when empty).
     pub fn mean(&self) -> Cycles {
-        Cycles::new(self.sum.checked_div(self.count).unwrap_or(0))
+        Cycles::new(self.0.sum().checked_div(self.0.count()).unwrap_or(0))
     }
 
     /// Smallest recorded sample (zero when empty).
     pub fn min(&self) -> Cycles {
-        if self.count == 0 {
-            Cycles::ZERO
-        } else {
-            Cycles::new(self.min)
-        }
+        Cycles::new(self.0.min())
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Cycles {
-        Cycles::new(self.max)
+        Cycles::new(self.0.max())
     }
 
     /// Approximate `q`-quantile (bucket upper bound containing the
@@ -97,47 +71,50 @@ impl LatencyHistogram {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> Cycles {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
+        if self.count() == 0 {
             return Cycles::ZERO;
         }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
+        let target = (q * self.count() as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (index, &n) in self.buckets.iter().enumerate() {
+        for (index, &n) in self.0.bucket_counts().iter().enumerate() {
             seen += n;
             if seen >= target {
-                let upper = if index == 0 { 0 } else { 1u64 << index };
-                return Cycles::new(upper.min(self.max));
+                let upper = if index == 0 {
+                    0
+                } else {
+                    1u64.checked_shl(index as u32).unwrap_or(u64::MAX)
+                };
+                return Cycles::new(upper.min(self.0.max()));
             }
         }
-        Cycles::new(self.max)
+        self.max()
     }
 
     /// Fraction of samples strictly greater than `threshold`, computed
     /// exactly at bucket granularity (conservative: a bucket straddling the
     /// threshold counts as above only if its lower bound is above).
     pub fn fraction_above(&self, threshold: Cycles) -> f64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             return 0.0;
         }
         let mut above = 0;
-        for (index, &n) in self.buckets.iter().enumerate() {
+        for (index, &n) in self.0.bucket_counts().iter().enumerate() {
             let lower = if index == 0 { 0 } else { 1u64 << (index - 1) };
             if lower > threshold.raw() {
                 above += n;
             }
         }
-        above as f64 / self.count as f64
+        above as f64 / self.count() as f64
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.0.merge(&other.0);
+    }
+
+    /// The underlying observability histogram.
+    pub fn histogram(&self) -> &Histogram {
+        &self.0
     }
 }
 
@@ -152,7 +129,7 @@ impl fmt::Display for LatencyHistogram {
         write!(
             f,
             "n={} mean={} p95={} max={}",
-            self.count,
+            self.count(),
             self.mean(),
             self.percentile(0.95),
             self.max()
@@ -237,6 +214,23 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn bad_quantile_rejected() {
         let _ = LatencyHistogram::new().percentile(1.5);
+    }
+
+    #[test]
+    fn samples_past_32_bits_keep_their_buckets() {
+        let samples = [0, 100, 1 << 32, 1 << 40, u64::MAX, u64::MAX];
+        let mut h = LatencyHistogram::new();
+        let mut exact = Histogram::new();
+        for v in samples {
+            h.record(Cycles::new(v));
+            exact.record(v);
+        }
+        assert_eq!(h.histogram(), &exact);
+        assert_eq!(exact.sum(), u64::MAX, "the sum saturates");
+        assert_eq!(h.percentile(0.3), Cycles::new(128));
+        assert_eq!(h.percentile(0.5), Cycles::new(1 << 33));
+        assert_eq!(h.percentile(1.0), Cycles::new(u64::MAX));
+        assert!((h.fraction_above(Cycles::new(1 << 35)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

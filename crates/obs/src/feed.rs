@@ -107,17 +107,16 @@ impl EventHub {
     /// Publishes `records` in order, evicting the oldest retained
     /// records beyond capacity, and wakes blocked consumers. Publishing
     /// to a closed feed is a no-op (the batch is counted as evicted so
-    /// totals stay honest).
-    pub fn publish(&self, records: &[TraceRecord]) {
-        if records.is_empty() {
-            return;
-        }
+    /// totals stay honest). Taking an iterator lets a run publish
+    /// straight from its [`TraceBuffer`](crate::TraceBuffer), without
+    /// first copying the whole trace.
+    pub fn publish(&self, records: impl IntoIterator<Item = TraceRecord>) {
         let mut state = self.lock();
         if state.closed {
-            state.evicted += records.len() as u64;
+            state.evicted += records.into_iter().count() as u64;
             return;
         }
-        for &record in records {
+        for record in records {
             if state.buf.len() == self.inner.capacity {
                 state.buf.pop_front();
                 state.start_seq += 1;
@@ -233,14 +232,14 @@ mod tests {
     #[test]
     fn records_flow_in_order_with_resumable_cursors() {
         let hub = EventHub::new(16);
-        hub.publish(&[rec(1), rec(2)]);
+        hub.publish([rec(1), rec(2)]);
         let first = hub.poll(0);
         assert_eq!(first.records, vec![rec(1), rec(2)]);
         assert_eq!(first.next_cursor, 2);
         assert_eq!(first.missed, 0);
         assert!(!first.closed);
 
-        hub.publish(&[rec(3)]);
+        hub.publish([rec(3)]);
         let second = hub.poll(first.next_cursor);
         assert_eq!(second.records, vec![rec(3)]);
         assert_eq!(second.next_cursor, 3);
@@ -254,7 +253,7 @@ mod tests {
     fn eviction_is_counted_not_silent() {
         let hub = EventHub::new(4);
         let all: Vec<TraceRecord> = (0..10).map(rec).collect();
-        hub.publish(&all);
+        hub.publish(all.iter().copied());
         assert_eq!(hub.evicted(), 6);
         let batch = hub.poll(0);
         assert_eq!(batch.missed, 6, "lost records must be reported");
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn close_terminates_only_after_drain() {
         let hub = EventHub::new(8);
-        hub.publish(&[rec(1)]);
+        hub.publish([rec(1)]);
         hub.close();
         assert!(hub.is_closed());
         let undrained = hub.poll(0);
@@ -276,7 +275,7 @@ mod tests {
             "a batch reaching the end of a closed feed is terminal"
         );
         let behind = EventHub::new(8);
-        behind.publish(&[rec(1), rec(2)]);
+        behind.publish([rec(1), rec(2)]);
         behind.close();
         let partial = FeedBatch {
             records: vec![rec(1)],
@@ -290,7 +289,7 @@ mod tests {
         assert!(behind.poll(1).closed);
         assert!(!partial.closed);
         // Publishing after close is dropped but counted.
-        behind.publish(&[rec(9)]);
+        behind.publish([rec(9)]);
         assert_eq!(behind.published(), 2);
         assert_eq!(behind.evicted(), 1);
     }
@@ -303,7 +302,7 @@ mod tests {
             let waiter = scope.spawn(|| hub.wait(0, Duration::from_secs(30)));
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                publisher.publish(&[rec(7)]);
+                publisher.publish([rec(7)]);
             });
             waiter.join().unwrap()
         });
@@ -333,7 +332,7 @@ mod tests {
         let hub = EventHub::new(8);
         with_ambient_event_hub(hub.clone(), || {
             let seen = ambient_event_hub().expect("ambient event hub visible");
-            seen.publish(&[rec(1)]);
+            seen.publish([rec(1)]);
         });
         assert!(ambient_event_hub().is_none());
         assert_eq!(hub.published(), 1);

@@ -9,7 +9,8 @@
 //! - **Event trace** ([`TraceBuffer`]): a bounded ring buffer of typed
 //!   [`TraceRecord`]s (stall begin/end, sleep enter/exit, wake start/done,
 //!   token grant/deny, safe-mode enter/exit, fault injections) with cycle
-//!   timestamps and core/bank scopes, exportable as Chrome `trace_event`
+//!   timestamps and core/bank scopes, packed 16 bytes a record,
+//!   exportable as Chrome `trace_event`
 //!   JSON (loadable in Perfetto / `chrome://tracing`), and its sleep
 //!   records as a per-core power-state waveform
 //!   ([`TraceBuffer::to_vcd`]).

@@ -8,13 +8,18 @@ use std::sync::{Arc, Mutex};
 const BUCKETS: usize = 65;
 
 /// A power-of-two-bucket histogram over `u64` samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The bucket vector reaches only as far as the highest bucket a sample
+/// fell into, so a histogram of cycle latencies stays a few words long;
+/// that length is a function of the samples alone, so equal sample sets
+/// still compare equal.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
-    buckets: [u64; BUCKETS],
+    buckets: Vec<u64>,
 }
 
 impl Histogram {
@@ -25,7 +30,7 @@ impl Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: [0; BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -35,7 +40,11 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[bucket_index(value)] += 1;
+        let index = bucket_index(value);
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        self.buckets[index] += 1;
     }
 
     /// Number of samples recorded.
@@ -71,12 +80,21 @@ impl Histogram {
         }
     }
 
+    /// Sample counts by bucket index, up to the highest non-empty bucket:
+    /// index 0 holds zeros, index `i ≥ 1` holds `[2^(i-1), 2^i)`.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.buckets
+    }
+
     /// Folds another histogram into this one. Commutative and associative.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine += theirs;
         }
@@ -107,6 +125,22 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
+    }
+}
+
+/// Renders every one of the 65 buckets, as the fixed-size array this
+/// storage replaced did.
+impl std::fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut buckets = [0u64; BUCKETS];
+        buckets[..self.buckets.len()].copy_from_slice(&self.buckets);
+        f.debug_struct("Histogram")
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("buckets", &buckets)
+            .finish()
     }
 }
 
@@ -234,6 +268,11 @@ impl MetricsRegistry {
     /// Records one sample into the named histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).record(value);
+    }
+
+    /// Folds `histogram` into the named histogram, creating it if absent.
+    pub fn merge_histogram(&mut self, name: &'static str, histogram: &Histogram) {
+        self.histograms.entry(name).merge(histogram);
     }
 
     /// Current value of a counter (0 when never incremented).
