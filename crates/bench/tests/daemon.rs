@@ -399,3 +399,38 @@ fn streamed_events_reconcile_with_final_metrics() {
     );
     stop(daemon, &client);
 }
+
+/// Pins the rendered event lines of one job's `stream` (and its end
+/// line) by FNV-1a digest. One runner with one worker publishes the
+/// job's runs in order into a roomy feed, so the wire bytes are a pure
+/// function of the experiment.
+#[test]
+fn streamed_event_lines_are_pinned() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (daemon, client) = start(DaemonConfig {
+        max_jobs: 1,
+        workers_total: 1,
+        feed_capacity: 1 << 22,
+        ..DaemonConfig::default()
+    });
+    let job = client.submit("a", "R-F5", "smoke", "csv", 0).unwrap();
+    let mut wire = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    writeln!(wire, "{{\"op\": \"stream\", \"id\": {job}, \"from\": 0}}").expect("request");
+    let mut lines = BufReader::new(wire).lines();
+    let header = lines.next().expect("header").expect("read header");
+    assert!(header.contains("\"stream\": true"), "header: {header}");
+    let (mut events, mut rendered) = (0u64, String::new());
+    for line in lines {
+        let line = line.expect("read line");
+        rendered.push_str(&line);
+        rendered.push('\n');
+        if line.contains("\"stream_end\"") {
+            break;
+        }
+        events += 1;
+    }
+    let digest = mapg_bench::fnv1a64(rendered.as_bytes());
+    assert_eq!((events, digest), (108_222, 0x6a80_4283_84b9_ab78));
+    stop(daemon, &client);
+}

@@ -7,8 +7,6 @@
 //! estimate, last value, exponential average, PC-indexed history — is
 //! implemented here and compared in experiment R-F7.
 
-use std::collections::HashMap;
-
 use mapg_cpu::StallInfo;
 use mapg_units::Cycles;
 
@@ -140,9 +138,16 @@ impl MissLatencyPredictor for EwmaPredictor {
 /// PC-indexed table of EWMAs: stalls caused by different load instructions
 /// (different traversal patterns) learn independently. This is the
 /// predictor MAPG's policy uses.
+///
+/// The table is open-addressed with linear probing over a fixed,
+/// power-of-two number of buckets at least twice its capacity, indexed by
+/// a multiplicative hash of the PC, so lookups are deterministic and need
+/// no hasher state. Entries are inserted until the table is full and
+/// never replaced or removed.
 #[derive(Debug, Clone)]
 pub struct HistoryTablePredictor {
-    table: HashMap<u64, EwmaPredictor>,
+    buckets: Box<[Option<(u64, EwmaPredictor)>]>,
+    entries: usize,
     default_estimate: Cycles,
     alpha_x16: u64,
     capacity: usize,
@@ -162,8 +167,10 @@ impl HistoryTablePredictor {
             (1..=16).contains(&alpha_x16),
             "alpha_x16 must be in 1..=16, got {alpha_x16}"
         );
+        let buckets = (2 * capacity).next_power_of_two();
         HistoryTablePredictor {
-            table: HashMap::new(),
+            buckets: vec![None; buckets].into_boxed_slice(),
+            entries: 0,
             default_estimate,
             alpha_x16,
             capacity,
@@ -178,27 +185,45 @@ impl HistoryTablePredictor {
 
     /// Current number of tracked PCs.
     pub fn entries(&self) -> usize {
-        self.table.len()
+        self.entries
+    }
+
+    /// The bucket holding `pc`, or the free bucket its probe ends at (the
+    /// table is at most half full, so one exists).
+    fn bucket(&self, pc: u64) -> usize {
+        let mask = self.buckets.len() - 1;
+        // Fibonacci hashing: the top bits of the product.
+        let hash = pc.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut index = (hash >> (64 - self.buckets.len().trailing_zeros())) as usize;
+        while let Some((tracked, _)) = self.buckets[index] {
+            if tracked == pc {
+                break;
+            }
+            index = (index + 1) & mask;
+        }
+        index
     }
 }
 
 impl MissLatencyPredictor for HistoryTablePredictor {
     fn predict(&mut self, info: &StallInfo) -> Cycles {
-        match self.table.get_mut(&info.pc) {
-            Some(entry) => entry.predict(info),
+        match &mut self.buckets[self.bucket(info.pc)] {
+            Some((_, entry)) => entry.predict(info),
             None => self.default_estimate,
         }
     }
 
     fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        if let Some(entry) = self.table.get_mut(&info.pc) {
+        let index = self.bucket(info.pc);
+        if let Some((_, entry)) = &mut self.buckets[index] {
             entry.fold(actual);
             return;
         }
-        if self.table.len() < self.capacity {
+        if self.entries < self.capacity {
             let mut entry = EwmaPredictor::new(self.default_estimate, self.alpha_x16);
             entry.fold(actual);
-            self.table.insert(info.pc, entry);
+            self.buckets[index] = Some((info.pc, entry));
+            self.entries += 1;
         }
         // Table full and PC untracked: drop the sample (no replacement
         // policy, like a direct-mapped untagged table would alias — the
@@ -330,9 +355,13 @@ impl fmt::Display for PredictorScore {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::BTreeMap;
+
     use mapg_cpu::{CoreId, StallCause};
     use mapg_units::Cycle;
+    use proptest::prelude::*;
+
+    use super::*;
 
     fn info(pc: u64, duration: u64) -> StallInfo {
         StallInfo {
@@ -425,6 +454,37 @@ mod tests {
         assert_eq!(p.entries(), 4);
         // Untracked PCs fall back to the default.
         assert_eq!(p.predict(&info(99, 0)), Cycles::new(200));
+    }
+
+    proptest! {
+        /// The table keeps a map's rule: a PC gets an entry on its first
+        /// sample while the table has room, and keeps it; every other PC
+        /// predicts the default.
+        #[test]
+        fn history_table_matches_a_map_model(
+            capacity in 1usize..12,
+            samples in prop::collection::vec((0u64..40, 1u64..1_000), 0..300),
+        ) {
+            let mut table = HistoryTablePredictor::new(Cycles::new(200), 4, capacity);
+            let mut model: BTreeMap<u64, EwmaPredictor> = BTreeMap::new();
+            for (pc, actual) in samples {
+                // Spread the PCs like the synthetic ones: 4-byte strides
+                // in a few distant classes.
+                let pc = 0x40_0000 + (pc % 3) * 0x1_0000 + pc * 4;
+                let stall = info(pc, 0);
+                let expected = model.get_mut(&pc).map_or(Cycles::new(200), |e| e.predict(&stall));
+                prop_assert_eq!(table.predict(&stall), expected);
+                table.observe(&stall, Cycles::new(actual));
+                if let Some(entry) = model.get_mut(&pc) {
+                    entry.fold(Cycles::new(actual));
+                } else if model.len() < capacity {
+                    let mut entry = EwmaPredictor::new(Cycles::new(200), 4);
+                    entry.fold(Cycles::new(actual));
+                    model.insert(pc, entry);
+                }
+                prop_assert_eq!(table.entries(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   cursor (the next sequence they want) and get back the batch plus
 //!   the cursor to resume from — stateless on the hub side, so a slow
 //!   or disconnected consumer costs nothing.
-//! - The buffer is bounded: when `capacity` is exceeded the oldest
-//!   records are evicted and *counted*. A consumer whose cursor has
-//!   fallen off the tail learns exactly how many records it missed
+//! - The buffer is bounded — it is a [`TraceBuffer`] of the feed's
+//!   capacity — so when `capacity` is exceeded the oldest records are
+//!   evicted and *counted*. A consumer whose cursor has fallen off the
+//!   tail learns exactly how many records it missed
 //!   ([`FeedBatch::missed`]) — losses are observable, never silent
 //!   (the same contract as [`TraceBuffer`]'s drop counter).
 //! - [`EventHub::close`] marks the stream complete; consumers see
@@ -28,11 +29,11 @@
 //! mirroring the ambient metrics hub.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::event::TraceRecord;
+use crate::trace::TraceBuffer;
 
 /// One poll result: the records from the requested cursor onward.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,25 +51,34 @@ pub struct FeedBatch {
     pub closed: bool,
 }
 
+/// The feed's records live in a [`TraceBuffer`] of the feed's
+/// capacity: the ring's drop count is the sequence number of its oldest
+/// record, and that plus its length is the next sequence to publish.
 #[derive(Debug)]
 struct FeedState {
-    /// Retained records; the front has sequence `start_seq`.
-    buf: VecDeque<TraceRecord>,
-    /// Absolute sequence of the front of `buf`.
-    start_seq: u64,
-    /// Absolute sequence the next published record will get.
-    next_seq: u64,
-    /// Records evicted from the bounded buffer so far.
-    evicted: u64,
+    ring: TraceBuffer,
+    /// Records of batches published after close (discarded, counted).
+    discarded: u64,
     /// Producer is done; no more publishes will arrive.
     closed: bool,
+}
+
+impl FeedState {
+    /// Absolute sequence of the oldest retained record.
+    fn start_seq(&self) -> u64 {
+        self.ring.dropped()
+    }
+
+    /// Absolute sequence the next published record will get.
+    fn next_seq(&self) -> u64 {
+        self.ring.dropped() + self.ring.len() as u64
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
     state: Mutex<FeedState>,
     wakeup: Condvar,
-    capacity: usize,
 }
 
 /// A shared bounded event feed (see the module docs).
@@ -78,7 +88,9 @@ pub struct EventHub {
 }
 
 /// Default retained-record capacity for [`EventHub::new`] consumers
-/// that have no better number: matches the trace ring default.
+/// that have no better number: matches the trace ring default. The feed
+/// stores records the way a [`TraceBuffer`] does, 8 bytes each, so a full
+/// feed of this capacity holds 8 MiB.
 pub const DEFAULT_FEED_CAPACITY: usize = crate::DEFAULT_TRACE_CAPACITY;
 
 impl EventHub {
@@ -92,14 +104,11 @@ impl EventHub {
         EventHub {
             inner: Arc::new(Inner {
                 state: Mutex::new(FeedState {
-                    buf: VecDeque::new(),
-                    start_seq: 0,
-                    next_seq: 0,
-                    evicted: 0,
+                    ring: TraceBuffer::new(capacity),
+                    discarded: 0,
                     closed: false,
                 }),
                 wakeup: Condvar::new(),
-                capacity,
             }),
         }
     }
@@ -113,17 +122,11 @@ impl EventHub {
     pub fn publish(&self, records: impl IntoIterator<Item = TraceRecord>) {
         let mut state = self.lock();
         if state.closed {
-            state.evicted += records.into_iter().count() as u64;
+            state.discarded += records.into_iter().count() as u64;
             return;
         }
         for record in records {
-            if state.buf.len() == self.inner.capacity {
-                state.buf.pop_front();
-                state.start_seq += 1;
-                state.evicted += 1;
-            }
-            state.buf.push_back(record);
-            state.next_seq += 1;
+            state.ring.push(record);
         }
         drop(state);
         self.inner.wakeup.notify_all();
@@ -142,13 +145,14 @@ impl EventHub {
 
     /// Total records ever published (including evicted ones).
     pub fn published(&self) -> u64 {
-        self.lock().next_seq
+        self.lock().next_seq()
     }
 
     /// Total records evicted from the bounded buffer (plus any batches
     /// published after close).
     pub fn evicted(&self) -> u64 {
-        self.lock().evicted
+        let state = self.lock();
+        state.ring.dropped() + state.discarded
     }
 
     /// Non-blocking poll: everything retained from `cursor` onward.
@@ -165,22 +169,22 @@ impl EventHub {
         let (state, _timed_out) = self
             .inner
             .wakeup
-            .wait_timeout_while(state, timeout, |s| s.next_seq <= cursor && !s.closed)
+            .wait_timeout_while(state, timeout, |s| s.next_seq() <= cursor && !s.closed)
             .expect("event feed poisoned");
         Self::batch_from(&state, cursor)
     }
 
     fn batch_from(state: &FeedState, cursor: u64) -> FeedBatch {
-        let from = cursor.max(state.start_seq);
+        let from = cursor.max(state.start_seq());
         let missed = from - cursor;
-        let skip = (from - state.start_seq) as usize;
-        let records: Vec<TraceRecord> = state.buf.iter().skip(skip).copied().collect();
+        let skip = usize::try_from(from - state.start_seq()).unwrap_or(usize::MAX);
+        let records: Vec<TraceRecord> = state.ring.iter_from(skip).collect();
         let next_cursor = from + records.len() as u64;
         FeedBatch {
             records,
             next_cursor,
             missed,
-            closed: state.closed && next_cursor == state.next_seq,
+            closed: state.closed && next_cursor == state.next_seq(),
         }
     }
 
@@ -261,6 +265,35 @@ mod tests {
         assert_eq!(batch.next_cursor, 10);
         // A consumer that kept up misses nothing.
         assert_eq!(hub.poll(8).missed, 0);
+    }
+
+    /// A feed that has wrapped several times, polled from behind, inside
+    /// and past its window, before and after close.
+    #[test]
+    fn wrapped_feed_polls_are_pinned() {
+        let batch = |records: Vec<u64>, next_cursor, missed, closed| FeedBatch {
+            records: records.into_iter().map(rec).collect(),
+            next_cursor,
+            missed,
+            closed,
+        };
+        let hub = EventHub::new(5);
+        hub.publish((0..3).map(rec));
+        assert_eq!(hub.poll(1), batch(vec![1, 2], 3, 0, false));
+        hub.publish((3..12).map(rec));
+        hub.publish([rec(12)]);
+        assert_eq!(hub.poll(0), batch(vec![8, 9, 10, 11, 12], 13, 8, false));
+        assert_eq!(hub.poll(7), batch(vec![8, 9, 10, 11, 12], 13, 1, false));
+        assert_eq!(hub.poll(10), batch(vec![10, 11, 12], 13, 0, false));
+        assert_eq!(hub.poll(13), batch(vec![], 13, 0, false));
+        assert_eq!(hub.poll(20), batch(vec![], 20, 0, false));
+        hub.close();
+        hub.publish((13..16).map(rec));
+        assert_eq!(hub.poll(11), batch(vec![11, 12], 13, 0, true));
+        assert_eq!(hub.poll(2), batch(vec![8, 9, 10, 11, 12], 13, 6, true));
+        assert_eq!(hub.poll(13), batch(vec![], 13, 0, true));
+        assert_eq!(hub.poll(20), batch(vec![], 20, 0, false));
+        assert_eq!((hub.published(), hub.evicted()), (13, 11));
     }
 
     #[test]

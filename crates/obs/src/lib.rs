@@ -9,11 +9,12 @@
 //! - **Event trace** ([`TraceBuffer`]): a bounded ring buffer of typed
 //!   [`TraceRecord`]s (stall begin/end, sleep enter/exit, wake start/done,
 //!   token grant/deny, safe-mode enter/exit, fault injections) with cycle
-//!   timestamps and core/bank scopes, packed 16 bytes a record,
-//!   exportable as Chrome `trace_event`
-//!   JSON (loadable in Perfetto / `chrome://tracing`), and its sleep
-//!   records as a per-core power-state waveform
-//!   ([`TraceBuffer::to_vcd`]).
+//!   timestamps and core/bank scopes, packed 8 bytes a record (8 MiB for
+//!   a full default ring), exportable as Chrome `trace_event` JSON
+//!   (loadable in Perfetto / `chrome://tracing`), and its sleep records
+//!   as a per-core power-state waveform ([`TraceBuffer::to_vcd`]). The
+//!   `mapgd` event feed ([`EventHub`]) keeps its records in the same
+//!   ring.
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters and
 //!   power-of-two-bucket histograms (stall length, gated duration, wake
 //!   latency, break-even shortfall) with a commutative [`merge`], so

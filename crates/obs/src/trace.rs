@@ -1,12 +1,14 @@
 //! Bounded event ring buffer and Chrome `trace_event` export.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Chain;
+use std::slice;
 
 use crate::event::{EventKind, FaultKind, Scope, TraceRecord};
 
 /// Default ring capacity: ample for every smoke/quick-scale run in the
 /// workspace (the regression suite asserts nothing was dropped). A full
-/// ring of this many 16-byte slots holds 16 MiB.
+/// ring of this many 8-byte words holds 8 MiB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Scope tags of a [`Slot`].
@@ -39,6 +41,15 @@ const FAULTS: [FaultKind; 6] = [
     FaultKind::Brownout,
     FaultKind::SensorNoise,
 ];
+
+/// Field widths of a narrow word, low bits first: the cycle, the scope
+/// id, then one code for (scope, kind, fault) — `scope << 4 | kind +
+/// fault`, 48 of its 64 values used. The top 3 bits are zero.
+const CYCLE_BITS: u32 = 44;
+const ID_BITS: u32 = 11;
+const CODE_BITS: u32 = 6;
+const _: () = assert!(CYCLE_BITS + ID_BITS + CODE_BITS <= 64);
+const _: () = assert!(((GLOBAL << 4) | (FAULT + FAULTS.len() as u8 - 1)) >> CODE_BITS == 0);
 
 /// One [`TraceRecord`] packed into 16 bytes (a `TraceRecord` pads to 24):
 /// the cycle, the scope id, and one tag byte each for the scope, the event
@@ -100,6 +111,108 @@ impl Slot {
             kind,
         }
     }
+
+    /// The slot as one narrow word, or `None` when its cycle needs more
+    /// than [`CYCLE_BITS`] or its id more than [`ID_BITS`].
+    fn to_word(self) -> Option<u64> {
+        if self.at >> CYCLE_BITS != 0 || self.id >> ID_BITS != 0 {
+            return None;
+        }
+        let code = u64::from((self.scope << 4) | (self.kind + self.fault));
+        Some(self.at | (u64::from(self.id) << CYCLE_BITS) | (code << (CYCLE_BITS + ID_BITS)))
+    }
+
+    /// Inverts [`Slot::to_word`].
+    fn from_word(word: u64) -> Slot {
+        let code = (word >> (CYCLE_BITS + ID_BITS)) as u8;
+        let (kind, fault) = match code & 0xf {
+            kind if kind < FAULT => (kind, 0),
+            fault => (FAULT, fault - FAULT),
+        };
+        Slot {
+            at: word & ((1 << CYCLE_BITS) - 1),
+            id: (word >> CYCLE_BITS) as u32 & ((1 << ID_BITS) - 1),
+            scope: code >> 4,
+            kind,
+            fault,
+        }
+    }
+}
+
+/// A ring's storage: narrow words until the first record that does not
+/// fit one, 16-byte slots from then on.
+#[derive(Debug, Clone)]
+enum Slots {
+    Narrow(Vec<u64>),
+    Wide(Vec<Slot>),
+}
+
+/// Stores `value` in a ring of `capacity` whose oldest entry is at
+/// `*head`: appended (growing the vector by doubling, never past
+/// `capacity`) until full, then over the oldest. True when it overwrote.
+fn put<T>(ring: &mut Vec<T>, capacity: usize, head: &mut usize, value: T) -> bool {
+    if ring.len() < capacity {
+        if ring.len() == ring.capacity() {
+            let grown = (ring.len() * 2).max(64).min(capacity);
+            ring.reserve_exact(grown - ring.len());
+        }
+        ring.push(value);
+        false
+    } else {
+        ring[*head] = value;
+        *head += 1;
+        if *head == capacity {
+            *head = 0;
+        }
+        true
+    }
+}
+
+/// A ring's entries oldest-first: two physical runs, chained.
+type Runs<'a, T> = Chain<slice::Iter<'a, T>, slice::Iter<'a, T>>;
+
+/// The entries of a ring whose oldest is at `head`, oldest-first from
+/// the `skip`-th on.
+fn runs<T>(ring: &[T], head: usize, skip: usize) -> Runs<'_, T> {
+    let (newer, older) = ring.split_at(head);
+    let (first, second) = match older.get(skip..) {
+        Some(rest) => (rest, newer),
+        None => (newer.get(skip - older.len()..).unwrap_or(&[]), &[][..]),
+    };
+    first.iter().chain(second)
+}
+
+/// A ring's slots oldest-first, decoded from either storage width.
+enum OrderedSlots<'a> {
+    Narrow(Runs<'a, u64>),
+    Wide(Runs<'a, Slot>),
+}
+
+impl Iterator for OrderedSlots<'_> {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        match self {
+            OrderedSlots::Narrow(words) => words.next().map(|&word| Slot::from_word(word)),
+            OrderedSlots::Wide(slots) => slots.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            OrderedSlots::Narrow(words) => words.size_hint(),
+            OrderedSlots::Wide(slots) => slots.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for OrderedSlots<'_> {
+    fn next_back(&mut self) -> Option<Slot> {
+        match self {
+            OrderedSlots::Narrow(words) => words.next_back().map(|&word| Slot::from_word(word)),
+            OrderedSlots::Wide(slots) => slots.next_back().copied(),
+        }
+    }
 }
 
 /// A bounded, drop-oldest ring of [`TraceRecord`]s.
@@ -108,16 +221,19 @@ impl Slot {
 /// is simulation order — and counts records it had to drop, so consumers
 /// can tell a complete trace from a truncated one.
 ///
-/// Records are stored packed, 16 bytes a slot, and decoded only when read.
-/// The slot vector grows on demand to exactly `capacity` slots; once full,
-/// each push overwrites the oldest slot in place and advances the head.
-/// Two rings are equal when their capacities, drop counts and records in
-/// logical (oldest-first) order are, whatever their wrap phase.
+/// Records are stored packed and decoded only when read: one 8-byte word
+/// each while every cycle is below 2^44 and every scope id below 2^11,
+/// else 16-byte slots. The first record that does not fit a word switches
+/// the ring to slots once, in place, keeping each entry's position. The
+/// storage grows on demand to exactly `capacity` entries; once full, each
+/// push overwrites the oldest in place and advances the head. Two rings
+/// are equal when their capacities, drop counts and records in logical
+/// (oldest-first) order are, whatever their wrap phase or width.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     capacity: usize,
-    slots: Vec<Slot>,
-    /// Index of the oldest slot: 0 until the ring first wraps.
+    slots: Slots,
+    /// Index of the oldest entry: 0 until the ring first wraps.
     head: usize,
     dropped: u64,
 }
@@ -132,7 +248,7 @@ impl TraceBuffer {
         assert!(capacity > 0, "trace capacity must be at least 1");
         TraceBuffer {
             capacity,
-            slots: Vec::new(),
+            slots: Slots::Narrow(Vec::new()),
             head: 0,
             dropped: 0,
         }
@@ -141,30 +257,31 @@ impl TraceBuffer {
     /// Appends a record, evicting the oldest if the ring is full.
     pub fn push(&mut self, record: TraceRecord) {
         let slot = Slot::pack(record);
-        if self.slots.len() < self.capacity {
-            if self.slots.len() == self.slots.capacity() {
-                let grown = (self.slots.len() * 2).max(64).min(self.capacity);
-                self.slots.reserve_exact(grown - self.slots.len());
+        let overwrote = match (&mut self.slots, slot.to_word()) {
+            (Slots::Narrow(words), Some(word)) => put(words, self.capacity, &mut self.head, word),
+            (Slots::Wide(slots), _) => put(slots, self.capacity, &mut self.head, slot),
+            (Slots::Narrow(words), None) => {
+                let mut wide = Vec::with_capacity(words.capacity());
+                wide.extend(words.iter().map(|&word| Slot::from_word(word)));
+                let overwrote = put(&mut wide, self.capacity, &mut self.head, slot);
+                self.slots = Slots::Wide(wide);
+                overwrote
             }
-            self.slots.push(slot);
-        } else {
-            self.slots[self.head] = slot;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.dropped += 1;
-        }
+        };
+        self.dropped += u64::from(overwrote);
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        match &self.slots {
+            Slots::Narrow(words) => words.len(),
+            Slots::Wide(slots) => slots.len(),
+        }
     }
 
     /// True when no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// The configured capacity.
@@ -182,15 +299,26 @@ impl TraceBuffer {
         self.dropped == 0
     }
 
-    /// Iterates retained records oldest-first, decoding each slot.
+    /// Iterates retained records oldest-first, decoding each entry.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceRecord> + '_ {
-        self.ordered_slots().map(|slot| slot.unpack())
+        self.iter_from(0)
     }
 
-    /// The retained slots oldest-first.
-    fn ordered_slots(&self) -> impl DoubleEndedIterator<Item = Slot> + '_ {
-        let (newer, older) = self.slots.split_at(self.head);
-        older.iter().chain(newer).copied()
+    /// Like [`TraceBuffer::iter`], but starting at the `skip`-th oldest
+    /// retained record (empty past the newest); the start costs O(1).
+    pub(crate) fn iter_from(
+        &self,
+        skip: usize,
+    ) -> impl DoubleEndedIterator<Item = TraceRecord> + '_ {
+        self.ordered_slots(skip).map(Slot::unpack)
+    }
+
+    /// The retained slots oldest-first, from the `skip`-th on.
+    fn ordered_slots(&self, skip: usize) -> OrderedSlots<'_> {
+        match &self.slots {
+            Slots::Narrow(words) => OrderedSlots::Narrow(runs(words, self.head, skip)),
+            Slots::Wide(slots) => OrderedSlots::Wide(runs(slots, self.head, skip)),
+        }
     }
 
     /// Number of retained records of the given kind.
@@ -312,7 +440,7 @@ impl PartialEq for TraceBuffer {
         self.capacity == other.capacity
             && self.dropped == other.dropped
             && self.len() == other.len()
-            && self.ordered_slots().eq(other.ordered_slots())
+            && self.ordered_slots(0).eq(other.ordered_slots(0))
     }
 }
 
@@ -433,36 +561,92 @@ mod tests {
             .collect()
     }
 
+    /// The first cycle and id that do not fit a narrow word, spelled out
+    /// rather than taken from the layout constants under test.
+    const WIDE_AT: u64 = 1 << 44;
+    const WIDE_ID: u32 = 1 << 11;
+
+    fn fits(record: TraceRecord) -> bool {
+        let id = match record.scope {
+            Scope::Core(id) | Scope::Bank(id) => id,
+            Scope::Global => 0,
+        };
+        record.at < WIDE_AT && id < WIDE_ID
+    }
+
+    fn is_wide(ring: &TraceBuffer) -> bool {
+        matches!(ring.slots, Slots::Wide(_))
+    }
+
     #[test]
     fn every_record_round_trips_through_a_slot() {
         let scopes = |id| [Scope::Core(id), Scope::Bank(id), Scope::Global];
-        let mut seen = BTreeSet::new();
-        for id in [0, 1, 7, u32::MAX] {
+        let mut codes = BTreeSet::new();
+        for id in [0, 1, 7, WIDE_ID - 1, WIDE_ID, u32::MAX] {
             for scope in scopes(id) {
                 for kind in every_kind() {
-                    for at in [0, 1, 1 << 40, u64::MAX] {
+                    for at in [0, 1, 1 << 40, WIDE_AT - 1, WIDE_AT, u64::MAX] {
                         let record = rec(at, scope, kind);
                         let slot = Slot::pack(record);
                         assert_eq!(slot.unpack(), record);
-                        seen.insert((slot.scope, slot.kind, slot.fault));
+                        let word = slot.to_word();
+                        assert_eq!(word.is_some(), fits(record), "{record:?}");
+                        if let Some(word) = word {
+                            assert_eq!(Slot::from_word(word), slot, "{record:?}");
+                            assert_eq!(word >> (CYCLE_BITS + ID_BITS + CODE_BITS), 0);
+                            codes.insert(word >> (CYCLE_BITS + ID_BITS));
+                        }
+                        let first = rec(5, Scope::Core(3), EventKind::StallBegin);
+                        let mut ring = TraceBuffer::new(2);
+                        ring.push(first);
+                        ring.push(record);
+                        assert_eq!(is_wide(&ring), !fits(record));
+                        assert!(ring.iter().eq([first, record]));
                     }
                 }
             }
         }
-        // 3 scopes x (10 plain kinds + 6 faults), each with its own tags.
-        assert_eq!(seen.len(), 3 * 16);
+        // 3 scopes x (10 plain kinds + 6 faults), each with its own code.
+        assert_eq!(codes.len(), 3 * 16);
     }
 
-    /// `ring` at another wrap phase: the same records, capacity and drop
-    /// count, its slots rotated so the oldest sits at `head`.
+    #[test]
+    fn narrow_words_have_the_documented_layout() {
+        let word = |record| Slot::pack(record).to_word().unwrap();
+        let fault = EventKind::FaultInjected(FaultKind::SensorNoise);
+        assert_eq!(
+            word(rec(0x123, Scope::Core(5), fault)),
+            0x123 | (5 << 44) | (15 << 55)
+        );
+        assert_eq!(
+            word(rec(
+                WIDE_AT - 1,
+                Scope::Bank(WIDE_ID - 1),
+                EventKind::StallEnd
+            )),
+            ((1 << 44) - 1) | (2047 << 44) | ((16 + 1) << 55)
+        );
+        assert_eq!(
+            word(rec(7, Scope::Global, EventKind::SafeModeExit)),
+            7 | ((32 + 9) << 55)
+        );
+    }
+
+    /// `ring` at another wrap phase: the same records, capacity, drop
+    /// count and width, its entries rotated so the oldest sits at `head`.
     fn rephased(ring: &TraceBuffer, head: usize) -> TraceBuffer {
-        let mut slots: Vec<Slot> = ring.ordered_slots().collect();
-        let head = if slots.len() == ring.capacity {
-            head % slots.len()
+        let head = if ring.len() == ring.capacity {
+            head % ring.len()
         } else {
             0
         };
-        slots.rotate_right(head);
+        let mut ordered: Vec<Slot> = ring.ordered_slots(0).collect();
+        ordered.rotate_right(head);
+        let slots = if is_wide(ring) {
+            Slots::Wide(ordered)
+        } else {
+            Slots::Narrow(ordered.iter().map(|slot| slot.to_word().unwrap()).collect())
+        };
         TraceBuffer {
             capacity: ring.capacity,
             slots,
@@ -471,15 +655,53 @@ mod tests {
         }
     }
 
-    fn record_strategy() -> impl Strategy<Value = TraceRecord> {
-        (any::<u64>(), 0u8..3, any::<u32>(), 0usize..16).prop_map(|(at, scope, id, kind)| {
-            let scope = match scope {
-                0 => Scope::Core(id),
-                1 => Scope::Bank(id),
-                _ => Scope::Global,
-            };
-            rec(at, scope, every_kind()[kind])
-        })
+    /// `ring` stored in 16-byte slots, entry for entry.
+    fn widened(ring: &TraceBuffer) -> TraceBuffer {
+        let Slots::Narrow(words) = &ring.slots else {
+            return ring.clone();
+        };
+        TraceBuffer {
+            slots: Slots::Wide(words.iter().map(|&word| Slot::from_word(word)).collect()),
+            ..ring.clone()
+        }
+    }
+
+    /// Overwrites the newest entry of a non-empty ring with `record`.
+    fn replace_newest(ring: &mut TraceBuffer, record: TraceRecord) {
+        let newest = (ring.head + ring.len() - 1) % ring.len();
+        match &mut ring.slots {
+            Slots::Narrow(words) => words[newest] = Slot::pack(record).to_word().unwrap(),
+            Slots::Wide(slots) => slots[newest] = Slot::pack(record),
+        }
+    }
+
+    fn record_of(at: u64, scope: u8, id: u32, kind: usize) -> TraceRecord {
+        let scope = match scope {
+            0 => Scope::Core(id),
+            1 => Scope::Bank(id),
+            _ => Scope::Global,
+        };
+        rec(at, scope, every_kind()[kind])
+    }
+
+    /// Records that fit a narrow word.
+    fn narrow_record() -> impl Strategy<Value = TraceRecord> {
+        (0..WIDE_AT, 0u8..3, 0..WIDE_ID, 0usize..16)
+            .prop_map(|(at, scope, id, kind)| record_of(at, scope, id, kind))
+    }
+
+    /// Records that do not: a cycle or an id (or both) past its field.
+    fn wide_record() -> impl Strategy<Value = TraceRecord> {
+        (any::<u64>(), 0u8..3, any::<u32>(), 0usize..16, 0u8..3).prop_map(
+            |(at, scope, id, kind, past)| {
+                let (at, id) = match (past, scope) {
+                    (0, _) | (_, 2) => (at | WIDE_AT, id),
+                    (1, _) => (at % WIDE_AT, id | WIDE_ID),
+                    _ => (at | WIDE_AT, id | WIDE_ID),
+                };
+                record_of(at, scope, id, kind)
+            },
+        )
     }
 
     proptest! {
@@ -487,13 +709,23 @@ mod tests {
         #[test]
         fn ring_matches_a_deque_model(
             capacity in 1usize..40,
-            records in prop::collection::vec(record_strategy(), 0..200),
+            records in prop::collection::vec(narrow_record(), 0..200),
+            widen in (0u8..3, 0usize..400, wide_record()),
             phase in 0usize..40,
         ) {
+            // Two cases in three push one record that forces widening,
+            // after a random number of narrow pushes (so at a random
+            // wrap phase); the rest stay narrow throughout.
+            let (forced, at, wide) = widen;
+            let mut records = records;
+            let forced_at = (forced > 0).then_some(at % (records.len() + 1));
+            if let Some(at) = forced_at {
+                records.insert(at, wide);
+            }
             let mut ring = TraceBuffer::new(capacity);
             let mut model: VecDeque<TraceRecord> = VecDeque::new();
             let mut dropped = 0u64;
-            for &record in &records {
+            for (pushed, &record) in records.iter().enumerate() {
                 ring.push(record);
                 if model.len() == capacity {
                     model.pop_front();
@@ -502,23 +734,35 @@ mod tests {
                 model.push_back(record);
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.dropped(), dropped);
-                prop_assert!(ring.slots.capacity() <= capacity, "grew past capacity");
+                prop_assert_eq!(is_wide(&ring), forced_at.is_some_and(|at| pushed >= at));
+                let allocated = match &ring.slots {
+                    Slots::Narrow(words) => words.capacity(),
+                    Slots::Wide(slots) => slots.capacity(),
+                };
+                prop_assert!(allocated <= capacity, "grew past capacity");
+                prop_assert!(ring.iter().eq(model.iter().copied()));
             }
-            prop_assert!(ring.iter().eq(model.iter().copied()));
             prop_assert!(ring.iter().rev().eq(model.iter().rev().copied()));
+            for skip in 0..=model.len() + 1 {
+                prop_assert!(ring.iter_from(skip).eq(model.iter().skip(skip).copied()));
+            }
 
             let twin = rephased(&ring, phase);
             prop_assert_eq!(&twin, &ring);
             prop_assert!(twin.iter().eq(ring.iter()));
             prop_assert_eq!(twin.to_chrome_trace(), ring.to_chrome_trace());
+            let wide_twin = widened(&twin);
+            prop_assert_eq!(&wide_twin, &ring);
+            prop_assert_eq!(&ring, &wide_twin);
             if let Some(&last) = model.back() {
-                let mut moved = twin.clone();
-                let newest = (moved.head + moved.len() - 1) % moved.len();
-                moved.slots[newest] = Slot::pack(rec(last.at ^ 1, last.scope, last.kind));
-                prop_assert!(moved != ring, "a changed record must break equality");
-                let mut recounted = twin.clone();
-                recounted.dropped += 1;
-                prop_assert!(recounted != ring, "a changed drop count must break equality");
+                for twin in [&twin, &wide_twin] {
+                    let mut moved = twin.clone();
+                    replace_newest(&mut moved, rec(last.at ^ 1, last.scope, last.kind));
+                    prop_assert!(moved != ring, "a changed record must break equality");
+                    let mut recounted = twin.clone();
+                    recounted.dropped += 1;
+                    prop_assert!(recounted != ring, "a changed drop count must break equality");
+                }
             }
         }
     }

@@ -262,7 +262,7 @@ impl PgCircuitDesign {
     }
 
     fn to_cycles(time: Seconds, clock: Hertz) -> Cycles {
-        let cycles = (time.as_secs() * clock.as_hz()).ceil() as u64;
+        let cycles = mapg_units::ceil(time.as_secs() * clock.as_hz()) as u64;
         Cycles::new(cycles.max(1))
     }
 }

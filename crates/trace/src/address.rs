@@ -12,6 +12,8 @@
 
 use rand::Rng;
 
+use crate::bernoulli::Bernoulli;
+
 use core::fmt;
 
 /// Cache-line size assumed throughout the workspace (bytes).
@@ -62,13 +64,14 @@ impl fmt::Display for AddressPattern {
 #[derive(Debug, Clone)]
 pub struct AddressStream {
     working_set_bytes: u64,
-    spatial_locality: f64,
+    /// Continues the current sequential run (the spatial locality).
+    continue_run: Bernoulli,
     region_bytes: u64,
     /// Current line cursor per region (byte address).
     cursors: Vec<u64>,
     current_region: usize,
-    /// Probability of switching regions when a run breaks.
-    region_switch_bias: f64,
+    /// Switches regions when a run breaks.
+    switch_region: Bernoulli,
 }
 
 impl AddressStream {
@@ -103,11 +106,11 @@ impl AddressStream {
         let cursors = (0..u64::from(regions)).map(|r| r * region_bytes).collect();
         AddressStream {
             working_set_bytes,
-            spatial_locality,
+            continue_run: Bernoulli::new(spatial_locality),
             region_bytes,
             cursors,
             current_region: 0,
-            region_switch_bias: 0.3,
+            switch_region: Bernoulli::new(0.3),
         }
     }
 
@@ -123,9 +126,9 @@ impl AddressStream {
 
     /// Produces the next address and the pattern class that produced it.
     pub fn next_addr<R: Rng>(&mut self, rng: &mut R) -> (u64, AddressPattern) {
-        if rng.gen::<f64>() < self.spatial_locality {
+        if self.continue_run.sample(rng) {
             (self.advance_run(), AddressPattern::Sequential)
-        } else if self.cursors.len() > 1 && rng.gen::<f64>() < self.region_switch_bias {
+        } else if self.cursors.len() > 1 && self.switch_region.sample(rng) {
             self.current_region = rng.gen_range(0..self.cursors.len());
             (self.jump_within_region(rng), AddressPattern::RegionSwitch)
         } else {
@@ -134,11 +137,15 @@ impl AddressStream {
     }
 
     /// Advances the current region's sequential cursor by one word,
-    /// wrapping at the region boundary.
+    /// wrapping at the region boundary. A cursor stays inside its region
+    /// and a region holds at least one line, so one subtraction wraps.
     fn advance_run(&mut self) -> u64 {
         let base = self.region_base(self.current_region);
         let cursor = &mut self.cursors[self.current_region];
-        let offset = (*cursor - base + SEQ_STRIDE_BYTES) % self.region_bytes;
+        let mut offset = *cursor - base + SEQ_STRIDE_BYTES;
+        if offset >= self.region_bytes {
+            offset -= self.region_bytes;
+        }
         *cursor = base + offset;
         *cursor
     }

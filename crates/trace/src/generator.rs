@@ -5,8 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::address::AddressStream;
+use crate::bernoulli::Bernoulli;
 use crate::event::{AccessKind, MemAccess, TraceEvent};
-use crate::phase::PhaseModel;
+use crate::phase::{Phase, PhaseModel};
 use crate::profile::WorkloadProfile;
 
 /// A source of trace events, as consumed by the core model.
@@ -47,6 +48,13 @@ pub struct SyntheticWorkload {
     profile: WorkloadProfile,
     rng: StdRng,
     phases: PhaseModel,
+    /// Mean instruction gap between memory references in each phase,
+    /// indexed like [`Phase::ALL`].
+    mean_gaps: [f64; 3],
+    /// Makes a reference a store (the profile's write fraction).
+    store: Bernoulli,
+    /// Makes a reference a dependent pointer chase.
+    chase: Bernoulli,
     addresses: AddressStream,
     /// Synthetic program counter, cycled over a small set of "instruction
     /// addresses" so PC-indexed predictors see realistic reuse.
@@ -72,6 +80,10 @@ impl SyntheticWorkload {
             profile.spatial_locality(),
             profile.hot_regions(),
         );
+        let mean_gap = |phase: Phase| {
+            let rate = profile.mem_refs_per_kilo_inst() * phase.intensity_multiplier();
+            (1000.0 / rate.min(1000.0) - 1.0).max(0.0)
+        };
         SyntheticWorkload {
             name: profile.name().to_owned(),
             instructions_to_idle: profile
@@ -80,6 +92,9 @@ impl SyntheticWorkload {
             profile: profile.clone(),
             rng: StdRng::seed_from_u64(seed),
             phases: PhaseModel::new(profile.phases().clone()),
+            mean_gaps: Phase::ALL.map(mean_gap),
+            store: Bernoulli::new(profile.write_fraction()),
+            chase: Bernoulli::new(profile.pointer_chase_fraction()),
             addresses,
             pc_wheel: 0,
             staged_access: None,
@@ -94,27 +109,24 @@ impl SyntheticWorkload {
     /// Samples the instruction gap to the next memory reference under the
     /// current phase (geometric distribution, mean `1000/rate - 1`).
     fn sample_gap(&mut self) -> u64 {
-        let rate =
-            self.profile.mem_refs_per_kilo_inst() * self.phases.current().intensity_multiplier();
-        let rate = rate.min(1000.0);
-        let mean_gap = (1000.0 / rate - 1.0).max(0.0);
+        let mean_gap = self.mean_gaps[self.phases.current().index()];
         if mean_gap < 1e-9 {
             return 0;
         }
         // Geometric via inverse transform on the exponential approximation;
         // adequate and cheap for mean gaps in the 2..200 range we use.
         let u: f64 = self.rng.gen::<f64>().max(1e-12);
-        (-mean_gap * u.ln()).round() as u64
+        mapg_units::round(-mean_gap * u.ln()) as u64
     }
 
     fn make_access(&mut self) -> MemAccess {
         let (addr, pattern) = self.addresses.next_addr(&mut self.rng);
-        let kind = if self.rng.gen::<f64>() < self.profile.write_fraction() {
+        let kind = if self.store.sample(&mut self.rng) {
             AccessKind::Store
         } else {
             AccessKind::Load
         };
-        let dependent = self.rng.gen::<f64>() < self.profile.pointer_chase_fraction();
+        let dependent = self.chase.sample(&mut self.rng);
         self.pc_wheel = (self.pc_wheel + 1) % Self::PC_COUNT;
         // Real programs issue pointer chases, streaming sweeps and random
         // probes from *different load instructions*; a PC-indexed
@@ -165,7 +177,7 @@ impl EventSource for SyntheticWorkload {
             return TraceEvent::MemAccess(access);
         }
         self.staged_access = Some(access);
-        let cycles = ((gap as f64 / self.profile.compute_ipc()).ceil() as u64).max(1);
+        let cycles = (mapg_units::ceil(gap as f64 / self.profile.compute_ipc()) as u64).max(1);
         self.consume_instructions(gap);
         self.phases.retire(gap, &mut self.rng);
         TraceEvent::Compute {

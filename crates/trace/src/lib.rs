@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 mod address;
+mod bernoulli;
 mod event;
 mod generator;
 mod phase;

@@ -46,7 +46,8 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
+    /// The phase's position in [`Phase::ALL`].
+    pub(crate) fn index(self) -> usize {
         match self {
             Phase::MemoryIntensive => 0,
             Phase::Balanced => 1,

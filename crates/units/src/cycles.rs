@@ -168,7 +168,7 @@ impl Cycles {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
-        Cycles((self.0 as f64 * factor).round() as u64)
+        Cycles(crate::round(self.0 as f64 * factor) as u64)
     }
 
     /// Returns the larger of two durations.

@@ -30,11 +30,13 @@
 mod cycles;
 mod electrical;
 mod energy;
+mod float;
 mod ratio;
 
 pub use cycles::{Cycle, Cycles};
 pub use electrical::{Amperes, Volts};
 pub use energy::{Hertz, Joules, Seconds, Watts};
+pub use float::{ceil, round};
 pub use ratio::Ratio;
 
 #[cfg(test)]
