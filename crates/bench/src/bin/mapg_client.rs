@@ -18,8 +18,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use mapg::fuzz::write_json;
 use mapg_bench::{Client, ClientError};
+use mapg_obs::json;
 
 fn main() -> ExitCode {
     match run() {
@@ -157,7 +157,7 @@ fn run() -> Result<ExitCode, ClientError> {
             );
         }
         "stats" => {
-            println!("{}", write_json(&client.stats()?));
+            println!("{}", json::write(&client.stats()?));
         }
         "quota" => {
             let (Some(client_name), Some(quota)) = (

@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 
 /// Errors a client call can hit: transport trouble, a malformed
 /// response, or a daemon-side `"ok": false` refusal.
@@ -368,7 +368,7 @@ fn id_field(id: u64) -> (String, JsonValue) {
 }
 
 fn send_line(mut stream: &TcpStream, value: &JsonValue) -> Result<(), ClientError> {
-    let mut line = write_json(value);
+    let mut line = json::write(value);
     line.push('\n');
     stream
         .write_all(line.as_bytes())
@@ -384,7 +384,7 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<JsonValue>, Cli
     if n == 0 {
         return Ok(None);
     }
-    parse_json(&line)
+    json::parse(&line)
         .map(Some)
         .map_err(|e| ClientError::Protocol(format!("bad response line: {e} in {line:?}")))
 }
@@ -402,7 +402,7 @@ fn check_ok(response: JsonValue) -> Result<JsonValue, ClientError> {
         )),
         None => Err(ClientError::Protocol(format!(
             "response lacks 'ok': {}",
-            write_json(&response)
+            json::write(&response)
         ))),
     }
 }

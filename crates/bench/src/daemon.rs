@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 use mapg_obs::{EventHub, MetricsHub};
 use mapg_pool::{CancelToken, FairQueue, JobOutcome, Priority, Supervisor};
 
@@ -473,7 +473,7 @@ fn handle_connection(
         return Ok(()); // bare connect (the shutdown poke) — nothing to do
     }
     let mut stream = stream;
-    let request = match parse_json(&line) {
+    let request = match json::parse(&line) {
         Ok(doc) => doc,
         Err(error) => return respond(&mut stream, &fail(format!("malformed request: {error}"))),
     };
@@ -875,7 +875,7 @@ fn fail(error: String) -> JsonValue {
 
 /// Writes one response line (the protocol is line-delimited).
 fn respond(stream: &mut TcpStream, value: &JsonValue) -> std::io::Result<()> {
-    let mut line = write_json(value);
+    let mut line = json::write(value);
     line.push('\n');
     stream.write_all(line.as_bytes())
 }
@@ -895,7 +895,7 @@ mod tests {
         })
         .expect("daemon starts");
         let shared = Arc::clone(&daemon.shared);
-        let submit = parse_json(
+        let submit = json::parse(
             r#"{"op": "submit", "client": "pin", "experiment": "R-T1", "scale": "smoke"}"#,
         )
         .unwrap();
@@ -911,8 +911,8 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        let request = parse_json(&format!(r#"{{"op": "status", "id": {id}}}"#)).unwrap();
-        let status = write_json(&op_status(&shared, &request));
+        let request = json::parse(&format!(r#"{{"op": "status", "id": {id}}}"#)).unwrap();
+        let status = json::write(&op_status(&shared, &request));
         daemon.shutdown();
         daemon.wait();
         assert_eq!(

@@ -51,7 +51,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 
 use crate::manifest::TableSummary;
 
@@ -431,7 +431,7 @@ impl Journal {
             ("context".into(), JsonValue::String(self.context.clone())),
             ("entries".into(), JsonValue::Array(entries)),
         ]);
-        let mut text = write_json(&doc);
+        let mut text = json::write(&doc);
         text.push('\n');
         text
     }
@@ -445,7 +445,7 @@ impl Journal {
             path: path.to_owned(),
             detail: what,
         };
-        let doc = parse_json(text).map_err(|e| fail(format!("malformed JSON ({e})")))?;
+        let doc = json::parse(text).map_err(|e| fail(format!("malformed JSON ({e})")))?;
         let schema = doc
             .get("schema")
             .and_then(JsonValue::as_u32)

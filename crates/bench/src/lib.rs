@@ -1,6 +1,6 @@
 //! Experiment harness for the MAPG reproduction.
 //!
-//! Everything the `experiments` binary, the criterion benches and the
+//! Everything the `experiments` binary, the `mapgd` daemon and the
 //! workspace integration tests share:
 //!
 //! - [`Scale`] — smoke / quick / paper instruction budgets;

@@ -2,10 +2,11 @@
 //!
 //! `experiments --manifest out.json` emits one [`Manifest`] per run so the
 //! bench trajectory (per-experiment wall time, table sizes, job count)
-//! accumulates across CI runs and PRs. The layout is hand-rendered — the
-//! build environment has no registry access, so no serde — with strings
-//! escaped by the shared codec in [`mapg::fuzz`], and kept to a flat,
-//! stable schema:
+//! accumulates across CI runs and PRs. The manifest is built as a
+//! [`JsonValue`] tree and rendered by the workspace's one JSON codec,
+//! [`mapg_obs::json::write_pretty`], which breaks the top two levels one
+//! member per line, so each experiment is one line. The schema is flat
+//! and stable:
 //!
 //! ```json
 //! {
@@ -17,18 +18,10 @@
 //!     "seed": 1,
 //!     "scenarios": 200,
 //!     "executed": 200,
-//!     "findings": [
-//!       {"scenario": 1928, "class": "panic", "shrink_steps": 4}
-//!     ]
+//!     "findings": [{"scenario": 1928, "class": "panic", "shrink_steps": 4}]
 //!   },
 //!   "experiments": [
-//!     {
-//!       "id": "R-T1",
-//!       "title": "power-gating circuit design space",
-//!       "wall_ms": 1.234,
-//!       "metrics": {"counters": {"gates": 42}, "histograms": {}},
-//!       "tables": [{"id": "R-T1", "rows": 7}]
-//!     }
+//!     {"id": "R-T1", "title": "power-gating circuit design space", "wall_ms": 1.234, "metrics": {"counters": {"gates": 42}, "histograms": {}}, "tables": [{"id": "R-T1", "rows": 7}]}
 //!   ]
 //! }
 //! ```
@@ -45,7 +38,7 @@
 //! a manifest is only written by a run in which every experiment
 //! finished.
 
-use mapg::fuzz::render_json_string;
+use mapg_obs::json::{self, JsonValue};
 use mapg_obs::MetricsRegistry;
 
 use crate::fuzz::CampaignReport;
@@ -163,91 +156,71 @@ impl Manifest {
     /// Renders the manifest as pretty-printed JSON (trailing newline
     /// included).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", MANIFEST_SCHEMA));
-        out.push_str(&format!(
-            "  \"scale\": {},\n",
-            render_json_string(self.scale.name())
-        ));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"total_wall_ms\": {},\n",
-            json_number(self.total_wall_ms)
-        ));
-        if let Some(fuzz) = &self.fuzz {
-            out.push_str("  \"fuzz\": {\n");
-            out.push_str(&format!("    \"seed\": {},\n", fuzz.seed));
-            out.push_str(&format!("    \"scenarios\": {},\n", fuzz.scenarios));
-            out.push_str(&format!("    \"executed\": {},\n", fuzz.executed));
-            out.push_str("    \"findings\": [");
-            for (i, finding) in fuzz.findings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n      {{\"scenario\": {}, \"class\": {}, \"shrink_steps\": {}}}",
-                    finding.scenario,
-                    render_json_string(&finding.class),
-                    finding.shrink_steps
-                ));
-            }
-            if !fuzz.findings.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]\n  },\n");
-        }
-        out.push_str("  \"experiments\": [");
-        for (i, entry) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"id\": {},\n",
-                render_json_string(&entry.id)
-            ));
-            out.push_str(&format!(
-                "      \"title\": {},\n",
-                render_json_string(&entry.title)
-            ));
-            out.push_str(&format!(
-                "      \"wall_ms\": {},\n",
-                json_number(entry.wall_ms)
-            ));
-            if let Some(metrics) = &entry.metrics {
-                out.push_str("      \"metrics\": {\n");
-                out.push_str(&metrics.to_json_body("        "));
-                out.push_str("      },\n");
-            }
-            out.push_str("      \"tables\": [");
-            for (j, table) in entry.tables.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"id\": {}, \"rows\": {}}}",
-                    render_json_string(&table.id),
-                    table.rows
-                ));
-            }
-            out.push_str("]\n    }");
-        }
-        if !self.experiments.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        json::write_pretty(&self.to_json_value())
     }
-}
 
-/// Renders a finite float as a JSON number with millisecond-precision
-/// stability (3 fractional digits); non-finite values degrade to `0`.
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.3}")
-    } else {
-        "0".to_owned()
+    fn to_json_value(&self) -> JsonValue {
+        let number = |n: u64| JsonValue::Number(n.to_string());
+        let string = |s: &str| JsonValue::String(s.to_owned());
+        let object = |fields: Vec<(&str, JsonValue)>| {
+            JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let mut fields = vec![
+            ("schema", number(MANIFEST_SCHEMA.into())),
+            ("scale", string(self.scale.name())),
+            ("jobs", number(self.jobs as u64)),
+            ("total_wall_ms", JsonValue::fixed3(self.total_wall_ms)),
+        ];
+        if let Some(fuzz) = &self.fuzz {
+            let findings = fuzz
+                .findings
+                .iter()
+                .map(|finding| {
+                    object(vec![
+                        ("scenario", number(finding.scenario)),
+                        ("class", string(&finding.class)),
+                        ("shrink_steps", number(finding.shrink_steps)),
+                    ])
+                })
+                .collect();
+            fields.push((
+                "fuzz",
+                object(vec![
+                    ("seed", number(fuzz.seed)),
+                    ("scenarios", number(fuzz.scenarios)),
+                    ("executed", number(fuzz.executed)),
+                    ("findings", JsonValue::Array(findings)),
+                ]),
+            ));
+        }
+        let experiments = self
+            .experiments
+            .iter()
+            .map(|entry| {
+                let mut entry_fields = vec![
+                    ("id", string(&entry.id)),
+                    ("title", string(&entry.title)),
+                    ("wall_ms", JsonValue::fixed3(entry.wall_ms)),
+                ];
+                if let Some(metrics) = &entry.metrics {
+                    entry_fields.push(("metrics", metrics.to_json_value()));
+                }
+                let tables = entry
+                    .tables
+                    .iter()
+                    .map(|table| {
+                        object(vec![
+                            ("id", string(&table.id)),
+                            ("rows", number(table.rows as u64)),
+                        ])
+                    })
+                    .collect();
+                entry_fields.push(("tables", JsonValue::Array(tables)));
+                object(entry_fields)
+            })
+            .collect();
+        fields.push(("experiments", JsonValue::Array(experiments)));
+        object(fields)
     }
 }
 
@@ -292,11 +265,10 @@ mod tests {
         }
     }
 
-    /// The complete rendering, byte for byte: any change to layout,
-    /// escaping or number formatting shows up here first.
-    #[test]
-    fn sample_renders_byte_for_byte() {
-        let expected = r#"{
+    /// [`sample`] as the hand-formatted renderer wrote it before
+    /// manifests went through the codec: one member per line down to the
+    /// experiment entries.
+    const SAMPLE_HAND_FORMATTED: &str = r#"{
   "schema": 5,
   "scale": "smoke",
   "jobs": 4,
@@ -317,8 +289,48 @@ mod tests {
   ]
 }
 "#;
+
+    /// The complete rendering, byte for byte: any change to layout,
+    /// escaping or number formatting shows up here first. Only the
+    /// layout differs from the hand-formatted text.
+    #[test]
+    fn sample_renders_byte_for_byte() {
+        let expected = r#"{
+  "schema": 5,
+  "scale": "smoke",
+  "jobs": 4,
+  "total_wall_ms": 12.346,
+  "experiments": [
+    {"id": "R-T1", "title": "power-gating circuit design space", "wall_ms": 1.500, "tables": [{"id": "R-T1", "rows": 7}]},
+    {"id": "R-F5", "title": "wake \"latency\" sweep", "wall_ms": 2.250, "tables": [{"id": "R-F5", "rows": 6}, {"id": "R-F5b", "rows": 2}]}
+  ]
+}
+"#;
         assert_eq!(sample().to_json(), expected);
+        assert_eq!(
+            json::parse(SAMPLE_HAND_FORMATTED).unwrap(),
+            json::parse(expected).unwrap()
+        );
     }
+
+    /// The campaign manifest of [`fuzz_manifest_renders_byte_for_byte`]
+    /// as the hand-formatted renderer wrote it.
+    const FUZZ_HAND_FORMATTED: &str = r#"{
+  "schema": 5,
+  "scale": "smoke",
+  "jobs": 4,
+  "total_wall_ms": 12.346,
+  "fuzz": {
+    "seed": 1,
+    "scenarios": 200,
+    "executed": 150,
+    "findings": [
+      {"scenario": 1928, "class": "panic", "shrink_steps": 4}
+    ]
+  },
+  "experiments": []
+}
+"#;
 
     /// A campaign manifest with one finding, byte for byte.
     #[test]
@@ -344,14 +356,16 @@ mod tests {
     "seed": 1,
     "scenarios": 200,
     "executed": 150,
-    "findings": [
-      {"scenario": 1928, "class": "panic", "shrink_steps": 4}
-    ]
+    "findings": [{"scenario": 1928, "class": "panic", "shrink_steps": 4}]
   },
   "experiments": []
 }
 "#;
         assert_eq!(manifest.to_json(), expected);
+        assert_eq!(
+            json::parse(FUZZ_HAND_FORMATTED).unwrap(),
+            json::parse(expected).unwrap()
+        );
     }
 
     #[test]
@@ -431,9 +445,13 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_degrade_to_zero() {
-        assert_eq!(json_number(f64::NAN), "0");
-        assert_eq!(json_number(f64::INFINITY), "0");
-        assert_eq!(json_number(0.5), "0.500");
+        let mut manifest = sample();
+        manifest.total_wall_ms = f64::NAN;
+        manifest.experiments[0].wall_ms = f64::INFINITY;
+        let json = manifest.to_json();
+        assert!(json.contains("\"total_wall_ms\": 0,"), "{json}");
+        assert!(json.contains("\"wall_ms\": 0,"), "{json}");
+        assert!(json.contains("\"wall_ms\": 2.250,"), "{json}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Experiment scales: every experiment runs at a chosen instruction budget
-//! so the same code serves integration tests (fast), criterion benches
+//! so the same code serves integration tests (fast), quick local checks
 //! (medium) and the paper-regeneration run (full).
 
 /// How big to run an experiment.
@@ -7,7 +7,7 @@
 pub enum Scale {
     /// Tiny runs for unit/integration tests (~30 k instructions per run).
     Smoke,
-    /// Medium runs for criterion benches (~100 k instructions).
+    /// Medium runs for quick local checks (~100 k instructions).
     Quick,
     /// The full regeneration (~1 M instructions per run).
     Paper,

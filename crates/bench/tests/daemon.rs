@@ -38,7 +38,7 @@ fn stop(daemon: Daemon, client: &Client) {
 /// error reply, and nothing is queued for it.
 #[test]
 fn submit_with_a_retired_option_is_refused() {
-    use mapg::fuzz::JsonValue;
+    use mapg_obs::json::JsonValue;
     let (daemon, client) = start(DaemonConfig {
         max_jobs: 1,
         paused: true,
@@ -66,6 +66,33 @@ fn submit_with_a_retired_option_is_refused() {
         Some(&JsonValue::Object(Vec::new())),
         "{stats:?}"
     );
+    stop(daemon, &client);
+}
+
+/// A request line nested far past the codec's depth limit gets a typed
+/// error reply on its own connection; the daemon keeps serving.
+#[test]
+fn deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let (daemon, client) = start(DaemonConfig {
+        max_jobs: 1,
+        paused: true,
+        ..DaemonConfig::default()
+    });
+    let mut wire = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    writeln!(wire, "{}", "[".repeat(100_000)).expect("request");
+    let mut reply = String::new();
+    BufReader::new(wire).read_line(&mut reply).expect("reply");
+    let reply = mapg_obs::json::parse(&reply).expect("reply is JSON");
+    assert_eq!(
+        reply.get("ok").and_then(|v| v.as_bool()),
+        Some(false),
+        "{reply:?}"
+    );
+    let error = reply.get("error").and_then(|v| v.as_str()).unwrap_or("");
+    assert!(error.contains("malformed request"), "{error}");
+    assert!(error.contains("nesting deeper than 64 levels"), "{error}");
+    client.ping().expect("the daemon still answers ping");
     stop(daemon, &client);
 }
 
@@ -170,7 +197,7 @@ fn per_client_quota_limits_concurrent_jobs() {
         let running = stats
             .get("jobs")
             .and_then(|jobs| jobs.get("running"))
-            .and_then(mapg::fuzz::JsonValue::as_u64)
+            .and_then(mapg_obs::json::JsonValue::as_u64)
             .unwrap_or(0);
         assert!(running <= 1, "quota 1 must never admit 2 running jobs");
         let s1 = client.status(j1).expect("status");

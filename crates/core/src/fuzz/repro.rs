@@ -11,8 +11,8 @@ use std::path::Path;
 
 use crate::error::MapgError;
 use crate::fuzz::differ::{run_scenario, Finding, FindingClass};
-use crate::fuzz::json::{self, JsonValue};
 use crate::fuzz::scenario::Scenario;
+use mapg_obs::json::{self, JsonValue};
 
 /// Repro-file schema version.
 pub const REPRO_SCHEMA: u32 = 1;

@@ -10,12 +10,12 @@
 
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
-use crate::fuzz::json::{self, JsonValue};
 use crate::policy::{PolicyKind, PredictorKind};
 use crate::sim::SimConfig;
 use crate::watchdog::WatchdogConfig;
 use mapg_cpu::CoreConfig;
 use mapg_mem::{DramConfig, HierarchyConfig, PagePolicy, PrefetchConfig};
+use mapg_obs::json::{self, JsonValue};
 use mapg_power::RetentionStyle;
 use mapg_trace::{IdleInjection, PhaseSchedule, WorkloadProfile};
 use mapg_units::Cycles;
@@ -825,7 +825,7 @@ fn parse_policy_name(name: &str) -> Option<PolicyKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::json::{parse, write};
+    use mapg_obs::json::{parse, write};
 
     #[test]
     fn generation_is_deterministic() {

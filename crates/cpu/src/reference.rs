@@ -12,11 +12,9 @@
 //! optimized stack ([`Cluster::run`](crate::Cluster::run) with compute
 //! batching, the heap scheduler and the flattened caches) reproduces this
 //! stack's core interleaving, statistics and `RunReport`s bit-for-bit
-//! across random core counts, workload mixes and seeds. The `scheduler`
-//! criterion bench also times both stacks side by side.
+//! across random core counts, workload mixes and seeds.
 //!
-//! Nothing here should be optimized: it is the specification, and its
-//! cost is the "before" side of that bench.
+//! Nothing here should be optimized: it is the specification.
 
 use mapg_mem::{HierarchyConfig, ReferenceHierarchy, ServiceLevel};
 use mapg_obs::{EventKind, ObsHandle, Scope};

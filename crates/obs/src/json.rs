@@ -1,11 +1,23 @@
-//! A minimal JSON reader/writer for repro files.
+//! The workspace's one JSON codec.
 //!
-//! The build environment has no registry access, so no serde: rendering
-//! follows the hand-written style of `mapg-bench`'s manifest, and this
-//! module adds the inverse — a small recursive-descent parser producing a
-//! [`JsonValue`] tree. Numbers keep their raw text so `u64` seeds survive
-//! beyond 2^53 and floats round-trip bit-exactly through Rust's
+//! The build environment has no registry access, so no serde. Every JSON
+//! document the workspace persists or sends is built as a [`JsonValue`]
+//! tree and rendered here: repro files, the `mapgd` journal and wire
+//! protocol, metrics registries ([`MetricsRegistry::to_json`]) and run
+//! manifests. The one exception is the Chrome trace
+//! ([`TraceBuffer::to_chrome_trace`]), whose size grows with the run, so
+//! it is rendered record by record instead of built as a tree.
+//!
+//! [`write()`] renders a document on one line; [`write_pretty`] breaks the
+//! top two levels one member per line and renders deeper containers as
+//! [`write()`] does. [`parse()`] is a small recursive-descent parser that
+//! refuses documents nested deeper than [`MAX_DEPTH`], so a hostile input
+//! cannot exhaust the stack. Numbers keep their raw text so `u64` seeds
+//! survive beyond 2^53 and floats round-trip bit-exactly through Rust's
 //! shortest-representation formatting.
+//!
+//! [`MetricsRegistry::to_json`]: crate::MetricsRegistry::to_json
+//! [`TraceBuffer::to_chrome_trace`]: crate::TraceBuffer::to_chrome_trace
 
 use core::fmt;
 
@@ -27,6 +39,17 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// A number with exactly three fractional digits (`{:.3}`), the fixed
+    /// format of wall times and histogram means; a non-finite value, which
+    /// JSON cannot hold, becomes `0`.
+    pub fn fixed3(value: f64) -> JsonValue {
+        JsonValue::Number(if value.is_finite() {
+            format!("{value:.3}")
+        } else {
+            "0".to_owned()
+        })
+    }
+
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -106,11 +129,17 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest container nesting [`parse()`] accepts: `[[1]]` is two
+/// levels deep. The deepest document the workspace writes (a manifest
+/// with metrics) has 7.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// A document nested deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing content after document"));
@@ -140,12 +169,16 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError>
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+/// Parses the value at `pos`, which sits inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -239,7 +272,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -248,7 +281,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -261,7 +294,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'{')?;
     let mut entries = Vec::new();
     skip_ws(bytes, pos);
@@ -274,7 +307,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -288,48 +321,85 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
     }
 }
 
-/// Renders a value as a compact JSON document with stable field order.
+/// Containers at a level below this print one member per line in
+/// [`write_pretty`]; the document itself is level 0.
+const PRETTY_LEVELS: usize = 2;
+
+/// Renders a value as a compact, one-line JSON document with stable
+/// field order.
 pub fn write(value: &JsonValue) -> String {
     let mut out = String::new();
-    write_value(value, &mut out);
+    write_value(value, PRETTY_LEVELS, &mut out);
     out
 }
 
-fn write_value(value: &JsonValue, out: &mut String) {
+/// Renders a value as a pretty JSON document: containers in the top two
+/// levels print one member per line with a two-space indent, deeper ones
+/// exactly as [`write()`] does, and the text ends with a newline.
+pub fn write_pretty(value: &JsonValue) -> String {
+    let mut out = String::new();
+    write_value(value, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+/// Renders `value`, which sits `level` containers deep; containers at
+/// [`PRETTY_LEVELS`] or deeper render compact.
+fn write_value(value: &JsonValue, level: usize, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),
         JsonValue::Bool(false) => out.push_str("false"),
         JsonValue::Number(raw) => out.push_str(raw),
-        JsonValue::String(s) => out.push_str(&render_string(s)),
+        JsonValue::String(s) => write_string(s, out),
         JsonValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_value(item, out);
-            }
-            out.push(']');
+            write_members(('[', ']'), items.iter().map(|v| (None, v)), level, out)
         }
-        JsonValue::Object(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&render_string(key));
-                out.push_str(": ");
-                write_value(item, out);
-            }
-            out.push('}');
-        }
+        JsonValue::Object(entries) => write_members(
+            ('{', '}'),
+            entries.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            level,
+            out,
+        ),
     }
 }
 
-/// Escapes a string per RFC 8259 and wraps it in quotes.
-pub fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+fn write_members<'a>(
+    (open, close): (char, char),
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a JsonValue)>,
+    level: usize,
+    out: &mut String,
+) {
+    let broken = level < PRETTY_LEVELS && members.len() > 0;
+    let newline = |out: &mut String, level: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    };
+    out.push(open);
+    for (i, (key, item)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+            if !broken {
+                out.push(' ');
+            }
+        }
+        if broken {
+            newline(out, level + 1);
+        }
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(": ");
+        }
+        write_value(item, level + 1, out);
+    }
+    if broken {
+        newline(out, level);
+    }
+    out.push(close);
+}
+
+/// Escapes a string per RFC 8259 and writes it in quotes.
+fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -343,7 +413,6 @@ pub fn render_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Renders a finite float with shortest round-trip precision (Rust's
@@ -361,6 +430,7 @@ pub fn render_f64(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_nested_document() {
@@ -378,6 +448,7 @@ mod tests {
             v.get("c").unwrap().get("d").unwrap().as_f64(),
             Some(-2500.0)
         );
+        assert_eq!(write(&v), text);
     }
 
     #[test]
@@ -397,6 +468,18 @@ mod tests {
     }
 
     #[test]
+    fn fixed3_rounds_to_three_digits_and_zeroes_non_finite_values() {
+        assert_eq!(JsonValue::fixed3(0.5), JsonValue::Number("0.500".into()));
+        assert_eq!(
+            JsonValue::fixed3(12.3456),
+            JsonValue::Number("12.346".into())
+        );
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(JsonValue::fixed3(x), JsonValue::Number("0".into()));
+        }
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
@@ -406,8 +489,154 @@ mod tests {
     #[test]
     fn strings_escape_and_unescape() {
         let original = "tab\tquote\"back\\slash\nctrl\u{1}";
-        let rendered = render_string(original);
+        let rendered = write(&JsonValue::String(original.to_owned()));
+        assert_eq!(rendered, r#""tab\tquote\"back\\slash\nctrl\u0001""#);
         let parsed = parse(&rendered).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    /// `levels` containers, alternating arrays and objects, around `1`.
+    fn nested(levels: usize) -> JsonValue {
+        (0..levels).fold(JsonValue::Number("1".into()), |inner, i| {
+            if i % 2 == 0 {
+                JsonValue::Array(vec![inner])
+            } else {
+                JsonValue::Object(vec![("k".into(), inner)])
+            }
+        })
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert_eq!(parse(&write(&nested(MAX_DEPTH))), Ok(nested(MAX_DEPTH)));
+        let error = parse(&write(&nested(MAX_DEPTH + 1))).unwrap_err();
+        // Outside the 65th container: 32 arrays and 32 one-key objects.
+        assert_eq!(error.at, 32 * "[".len() + 32 * r#"{"k": "#.len(), "{error}");
+        assert_eq!(error.reason, "nesting deeper than 64 levels");
+
+        // A line of brackets far past the limit is refused at the first
+        // bracket too deep, without recursing any further.
+        let error = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(error.at, MAX_DEPTH);
+        assert_eq!(error.reason, "nesting deeper than 64 levels");
+    }
+
+    #[test]
+    fn pretty_breaks_the_top_two_levels_only() {
+        let doc =
+            parse(r#"{"a": 1, "b": {"c": [1, {"d": []}], "e": {}}, "f": [[2, 3], "x"], "g": []}"#)
+                .unwrap();
+        let expected = r#"{
+  "a": 1,
+  "b": {
+    "c": [1, {"d": []}],
+    "e": {}
+  },
+  "f": [
+    [2, 3],
+    "x"
+  ],
+  "g": []
+}
+"#;
+        assert_eq!(write_pretty(&doc), expected);
+        assert_eq!(write_pretty(&JsonValue::Null), "null\n");
+        assert_eq!(write_pretty(&JsonValue::Object(Vec::new())), "{}\n");
+    }
+
+    /// Text pieces a random string is made of: JSON's escapes, control
+    /// characters, and one- to four-byte UTF-8 scalars.
+    const PIECES: [&str; 12] = [
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r\t",
+        "\u{1}",
+        "\u{8}\u{c}",
+        "\u{1f}\u{7f}",
+        "é",
+        "漢字",
+        "🦀",
+        "a b",
+    ];
+
+    /// Builds a random value at `depth` containers deep (containers only
+    /// while `depth < 6`) from a stream of random words.
+    fn random_value(words: &mut impl Iterator<Item = u64>, depth: usize) -> JsonValue {
+        let mut next = || words.next().unwrap_or(0);
+        let word = next();
+        let kinds = if depth < 6 { 6 } else { 4 };
+        match word % kinds {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(word & 0x100 != 0),
+            2 => {
+                let x = next();
+                JsonValue::Number(match (word >> 8) % 3 {
+                    0 => x.to_string(),
+                    1 => {
+                        let f = f64::from_bits(x);
+                        render_f64(if f.is_finite() { f } else { x as f64 })
+                    }
+                    _ => format!("{:.3}", (x as i64) as f64 / 1e6),
+                })
+            }
+            3 => JsonValue::String(random_string(next())),
+            4 => JsonValue::Array(
+                (0..(word >> 8) % 4)
+                    .map(|_| random_value(words, depth + 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..(word >> 8) % 4)
+                    .map(|_| {
+                        let key = random_string(words.next().unwrap_or(0));
+                        (key, random_value(words, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn random_string(word: u64) -> String {
+        (0..word % 6)
+            .map(|i| PIECES[((word >> (8 + 4 * i)) % PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// The number of containers nested around the deepest leaf.
+    fn depth(value: &JsonValue) -> usize {
+        match value {
+            JsonValue::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            JsonValue::Object(entries) => {
+                1 + entries.iter().map(|(_, v)| depth(v)).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn random_documents_round_trip_through_both_writers(
+            words in prop::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let value = random_value(&mut words.into_iter(), 0);
+            prop_assert!(depth(&value) <= 6);
+            prop_assert_eq!(parse(&write(&value)), Ok(value.clone()));
+            prop_assert_eq!(parse(&write_pretty(&value)), Ok(value.clone()));
+            prop_assert!(!write(&value).contains('\n'));
+
+            // Wrapped up to exactly the limit it parses; one more level
+            // is refused.
+            let mut wrapped = value;
+            while depth(&wrapped) < MAX_DEPTH {
+                wrapped = JsonValue::Array(vec![wrapped]);
+            }
+            prop_assert_eq!(parse(&write_pretty(&wrapped)), Ok(wrapped.clone()));
+            let deeper = JsonValue::Object(vec![("k".into(), wrapped)]);
+            let error = parse(&write(&deeper)).unwrap_err();
+            prop_assert_eq!(error.reason, "nesting deeper than 64 levels");
+        }
     }
 }

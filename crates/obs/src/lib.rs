@@ -26,6 +26,10 @@
 //! - **Hub** ([`MetricsHub`]): a thread-safe accumulator that many
 //!   simulations merge their registries into; merging is commutative and
 //!   associative, so the aggregate is identical at any job count.
+//! - **JSON codec** ([`json`]): the workspace's one JSON reader and
+//!   writer. Metrics, manifests, repro files, the `mapgd` journal and
+//!   wire protocol are all built as a [`json::JsonValue`] and rendered
+//!   by it.
 //!
 //! # Determinism contract
 //!
@@ -56,6 +60,7 @@
 mod event;
 mod feed;
 mod handle;
+pub mod json;
 mod metrics;
 mod trace;
 mod vcd;

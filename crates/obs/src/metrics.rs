@@ -3,6 +3,8 @@
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
+use crate::json::{self, JsonValue};
+
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`, up to the full `u64` range.
 const BUCKETS: usize = 65;
@@ -311,58 +313,45 @@ impl MetricsRegistry {
         }
     }
 
+    /// The registry as a JSON object: `"counters"` maps each counter to
+    /// its value and `"histograms"` each histogram to its count, sum, min,
+    /// max, mean (three fractional digits) and non-empty buckets keyed by
+    /// lower bound, all sorted by name.
+    pub fn to_json_value(&self) -> JsonValue {
+        let number = |n: u64| JsonValue::Number(n.to_string());
+        let counters = self
+            .counters()
+            .map(|(name, value)| (name.to_owned(), number(value)))
+            .collect();
+        let histograms = self
+            .histograms()
+            .map(|(name, hist)| {
+                let buckets = hist
+                    .nonzero_buckets()
+                    .into_iter()
+                    .map(|(lo, n)| (lo.to_string(), number(n)))
+                    .collect();
+                let summary = vec![
+                    ("count".to_owned(), number(hist.count())),
+                    ("sum".to_owned(), number(hist.sum())),
+                    ("min".to_owned(), number(hist.min())),
+                    ("max".to_owned(), number(hist.max())),
+                    ("mean".to_owned(), JsonValue::fixed3(hist.mean())),
+                    ("buckets".to_owned(), JsonValue::Object(buckets)),
+                ];
+                (name.to_owned(), JsonValue::Object(summary))
+            })
+            .collect();
+        JsonValue::Object(vec![
+            ("counters".to_owned(), JsonValue::Object(counters)),
+            ("histograms".to_owned(), JsonValue::Object(histograms)),
+        ])
+    }
+
     /// Renders the registry as deterministic, pretty-printed JSON
     /// (sorted names, stable number formats, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.to_json_body("  "));
-        out.push_str("}\n");
-        out
-    }
-
-    /// The registry body (counters + histograms objects) without the
-    /// outer braces, each line prefixed with `indent` — for embedding in
-    /// larger hand-rolled JSON documents.
-    pub fn to_json_body(&self, indent: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{indent}\"counters\": {{"));
-        for (i, (name, value)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{indent}  \"{name}\": {value}"));
-        }
-        if !self.counters.is_empty() {
-            out.push_str(&format!("\n{indent}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}\"histograms\": {{"));
-        for (i, (name, hist)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{indent}  \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \
-                 \"max\": {}, \"mean\": {:.3}, \"buckets\": {{",
-                hist.count(),
-                hist.sum(),
-                hist.min(),
-                hist.max(),
-                hist.mean()
-            ));
-            for (j, (lo, n)) in hist.nonzero_buckets().into_iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{lo}\": {n}"));
-            }
-            out.push_str("}}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str(&format!("\n{indent}"));
-        }
-        out.push_str("}\n");
-        out
+        json::write_pretty(&self.to_json_value())
     }
 }
 
