@@ -205,7 +205,7 @@ impl Shared {
     }
 }
 
-/// A running daemon: accept thread + runner threads around a [`Shared`]
+/// A running daemon: accept thread + runner threads around a shared
 /// scheduler. Use [`Daemon::start`] then [`Daemon::wait`].
 pub struct Daemon {
     shared: Arc<Shared>,

@@ -117,7 +117,7 @@ enum Mode {
     Safe { until: Cycle },
 }
 
-/// The runtime watchdog. See the [module docs](self) for the mechanism.
+/// The runtime watchdog. See the `watchdog` module docs for the mechanism.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     config: WatchdogConfig,

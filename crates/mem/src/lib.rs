@@ -50,7 +50,7 @@ mod prefetch;
 mod reference;
 mod stats;
 
-pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats, ReplacementPolicy};
+pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats, PagePolicy, RowBufferOutcome};
 pub use error::ConfigError;
 pub use faults::DramFaultConfig;

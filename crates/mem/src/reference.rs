@@ -17,7 +17,7 @@
 use mapg_trace::{AccessKind, MemAccess};
 use mapg_units::{Cycle, Cycles};
 
-use crate::cache::{CacheConfig, CacheOutcome, CacheStats, ReplacementPolicy};
+use crate::cache::{CacheConfig, CacheOutcome, CacheStats};
 use crate::dram::{DramConfig, DramStats, RowBufferOutcome};
 use crate::faults::DramFaultConfig;
 use crate::hierarchy::{AccessResponse, HierarchyConfig, HierarchyStats, ServiceLevel};
@@ -32,7 +32,6 @@ struct Way {
     dirty: bool,
     prefetched: bool,
     last_use: u64,
-    filled_at: u64,
 }
 
 /// The seed cache: one heap allocation per set, division-based indexing.
@@ -42,7 +41,6 @@ struct RefCache {
     sets: Vec<Vec<Way>>,
     stats: CacheStats,
     use_clock: u64,
-    rng_state: u64,
 }
 
 impl RefCache {
@@ -53,7 +51,6 @@ impl RefCache {
             sets: vec![vec![Way::default(); config.associativity as usize]; sets as usize],
             stats: CacheStats::default(),
             use_clock: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
         }
     }
 
@@ -80,7 +77,7 @@ impl RefCache {
             return CacheOutcome::Hit { prefetched };
         }
 
-        let victim_index = Self::select_victim(set, self.config.replacement, &mut self.rng_state);
+        let victim_index = Self::select_victim(set);
         let victim = &mut set[victim_index];
         let writeback = if victim.valid && victim.dirty {
             let victim_line = victim.tag * set_count + set_index as u64;
@@ -95,37 +92,19 @@ impl RefCache {
             dirty: is_write,
             prefetched: false,
             last_use: stamp,
-            filled_at: stamp,
         };
         CacheOutcome::Miss { writeback }
     }
 
-    fn select_victim(set: &[Way], policy: ReplacementPolicy, rng_state: &mut u64) -> usize {
+    fn select_victim(set: &[Way]) -> usize {
         if let Some(invalid) = set.iter().position(|w| !w.valid) {
             return invalid;
         }
-        match policy {
-            ReplacementPolicy::Lru => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i)
-                .expect("sets are never empty"),
-            ReplacementPolicy::Fifo => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.filled_at)
-                .map(|(i, _)| i)
-                .expect("sets are never empty"),
-            ReplacementPolicy::Random => {
-                let mut x = *rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *rng_state = x;
-                (x % set.len() as u64) as usize
-            }
-        }
+        set.iter()
+            .enumerate()
+            .min_by_key(|(_, w)| w.last_use)
+            .map(|(i, _)| i)
+            .expect("sets are never empty")
     }
 
     fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
@@ -139,7 +118,7 @@ impl RefCache {
         if set.iter().any(|w| w.valid && w.tag == tag) {
             return None;
         }
-        let victim_index = Self::select_victim(set, self.config.replacement, &mut self.rng_state);
+        let victim_index = Self::select_victim(set);
         let victim = &mut set[victim_index];
         let writeback = if victim.valid && victim.dirty {
             let victim_line = victim.tag * set_count + set_index as u64;
@@ -154,7 +133,6 @@ impl RefCache {
             dirty: false,
             prefetched: true,
             last_use: stamp,
-            filled_at: stamp,
         };
         writeback
     }
@@ -629,33 +607,6 @@ mod tests {
         }
     }
 
-    /// Replacement-policy coverage: the frozen cache and the live cache agree
-    /// on every outcome (hits, victims, writebacks) for every policy.
-    #[test]
-    fn live_cache_matches_reference_for_all_policies() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            let config = CacheConfig {
-                size_bytes: 4 << 10,
-                associativity: 4,
-                line_bytes: 64,
-                hit_latency: Cycles::new(1),
-                replacement: policy,
-            };
-            let mut live = crate::Cache::new(config);
-            let mut reference = RefCache::new(config);
-            for (i, (addr, is_write, _)) in stream(99, 20_000).into_iter().enumerate() {
-                let a = live.access(addr % (1 << 16), is_write);
-                let b = reference.access(addr % (1 << 16), is_write);
-                assert_eq!(a, b, "{policy:?}, access {i}");
-            }
-            assert_eq!(live.stats(), reference.stats(), "{policy:?}");
-        }
-    }
-
     /// Drives `live` and `reference` through the same demand accesses and
     /// prefetch fills, checking every outcome, probe and writeback. With
     /// `high` set, a third of the addresses carry tag bits above 2^32, and
@@ -683,23 +634,18 @@ mod tests {
         assert_eq!(live.stats(), reference.stats());
     }
 
-    /// The high tag plane is allocated on the first tag with upper bits,
-    /// and neither that, a clone nor a reset changes an outcome — on the
-    /// specialized (4-, 16-way) and the generic (6-way) path alike.
+    /// Every supported width matches the frozen cache through demand
+    /// accesses, prefetch fills and probes. The high tag plane is
+    /// allocated on the first tag with upper bits, and neither that, a
+    /// clone nor a reset changes an outcome.
     #[test]
     fn lazy_high_tag_plane_matches_reference() {
-        for (ways, policy) in [
-            (4, ReplacementPolicy::Lru),
-            (16, ReplacementPolicy::Fifo),
-            (6, ReplacementPolicy::Lru),
-            (6, ReplacementPolicy::Random),
-        ] {
+        for ways in [1u32, 2, 4, 8, 16] {
             let config = CacheConfig {
-                size_bytes: ways * 64 * 16,
-                associativity: ways as u32,
+                size_bytes: u64::from(ways) * 64 * 16,
+                associativity: ways,
                 line_bytes: 64,
                 hit_latency: Cycles::new(1),
-                replacement: policy,
             };
             let mut live = crate::Cache::new(config);
             let mut reference = RefCache::new(config);

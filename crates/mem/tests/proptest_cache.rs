@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-use mapg_mem::{Cache, CacheConfig, CacheOutcome, ReplacementPolicy};
+use mapg_mem::{Cache, CacheConfig, CacheOutcome};
 use mapg_units::Cycles;
 
 /// A deliberately naive reference: per-set LRU as an ordered deque of
@@ -54,7 +54,6 @@ fn small_config() -> CacheConfig {
         associativity: 4,
         line_bytes: 64,
         hit_latency: Cycles::new(1),
-        replacement: ReplacementPolicy::Lru,
     }
 }
 

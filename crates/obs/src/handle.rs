@@ -18,7 +18,7 @@ struct Observer {
 ///
 /// A handle is either **disabled** (the default: every call is one branch
 /// on a `None`, no allocation, no borrow) or **enabled**, in which case
-/// clones share a single per-simulation [`Observer`] via `Rc<RefCell<_>>`.
+/// clones share a single per-simulation observer via `Rc<RefCell<_>>`.
 ///
 /// The handle is thread-confined on purpose: it is neither `Send` nor
 /// `Sync`. A simulation emits single-threaded, in simulation order, so an

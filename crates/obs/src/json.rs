@@ -137,11 +137,10 @@ pub const MAX_DEPTH: usize = 64;
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 /// A document nested deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(err(pos, "trailing content after document"));
     }
     Ok(value)
@@ -170,20 +169,21 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError>
 }
 
 /// Parses the value at `pos`, which sits inside `depth` containers.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'{' | b'[') if depth == MAX_DEPTH => {
             Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
         }
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => Ok(JsonValue::String(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(text, pos),
         Some(c) => Err(err(*pos, format!("unexpected byte '{}'", *c as char))),
     }
 }
@@ -202,77 +202,120 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+/// Parses a number by RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, keeping its text.
+fn parse_number(text: &str, pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+    let bytes = text.as_bytes();
     let start = *pos;
+    // Advances past a run of digits; whether there was at least one.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    let int = *pos;
+    // No leading zero unless the integer part is exactly `0`.
+    let mut valid = digits(pos) && (bytes[int] != b'0' || *pos == int + 1);
+    if valid && bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        valid = digits(pos);
     }
-    let raw =
-        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "non-UTF-8 number"))?;
-    if raw.parse::<f64>().is_err() {
-        return Err(err(start, format!("malformed number '{raw}'")));
+    if valid && matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        valid = digits(pos);
     }
-    Ok(JsonValue::Number(raw.to_owned()))
+    // A number character right after a complete number (`01`, `1.2.3`)
+    // makes the whole run malformed, not a number plus trailing garbage.
+    let number_byte = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+    if !valid || bytes.get(*pos).is_some_and(number_byte) {
+        let run = bytes[start..].iter().take_while(|b| number_byte(b)).count();
+        return Err(err(
+            start,
+            format!("malformed number '{}'", &text[start..start + run]),
+        ));
+    }
+    Ok(JsonValue::Number(text[start..*pos].to_owned()))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonParseError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-UTF-8 \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "malformed \\u escape"))?;
-                        // Repro files only ever contain BMP scalar values;
-                        // reject surrogates instead of pairing them.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| err(*pos, "\\u escape is not a scalar value"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "unknown escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar value.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "non-UTF-8 string content"))?;
-                let c = rest.chars().next().expect("non-empty by case analysis");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy everything up to the next quote or backslash as one slice:
+        // both are ASCII, so the run ends on a character boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        let escaped = match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => parse_unicode_escape(bytes, pos)?,
+            _ => return Err(err(*pos, "unknown escape")),
+        };
+        out.push(escaped);
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+/// Decodes the `\u` escape whose `u` is at `pos`, pairing a high surrogate
+/// with the `\u` low surrogate that must follow it, and leaves `pos` on
+/// the escape's last hex digit. A lone or reversed surrogate is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, JsonParseError> {
+    let start = *pos;
+    let mut code = hex4(bytes, *pos)?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&code) {
+        let low = match bytes.get(*pos + 1..*pos + 3) {
+            Some(b"\\u") => hex4(bytes, *pos + 2)?,
+            _ => 0,
+        };
+        if (0xDC00..0xE000).contains(&low) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            *pos += 6;
+        }
+    }
+    // Still a surrogate here means it was unpaired.
+    char::from_u32(code).ok_or_else(|| err(start, "unpaired surrogate in \\u escape"))
+}
+
+/// The value of the exactly four hex digits after the `u` at `pos`.
+fn hex4(bytes: &[u8], pos: usize) -> Result<u32, JsonParseError> {
+    let digits = bytes
+        .get(pos + 1..pos + 5)
+        .ok_or_else(|| err(pos, "truncated \\u escape"))?;
+    digits.iter().try_fold(0, |code, &digit| {
+        let value = char::from(digit)
+            .to_digit(16)
+            .ok_or_else(|| err(pos, "malformed \\u escape"))?;
+        Ok(code * 16 + value)
+    })
+}
+
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -281,7 +324,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -294,7 +337,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut entries = Vec::new();
     skip_ws(bytes, pos);
@@ -304,10 +348,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -484,6 +528,16 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+        // A `\u` escape takes exactly four hex digits: no sign, no space.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
@@ -493,6 +547,70 @@ mod tests {
         assert_eq!(rendered, r#""tab\tquote\"back\\slash\nctrl\u0001""#);
         let parsed = parse(&rendered).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_refused() {
+        // What other encoders (Python's `json.dumps`, for one) write for
+        // characters outside the Basic Multilingual Plane.
+        let v = parse(r#"{"client": "\ud83e\udd80 \ud834\udd1e \u0041\u00E9\uFFFD"}"#).unwrap();
+        assert_eq!(
+            v.get("client").unwrap().as_str(),
+            Some("\u{1f980} \u{1d11e} A\u{e9}\u{fffd}")
+        );
+        for bad in [
+            r#""\ud83e""#,
+            r#""\ud83e x""#,
+            r#""\ud83e\n""#,
+            r#""\ud83eA""#,
+            r#""\ud83e\ud83e""#,
+            r#""\udd80""#,
+            r#""\udd80\ud83e""#,
+            r#""\ud83e\udd8""#,
+        ] {
+            let error = parse(bad).unwrap_err();
+            assert!(error.reason.contains("\\u escape"), "{bad}: {error}");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_with_multibyte_characters_round_trips() {
+        let original: String = "\u{e9}\u{6f22}\u{1f980}\"\\\n a".repeat(1 << 17);
+        assert!(original.len() > 1 << 20);
+        let value = JsonValue::Array(vec![JsonValue::String(original)]);
+        assert_eq!(parse(&write(&value)), Ok(value));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for good in [
+            "0",
+            "-0",
+            "7",
+            "-12",
+            "0.5",
+            "-0.0",
+            "10.25",
+            "1e5",
+            "1E+5",
+            "2e-3",
+            "0e0",
+            "1.5E10",
+            "18446744073709551615",
+        ] {
+            assert_eq!(parse(good), Ok(JsonValue::Number(good.into())), "{good}");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", ".5", "-", "+1", "1e", "1e+", "1.2.3", "1-2", "--1",
+            "-.5", "0x10", "1e5.5",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+        let error = parse("[1, 01]").unwrap_err();
+        assert_eq!(
+            (error.at, error.reason.as_str()),
+            (4, "malformed number '01'")
+        );
     }
 
     /// `levels` containers, alternating arrays and objects, around `1`.

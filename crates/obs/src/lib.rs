@@ -17,7 +17,7 @@
 //!   ring.
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters and
 //!   power-of-two-bucket histograms (stall length, gated duration, wake
-//!   latency, break-even shortfall) with a commutative [`merge`], so
+//!   latency, break-even shortfall) with a commutative [`merge`](MetricsRegistry::merge), so
 //!   aggregation over parallel runs is deterministic.
 //! - **Handle** ([`ObsHandle`]): the single instrumentation entry point
 //!   components hold. A disabled handle is a `None` — every `emit`/`count`/

@@ -8,7 +8,7 @@
 
 use mapg::{PolicyKind, Replication, SimConfig, Simulation};
 use mapg_cpu::{Core, CoreConfig, PassiveHandler};
-use mapg_mem::{DramConfig, HierarchyConfig, MemoryHierarchy, PagePolicy, ReplacementPolicy};
+use mapg_mem::{DramConfig, HierarchyConfig, MemoryHierarchy, PagePolicy};
 use mapg_power::RetentionStyle;
 use mapg_trace::{IdleInjection, RecordedTrace, SyntheticWorkload, WorkloadProfile};
 
@@ -135,11 +135,10 @@ fn idle_injection_flows_through_the_full_simulation() {
 
 #[test]
 fn substrate_design_space_options_compose() {
-    // Closed-page DRAM + FIFO LLC + stream prefetcher, all at once,
-    // through the simulation facade.
+    // Closed-page DRAM + stream prefetcher, both at once, through the
+    // simulation facade.
     let memory = HierarchyConfig {
         dram: DramConfig::ddr3_1333().with_page_policy(PagePolicy::Closed),
-        l2: mapg_mem::CacheConfig::l2().with_replacement(ReplacementPolicy::Fifo),
         ..HierarchyConfig::with_stream_prefetcher()
     };
     let report = Simulation::new(quick().with_memory(memory), PolicyKind::Mapg).run();
