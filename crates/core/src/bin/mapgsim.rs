@@ -239,15 +239,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
     let mut config = SimConfig::default()
         .with_profile(profile)
-        .try_with_instructions(instructions)
-        .map_err(|e| e.to_string())?
-        .try_with_cores(cores)
-        .map_err(|e| e.to_string())?
+        .with_instructions(instructions)
+        .with_cores(cores)
         .with_seed(seed)
-        .try_with_switch_width(switch_width_pct / 100.0)
-        .map_err(|e| e.to_string())?
-        .try_with_fault_plan(fault_plan)
-        .map_err(|e| e.to_string())?;
+        .with_switch_width(switch_width_pct / 100.0)
+        .with_fault_plan(fault_plan);
     if mshr_entries.is_some() || dram_banks.is_some() {
         let mut memory = mapg_mem::HierarchyConfig::baseline();
         if let Some(entries) = mshr_entries {
@@ -256,12 +252,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         if let Some(banks) = dram_banks {
             memory.dram.banks = banks;
         }
-        // The hierarchy's own validation turns `--mshr-entries 0` and
-        // friends into a usage-style diagnostic instead of a panic.
-        config = config.try_with_memory(memory).map_err(|e| e.to_string())?;
+        config = config.with_memory(memory);
     }
     if let Some(budget) = tokens {
-        config = config.try_with_tokens(budget).map_err(|e| e.to_string())?;
+        config = config.with_tokens(budget);
     }
     if safe_mode {
         config = config.with_safe_mode_default();

@@ -1,10 +1,13 @@
 //! The crate's error type for user-supplied configuration.
 //!
-//! The builder APIs keep their documented panicking behaviour (a bad
-//! hard-coded config in a benchmark *should* abort), but every validation
-//! also exists as a fallible `try_*` method returning [`MapgError`], which
-//! the `mapgsim` CLI and other front-ends use to turn bad user input into
-//! error messages instead of panics.
+//! A run's configuration is checked in one place,
+//! [`SimConfig::validate`](crate::SimConfig::validate), which
+//! [`Simulation::try_run`](crate::Simulation::try_run) calls before
+//! anything runs; the `SimConfig` setters only store their values. The
+//! `mapgsim` CLI and other front-ends print the [`MapgError`] it returns;
+//! [`Simulation::run`](crate::Simulation::run) panics with the same
+//! message, which is what a bad hard-coded config in an experiment should
+//! do.
 
 use core::fmt;
 
@@ -12,8 +15,8 @@ use core::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapgError {
     /// A configuration value is out of range or inconsistent. The message
-    /// is the same text the corresponding panicking builder would abort
-    /// with.
+    /// is the same text the component that owns the value panics with
+    /// when it is built from it directly.
     InvalidConfig(String),
     /// A name (workload, policy, fault-plan preset) did not match anything
     /// known.
@@ -47,8 +50,8 @@ impl std::error::Error for MapgError {}
 
 impl From<mapg_cpu::RunError> for MapgError {
     /// Cluster/core run rejections surface as configuration errors: every
-    /// one of them (zero instructions, no cores) is a bad user-supplied
-    /// value, phrased with the same message the panicking path would use.
+    /// one of them (zero instructions, no cores, a rejected hierarchy) is
+    /// a bad user-supplied value.
     fn from(e: mapg_cpu::RunError) -> Self {
         MapgError::invalid(e.to_string())
     }
@@ -57,7 +60,7 @@ impl From<mapg_cpu::RunError> for MapgError {
 impl From<mapg_mem::ConfigError> for MapgError {
     /// Memory-hierarchy validation failures (zero DRAM banks, zero MSHRs,
     /// bad fault plans) surface as configuration errors with the same
-    /// message text the panicking constructors abort with.
+    /// message text the memory constructors panic with.
     fn from(e: mapg_mem::ConfigError) -> Self {
         MapgError::invalid(e.to_string())
     }

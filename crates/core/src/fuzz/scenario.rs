@@ -264,7 +264,9 @@ pub struct Scenario {
     pub watchdog: Option<WatchdogConfig>,
     /// Fault-injection plan (a no-op plan disables injection).
     pub faults: FaultPlan,
-    /// Sleep-transistor width ratio, `[0.005, 0.2]`.
+    /// Sleep-transistor width ratio, in the range
+    /// [`PgCircuitDesign::validate_switch_width`](mapg_power::PgCircuitDesign::validate_switch_width)
+    /// accepts.
     pub switch_width_ratio: f64,
     /// Non-retentive PG circuit (cold-start penalty on wake).
     pub non_retentive: bool,
@@ -399,14 +401,8 @@ impl Scenario {
     pub fn build_config(&self) -> Result<SimConfig, MapgError> {
         let invalid = |what: &str| MapgError::invalid(format!("scenario {what} out of range"));
         let profile = self.profile.build("fuzz")?;
-        if self.mlp_limit == 0 {
-            return Err(invalid("mlp_limit"));
-        }
         if !(self.dram_latency_scale.is_finite() && self.dram_latency_scale > 0.0) {
             return Err(invalid("dram_latency_scale"));
-        }
-        if self.trace_capacity == 0 {
-            return Err(invalid("trace_capacity"));
         }
         let mut dram = DramConfig::ddr3_1333().with_latency_scaled(self.dram_latency_scale);
         dram.banks = self.dram_banks;
@@ -425,38 +421,33 @@ impl Scenario {
             },
             ..HierarchyConfig::baseline()
         };
-        // Zero banks / zero MSHRs and any other memory inconsistency come
-        // back through the hierarchy's own validation (same messages the
-        // panicking constructors use) instead of ad-hoc field checks.
-        memory.try_validate()?;
         let core = CoreConfig {
             mlp_limit: self.mlp_limit,
             ..CoreConfig::baseline()
         };
         let mut config = SimConfig::default()
             .with_profile(profile)
-            .try_with_cores(self.cores)?
-            .try_with_instructions(self.instructions)?
+            .with_cores(self.cores)
+            .with_instructions(self.instructions)
             .with_seed(self.sim_seed)
             .with_core(core)
             .with_memory(memory)
-            .try_with_switch_width(self.switch_width_ratio)?
+            .with_switch_width(self.switch_width_ratio)
             .with_retention(if self.non_retentive {
                 RetentionStyle::NonRetentive
             } else {
                 RetentionStyle::Retentive
             })
-            .try_with_fault_plan(self.faults)?
+            .with_fault_plan(self.faults)
             .with_trace_capacity(self.trace_capacity)
             .with_metrics();
         if let Some(quantum) = self.compute_quantum {
-            config = config.try_with_compute_quantum(quantum)?;
+            config = config.with_compute_quantum(quantum);
         }
         if let Some(tokens) = self.tokens {
-            config = config.try_with_tokens(tokens)?;
+            config = config.with_tokens(tokens);
         }
         if let Some(watchdog) = self.watchdog {
-            watchdog.validate().map_err(MapgError::invalid)?;
             config = config.with_safe_mode(watchdog);
         }
         if let PolicyKind::Timeout { idle_cycles } = self.policy {
@@ -467,6 +458,7 @@ impl Scenario {
         if !self.regate {
             config = config.without_regate();
         }
+        config.validate()?;
         Ok(config)
     }
 

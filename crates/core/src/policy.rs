@@ -281,27 +281,13 @@ impl<P: MissLatencyPredictor> MapgPolicy<P> {
     /// # Panics
     ///
     /// Panics if `guard` is negative or not finite.
-    pub fn with_guard(self, guard: f64) -> Self {
-        match self.try_with_guard(guard) {
-            Ok(policy) => policy,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`MapgPolicy::with_guard`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError`](crate::MapgError) if `guard` is negative or
-    /// not finite.
-    pub fn try_with_guard(mut self, guard: f64) -> Result<Self, crate::MapgError> {
-        if !(guard.is_finite() && guard >= 0.0) {
-            return Err(crate::MapgError::invalid(format!(
-                "guard must be finite and non-negative, got {guard}"
-            )));
-        }
+    pub fn with_guard(mut self, guard: f64) -> Self {
+        assert!(
+            guard.is_finite() && guard >= 0.0,
+            "guard must be finite and non-negative, got {guard}"
+        );
         self.guard = guard;
-        Ok(self)
+        self
     }
 
     /// The wrapped predictor.

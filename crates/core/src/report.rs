@@ -116,11 +116,6 @@ impl RunReport {
         1.0 - self.core_energy() / baseline.core_energy()
     }
 
-    /// Total-energy savings relative to `baseline`.
-    pub fn total_energy_savings_vs(&self, baseline: &RunReport) -> f64 {
-        1.0 - self.total_energy() / baseline.total_energy()
-    }
-
     /// Leakage-energy savings relative to `baseline`.
     pub fn leakage_savings_vs(&self, baseline: &RunReport) -> f64 {
         1.0 - self.leakage_energy() / baseline.leakage_energy()

@@ -20,7 +20,9 @@ use crate::report::RunReport;
 use crate::watchdog::WatchdogConfig;
 
 /// Everything a run needs. Construct with [`SimConfig::default`] and
-/// customize with the `with_*` methods:
+/// customize with the `with_*` methods, which only store their values;
+/// [`SimConfig::validate`] checks the whole configuration, and
+/// [`Simulation::try_run`] calls it before anything else runs:
 ///
 /// ```
 /// use mapg::{PolicyKind, SimConfig, Simulation};
@@ -68,85 +70,25 @@ impl SimConfig {
     /// A heterogeneous mix: one core per profile (sets the core count).
     /// Models consolidated multiprogrammed workloads, where memory-bound
     /// and compute-bound programs share the DRAM channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty.
-    pub fn with_workload_mix(self, profiles: Vec<WorkloadProfile>) -> Self {
-        match self.try_with_workload_mix(profiles) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_workload_mix`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `profiles` is empty.
-    pub fn try_with_workload_mix(
-        mut self,
-        profiles: Vec<WorkloadProfile>,
-    ) -> Result<Self, MapgError> {
-        if profiles.is_empty() {
-            return Err(MapgError::invalid("a mix needs at least one profile"));
-        }
+    pub fn with_workload_mix(mut self, profiles: Vec<WorkloadProfile>) -> Self {
         self.cores = profiles.len();
         self.profiles = profiles;
-        Ok(self)
+        self
     }
 
     /// Number of cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    pub fn with_cores(self, cores: usize) -> Self {
-        match self.try_with_cores(cores) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_cores`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `cores` is zero.
-    pub fn try_with_cores(mut self, cores: usize) -> Result<Self, MapgError> {
-        if cores == 0 {
-            return Err(MapgError::invalid("need at least one core"));
-        }
+    pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        Ok(self)
+        self
     }
 
     /// Instructions each core retires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn with_instructions(self, instructions: u64) -> Self {
-        match self.try_with_instructions(instructions) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_instructions`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `instructions` is zero.
-    pub fn try_with_instructions(mut self, instructions: u64) -> Result<Self, MapgError> {
-        if instructions == 0 {
-            return Err(MapgError::invalid("need at least one instruction"));
-        }
+    pub fn with_instructions(mut self, instructions: u64) -> Self {
         self.instructions_per_core = instructions;
-        Ok(self)
+        self
     }
 
-    /// Master RNG seed; core *i* uses `seed + i`.
+    /// Master RNG seed; core *i* uses `seed + i` (wrapping).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -164,16 +106,6 @@ impl SimConfig {
         self
     }
 
-    /// Fallible form of [`SimConfig::with_memory`] for user input: the
-    /// hierarchy's own validation (DRAM geometry, MSHR count, fault plan)
-    /// runs up front, so a bad `--dram-banks`/`--mshr-entries` value
-    /// becomes a [`MapgError::InvalidConfig`] instead of a panic deep in
-    /// cluster construction.
-    pub fn try_with_memory(self, memory: HierarchyConfig) -> Result<Self, MapgError> {
-        memory.try_validate()?;
-        Ok(self.with_memory(memory))
-    }
-
     /// Technology parameters.
     pub fn with_tech(mut self, tech: TechnologyParams) -> Self {
         self.tech = tech;
@@ -181,31 +113,11 @@ impl SimConfig {
     }
 
     /// Sleep-transistor width ratio (selects the PG circuit design point).
-    ///
-    /// The value is range-checked later, when the circuit is derived —
-    /// see [`SimConfig::try_with_switch_width`] for the fallible form that
-    /// rejects it up front.
+    /// [`SimConfig::validate`] checks it against the range the circuit
+    /// model covers ([`PgCircuitDesign::validate_switch_width`]).
     pub fn with_switch_width(mut self, ratio: f64) -> Self {
         self.switch_width_ratio = ratio;
         self
-    }
-
-    /// Fallible form of [`SimConfig::with_switch_width`] for user input;
-    /// rejects ratios the circuit model would panic on deep inside the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `ratio` is outside
-    /// `[0.005, 0.2]` (below, the switch cannot deliver the core's active
-    /// current; above, the model's first-order laws stop holding).
-    pub fn try_with_switch_width(mut self, ratio: f64) -> Result<Self, MapgError> {
-        if !(0.005..=0.2).contains(&ratio) {
-            return Err(MapgError::invalid(format!(
-                "switch width ratio must be in [0.005, 0.2], got {ratio}"
-            )));
-        }
-        self.switch_width_ratio = ratio;
-        Ok(self)
     }
 
     /// State-retention style of the PG circuit (default: retentive).
@@ -220,38 +132,12 @@ impl SimConfig {
         self
     }
 
-    /// Fallible form of [`SimConfig::with_tokens`] for user input; rejects
-    /// a zero capacity here instead of deep inside the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `tokens` is zero.
-    pub fn try_with_tokens(mut self, tokens: usize) -> Result<Self, MapgError> {
-        if tokens == 0 {
-            return Err(MapgError::invalid("token capacity must be non-zero"));
-        }
-        self.tokens = Some(tokens);
-        Ok(self)
-    }
-
     /// Enables fault injection per `plan`. The fault streams are keyed to
     /// the simulation seed, so `(seed, config, plan)` fully determine the
     /// run.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
-    }
-
-    /// Fallible form of [`SimConfig::with_fault_plan`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if the plan is out of range
-    /// (see [`FaultPlan::validate`]).
-    pub fn try_with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, MapgError> {
-        plan.validate()?;
-        self.fault_plan = plan;
-        Ok(self)
     }
 
     /// Enables the safe-mode watchdog with explicit thresholds.
@@ -279,12 +165,7 @@ impl SimConfig {
 
     /// Records a structured event trace into a bounded ring of `capacity`
     /// records; when full, the oldest records are dropped (and counted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be non-zero");
         self.trace_capacity = Some(capacity);
         self
     }
@@ -336,28 +217,9 @@ impl SimConfig {
     /// where compute batching folds the most events; exposing it here lets
     /// the differential fuzzer drive the full controller stack through the
     /// replay path too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_compute_quantum(self, quantum: u64) -> Self {
-        match self.try_with_compute_quantum(quantum) {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::with_compute_quantum`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] if `quantum` is zero.
-    pub fn try_with_compute_quantum(mut self, quantum: u64) -> Result<Self, MapgError> {
-        if quantum == 0 {
-            return Err(MapgError::invalid("compute quantum must be non-zero"));
-        }
+    pub fn with_compute_quantum(mut self, quantum: u64) -> Self {
         self.compute_quantum = Some(quantum);
-        Ok(self)
+        self
     }
 
     /// Runs on the frozen seed stack ([`mapg_cpu::ReferenceCluster`]: the
@@ -380,6 +242,47 @@ impl SimConfig {
     pub fn with_run_cache(mut self, cache: RunCache) -> Self {
         self.run_cache = Some(cache);
         self
+    }
+
+    /// Checks the whole configuration, the one place a run's settings are
+    /// validated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapgError::InvalidConfig`] with the message of the first
+    /// check that fails: an empty workload mix, zero cores or
+    /// instructions, a core, memory, fault-plan or watchdog configuration
+    /// that fails its own check, a switch width outside the circuit
+    /// model's range, or a zero token capacity, trace capacity or compute
+    /// quantum.
+    pub fn validate(&self) -> Result<(), MapgError> {
+        if self.profiles.is_empty() {
+            return Err(MapgError::invalid("a mix needs at least one profile"));
+        }
+        if self.cores == 0 {
+            return Err(MapgError::invalid("need at least one core"));
+        }
+        if self.instructions_per_core == 0 {
+            return Err(MapgError::invalid("need at least one instruction"));
+        }
+        self.core.validate().map_err(MapgError::invalid)?;
+        self.memory.try_validate()?;
+        PgCircuitDesign::validate_switch_width(self.switch_width_ratio)
+            .map_err(MapgError::invalid)?;
+        if self.tokens == Some(0) {
+            return Err(MapgError::invalid(crate::tokens::ZERO_CAPACITY));
+        }
+        self.fault_plan.validate()?;
+        if let Some(watchdog) = &self.watchdog {
+            watchdog.validate().map_err(MapgError::invalid)?;
+        }
+        if self.trace_capacity == Some(0) {
+            return Err(MapgError::invalid("trace capacity must be non-zero"));
+        }
+        if self.compute_quantum == Some(0) {
+            return Err(MapgError::invalid("compute quantum must be non-zero"));
+        }
+        Ok(())
     }
 
     /// Whether `self` and `other` describe the same run: equal on every
@@ -630,10 +533,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (zero cores or instructions)
-    /// — unreachable through the checked `SimConfig` builders; use
-    /// [`Simulation::try_run`] on front-end paths that assemble configs
-    /// from user input.
+    /// Panics with the message of [`SimConfig::validate`] if the
+    /// configuration is invalid; use [`Simulation::try_run`] on front-end
+    /// paths that assemble configs from user input.
     pub fn run(self) -> RunReport {
         match self.try_run() {
             Ok(report) => report,
@@ -645,8 +547,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`MapgError::InvalidConfig`] if the cluster rejects the
-    /// configuration (zero cores or a zero instruction budget).
+    /// Returns [`MapgError::InvalidConfig`] if [`SimConfig::validate`]
+    /// rejects the configuration; nothing is simulated or looked up then.
     ///
     /// With a [`RunCache`] attached ([`SimConfig::with_run_cache`]), a run
     /// built by [`Simulation::new`] with no trace and no event hub returns
@@ -660,6 +562,7 @@ impl Simulation {
             policy,
             kind,
         } = self;
+        config.validate()?;
         let memo = match (config.run_cache.take(), kind) {
             (Some(cache), Some(kind))
                 if config.trace_capacity.is_none() && config.event_hub.is_none() =>
@@ -710,7 +613,7 @@ impl Simulation {
         let sources: Vec<SyntheticWorkload> = (0..config.cores)
             .map(|i| {
                 let profile = &config.profiles[i % config.profiles.len()];
-                SyntheticWorkload::new(profile, config.seed + i as u64)
+                SyntheticWorkload::new(profile, config.seed.wrapping_add(i as u64))
             })
             .collect();
         // A non-no-op plan injects its DRAM-side faults into the shared
@@ -964,10 +867,17 @@ mod tests {
         assert!(config.tech().total_power().as_watts() > 0.0);
     }
 
+    fn rejection(config: SimConfig) -> String {
+        match config.validate() {
+            Err(MapgError::InvalidConfig(message)) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
-        let _ = SimConfig::default().with_cores(0);
+        let message = rejection(SimConfig::default().with_cores(0));
+        assert!(message.contains("at least one core"), "{message}");
     }
 
     #[test]
@@ -988,9 +898,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one profile")]
     fn empty_mix_rejected() {
-        let _ = SimConfig::default().with_workload_mix(Vec::new());
+        let message = rejection(SimConfig::default().with_workload_mix(Vec::new()));
+        assert!(message.contains("at least one profile"), "{message}");
+    }
+
+    /// Values the setters store without complaint but the run cannot use:
+    /// each comes back from `try_run` as the message `validate` gives,
+    /// and `run` panics with that same message.
+    #[test]
+    fn try_run_returns_invalid_configs_as_errors() {
+        let cases = [
+            (quick().with_tokens(0), "token capacity must be non-zero"),
+            (
+                quick().with_switch_width(0.9),
+                "switch width ratio must be in [0.005, 0.2], got 0.9",
+            ),
+            (
+                quick().with_fault_plan(FaultPlan {
+                    slow_wake_prob: 2.0,
+                    ..FaultPlan::none()
+                }),
+                "slow-wake probability must be in [0, 1], got 2",
+            ),
+            (
+                quick().with_workload_mix(vec![]),
+                "a mix needs at least one profile",
+            ),
+            (
+                quick().with_trace_capacity(0),
+                "trace capacity must be non-zero",
+            ),
+            (
+                quick().with_core(CoreConfig {
+                    mlp_limit: 0,
+                    ..CoreConfig::baseline()
+                }),
+                "mlp_limit must be at least 1",
+            ),
+            (
+                quick().with_safe_mode(WatchdogConfig {
+                    window: 0,
+                    ..WatchdogConfig::default()
+                }),
+                "watchdog window and min_samples must be non-zero",
+            ),
+            (
+                quick().with_compute_quantum(0),
+                "compute quantum must be non-zero",
+            ),
+        ];
+        for (config, expected) in cases {
+            assert_eq!(rejection(config.clone()), expected);
+            let err = Simulation::new(config.clone(), PolicyKind::Mapg)
+                .try_run()
+                .unwrap_err();
+            assert_eq!(err, MapgError::invalid(expected));
+            let panic =
+                std::panic::catch_unwind(|| Simulation::new(config, PolicyKind::Mapg).run())
+                    .unwrap_err();
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(expected)
+            );
+        }
     }
 
     #[test]
@@ -1120,12 +1091,6 @@ mod tests {
         let a = Simulation::new(mk(), PolicyKind::Mapg).run();
         let b = Simulation::new(mk(), PolicyKind::Mapg).run();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_compute_quantum_rejected() {
-        let err = SimConfig::default().try_with_compute_quantum(0);
-        assert!(err.is_err());
     }
 
     #[test]

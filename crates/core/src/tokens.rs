@@ -13,7 +13,9 @@ use std::collections::BinaryHeap;
 
 use mapg_units::{Cycle, Cycles};
 
-use crate::error::MapgError;
+/// Why a zero token capacity is refused: with no tokens no core could
+/// ever wake.
+pub(crate) const ZERO_CAPACITY: &str = "token capacity must be non-zero";
 
 /// Grants at most `capacity` concurrent wake-up slots.
 ///
@@ -130,29 +132,15 @@ impl TokenManager {
     /// Panics if `capacity` is zero — with no tokens no core could ever
     /// wake.
     pub fn new(capacity: usize) -> Self {
-        match TokenManager::try_new(capacity) {
-            Ok(manager) => manager,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor for user-supplied capacities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError::InvalidConfig`] when `capacity` is zero.
-    pub fn try_new(capacity: usize) -> Result<Self, MapgError> {
-        if capacity == 0 {
-            return Err(MapgError::invalid("token capacity must be non-zero"));
-        }
-        Ok(TokenManager {
+        assert!(capacity > 0, "{ZERO_CAPACITY}");
+        TokenManager {
             slots: vec![Cycle::ZERO; capacity],
             grants: 0,
             delayed_grants: 0,
             delay_cycles: 0,
             ledger: Ledger::default(),
             obs: mapg_obs::ObsHandle::disabled(),
-        })
+        }
     }
 
     /// Attaches an observability handle; grant counts and token-wait
@@ -308,13 +296,6 @@ mod tests {
     #[test]
     fn capacity_accessor() {
         assert_eq!(TokenManager::new(7).capacity(), 7);
-    }
-
-    #[test]
-    fn try_new_reports_zero_capacity() {
-        let err = TokenManager::try_new(0).unwrap_err();
-        assert!(err.to_string().contains("token capacity"), "{err}");
-        assert!(TokenManager::try_new(2).is_ok());
     }
 
     #[test]

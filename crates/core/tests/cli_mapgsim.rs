@@ -174,6 +174,31 @@ fn removed_topology_flags_are_unknown_options() {
     }
 }
 
+/// Out-of-range run values reach `SimConfig::validate` through
+/// `Simulation::try_run`: exit 1 with the validation message, no panic,
+/// and no report on stdout.
+#[test]
+fn out_of_range_values_are_clean_errors() {
+    for (flag, value, message) in [
+        ("--cores", "0", "need at least one core"),
+        ("--instructions", "0", "need at least one instruction"),
+        ("--tokens", "0", "token capacity must be non-zero"),
+        ("--mshr-entries", "0", "MSHR capacity must be non-zero"),
+        ("--dram-banks", "0", "DRAM needs at least one bank"),
+        (
+            "--switch-width",
+            "90",
+            "switch width ratio must be in [0.005, 0.2], got 0.9",
+        ),
+    ] {
+        let out = run(&["--instructions", "5000", flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err, format!("error: {message}\n"), "{flag} {value}");
+        assert!(out.stdout.is_empty(), "{flag} {value} printed a report");
+    }
+}
+
 fn committed_repro() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros/region-starved-panic.json")
 }

@@ -32,6 +32,15 @@ impl CoreConfig {
             clock: Hertz::from_ghz(2.0),
         }
     }
+
+    /// Checks internal consistency: a core that cannot tolerate a single
+    /// outstanding miss cannot make progress past its first one.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mlp_limit == 0 {
+            return Err("mlp_limit must be at least 1".into());
+        }
+        Ok(())
+    }
 }
 
 impl Default for CoreConfig {
@@ -174,10 +183,12 @@ impl<S: EventSource> Core<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.mlp_limit` is zero — a core that cannot tolerate a
-    /// single outstanding miss cannot make progress past its first one.
+    /// Panics if the configuration is inconsistent (see
+    /// [`CoreConfig::validate`]).
     pub fn with_id(id: CoreId, config: CoreConfig, source: S) -> Self {
-        assert!(config.mlp_limit > 0, "mlp_limit must be at least 1");
+        if let Err(message) = config.validate() {
+            panic!("{message}");
+        }
         Core {
             id,
             config,

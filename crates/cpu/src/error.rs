@@ -1,10 +1,11 @@
-//! Fallible-entry-point errors for front-ends that must not abort.
+//! Errors of the fallible cluster and core entry points.
 //!
-//! The panicking constructors and run methods keep their documented
-//! behaviour (a bad hard-coded config in a benchmark *should* abort), but
-//! each user-reachable validation also exists as a `try_*` method
-//! returning [`RunError`], which CLI front-ends convert into error
-//! messages instead of release-binary aborts.
+//! `Cluster::try_new`, `Cluster::try_run`, their `ReferenceCluster`
+//! counterparts and `Core::try_run` return [`RunError`] for an empty core
+//! list, a zero instruction budget or a rejected memory configuration;
+//! `new` and `run` panic with the same text. A full simulation in the
+//! `mapg` crate checks its whole configuration once, before it builds a
+//! cluster, so these are the cluster API's own guards.
 
 use core::fmt;
 

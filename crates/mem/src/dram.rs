@@ -276,30 +276,17 @@ impl Dram {
     ///
     /// Panics if either configuration is inconsistent.
     pub fn with_faults(config: DramConfig, faults: DramFaultConfig) -> Self {
-        match Dram::try_with_faults(config, faults) {
-            Ok(dram) => dram,
-            Err(e) => panic!("{e}"),
+        if let Err(e) = config.try_validate() {
+            panic!("{e}");
         }
-    }
-
-    /// Fallible [`Dram::new`].
-    pub fn try_new(config: DramConfig) -> Result<Self, ConfigError> {
-        Dram::try_with_faults(config, DramFaultConfig::none())
-    }
-
-    /// Fallible [`Dram::with_faults`]: configuration inconsistencies come
-    /// back as [`ConfigError`] values instead of panics.
-    pub fn try_with_faults(
-        config: DramConfig,
-        faults: DramFaultConfig,
-    ) -> Result<Self, ConfigError> {
-        config.try_validate()?;
-        faults.validate().map_err(ConfigError::Fault)?;
+        if let Err(message) = faults.validate() {
+            panic!("{message}");
+        }
         let bank_count = u64::from(config.banks);
         let hit = config.t_cas.raw();
         let empty = (config.t_rcd + config.t_cas).raw();
         let conflict = (config.t_rp + config.t_rcd + config.t_cas).raw();
-        Ok(Dram {
+        Dram {
             open_rows: vec![0; config.banks as usize],
             bank_free: vec![0; config.banks as usize],
             bus_free: Cycle::ZERO,
@@ -319,7 +306,7 @@ impl Dram {
             faults,
             config,
             obs: mapg_obs::ObsHandle::disabled(),
-        })
+        }
     }
 
     /// The row address containing byte address `addr`.
@@ -668,13 +655,16 @@ mod tests {
         };
         assert_eq!(bad_refresh.try_validate(), Err(ConfigError::RefreshTooLong));
         assert!(DramConfig::ddr3_1333().try_validate().is_ok());
-        assert!(Dram::try_new(zero_banks).is_err());
-        let bad_faults = DramFaultConfig {
-            spike_prob: 2.0,
-            ..DramFaultConfig::none()
+        // A bad fault plan comes back through the hierarchy's check.
+        let bad_faults = crate::HierarchyConfig {
+            dram_faults: DramFaultConfig {
+                spike_prob: 2.0,
+                ..DramFaultConfig::none()
+            },
+            ..crate::HierarchyConfig::baseline()
         };
         assert!(matches!(
-            Dram::try_with_faults(DramConfig::ddr3_1333(), bad_faults),
+            bad_faults.try_validate(),
             Err(ConfigError::Fault(_))
         ));
     }

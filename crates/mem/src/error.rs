@@ -1,12 +1,11 @@
 //! The crate's error type for rejected memory-component configurations.
 //!
-//! The constructors keep their documented panicking behaviour (a bad
-//! hard-coded config in a benchmark *should* abort), but every validation
-//! also exists as a fallible `try_*` method returning [`ConfigError`] so
-//! fuzz- and service-supplied configurations fail as values instead of
-//! unwinding. Each variant's `Display` text is byte-identical to the
-//! message the corresponding panicking path aborts with, so front-ends can
-//! surface either uniformly.
+//! [`HierarchyConfig::try_validate`](crate::HierarchyConfig::try_validate)
+//! (and [`MemoryHierarchy::try_new`](crate::MemoryHierarchy::try_new) on
+//! top of it) check a configuration before anything is built, so fuzz-
+//! and user-supplied configurations fail as values; the constructors
+//! (`Dram::new`, `MshrFile::new`, ...) panic on the same inputs. Each
+//! variant's `Display` text is byte-identical to that panic message.
 
 use core::fmt;
 

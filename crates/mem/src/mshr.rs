@@ -71,24 +71,13 @@ impl MshrFile {
     /// Panics if `capacity` is zero (a core with no MSHRs cannot miss at
     /// all, which is never the intent).
     pub fn new(capacity: usize) -> Self {
-        match MshrFile::try_new(capacity) {
-            Ok(file) => file,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`MshrFile::new`]: rejects a zero capacity as
-    /// [`ConfigError::ZeroMshrs`] instead of panicking.
-    pub fn try_new(capacity: usize) -> Result<Self, ConfigError> {
-        if capacity == 0 {
-            return Err(ConfigError::ZeroMshrs);
-        }
-        Ok(MshrFile {
+        assert!(capacity > 0, "{}", ConfigError::ZeroMshrs);
+        MshrFile {
             capacity,
             lines: Vec::with_capacity(capacity),
             completions: Vec::with_capacity(capacity),
             earliest: Cycle::new(u64::MAX),
-        })
+        }
     }
 
     /// Number of entries currently in flight at time `now` (entries whose
@@ -293,12 +282,6 @@ mod tests {
     #[should_panic(expected = "capacity must be non-zero")]
     fn zero_capacity_rejected() {
         let _ = MshrFile::new(0);
-    }
-
-    #[test]
-    fn try_new_reports_zero_capacity_as_error() {
-        assert_eq!(MshrFile::try_new(0).unwrap_err(), ConfigError::ZeroMshrs);
-        assert_eq!(MshrFile::try_new(4).unwrap().capacity(), 4);
     }
 
     #[test]

@@ -250,17 +250,28 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonParseError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        // Copy everything up to the next quote or backslash as one slice:
-        // both are ASCII, so the run ends on a character boundary.
+        // Copy everything up to the next quote, backslash or control
+        // character as one slice: all are ASCII, so the run ends on a
+        // character boundary.
         let run = bytes[*pos..]
             .iter()
-            .position(|&b| b == b'"' || b == b'\\')
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
             .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
         out.push_str(&text[*pos..*pos + run]);
         *pos += run;
-        if bytes[*pos] == b'"' {
-            *pos += 1;
-            return Ok(out);
+        match bytes[*pos] {
+            b'"' => {
+                *pos += 1;
+                return Ok(out);
+            }
+            b'\\' => {}
+            // RFC 8259 §7: U+0000 through U+001F must be escaped.
+            control => {
+                return Err(err(
+                    *pos,
+                    format!("unescaped control character U+{control:04X} in string"),
+                ))
+            }
         }
         *pos += 1;
         let escaped = match bytes.get(*pos) {
@@ -547,6 +558,26 @@ mod tests {
         assert_eq!(rendered, r#""tab\tquote\"back\\slash\nctrl\u0001""#);
         let parsed = parse(&rendered).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        for (bad, at) in [("\"a\nb\"", 2), ("{\"k\": \"\u{1}\"}", 7), ("[\"\t\"]", 2)] {
+            let error = parse(bad).unwrap_err();
+            assert_eq!(error.at, at, "{bad:?}: {error}");
+            assert!(
+                error.reason.contains("unescaped control character"),
+                "{error}"
+            );
+        }
+        let error = parse("\"\u{1f}\"").unwrap_err();
+        assert_eq!(error.reason, "unescaped control character U+001F in string");
+        // The escaped forms, and DEL (U+007F, outside the range), still parse.
+        assert_eq!(
+            parse(r#""a\nb\u0001""#).unwrap().as_str(),
+            Some("a\nb\u{1}")
+        );
+        assert_eq!(parse("\"\u{7f}\"").unwrap().as_str(), Some("\u{7f}"));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! constants below place a 3 %-width design at ≈5 ns wake-up and ≈40-cycle
 //! break-even at 2 GHz — inside the envelope DATE-era 45 nm studies report.
 
+use core::ops::RangeInclusive;
+
 use mapg_units::{Amperes, Cycles, Hertz, Joules, Ratio, Seconds};
 
 use crate::tech::TechnologyParams;
@@ -77,6 +79,10 @@ const RESIDUAL_SLOPE: f64 = 0.4;
 /// Area overhead per unit of switch width ratio.
 const AREA_SLOPE: f64 = 0.9;
 
+/// The switch width ratios the model covers (see
+/// [`PgCircuitDesign::validate_switch_width`]).
+const SWITCH_WIDTH_RANGE: RangeInclusive<f64> = 0.005..=0.2;
+
 /// One point in the power-gating circuit design space.
 ///
 /// See the [crate-level example](crate) for break-even usage.
@@ -94,18 +100,36 @@ pub struct PgCircuitDesign {
 }
 
 impl PgCircuitDesign {
+    /// Checks that the model covers `ratio`: `[0.005, 0.2]` — below, the
+    /// switch cannot deliver the core's active current (IR-drop
+    /// violation); above, the model's first-order laws stop holding.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message naming the range and `ratio` when it is
+    /// outside the range (or NaN).
+    pub fn validate_switch_width(ratio: f64) -> Result<(), String> {
+        if SWITCH_WIDTH_RANGE.contains(&ratio) {
+            Ok(())
+        } else {
+            Err(format!(
+                "switch width ratio must be in [{}, {}], got {ratio}",
+                SWITCH_WIDTH_RANGE.start(),
+                SWITCH_WIDTH_RANGE.end()
+            ))
+        }
+    }
+
     /// Derives a design point from the switch width ratio.
     ///
     /// # Panics
     ///
-    /// Panics if `ratio` is outside `[0.005, 0.2]` — below, the switch
-    /// cannot deliver the core's active current (IR-drop violation); above,
-    /// the model's first-order laws stop holding.
+    /// Panics if [`PgCircuitDesign::validate_switch_width`] rejects
+    /// `ratio`.
     pub fn from_switch_width(ratio: f64, tech: &TechnologyParams) -> Self {
-        assert!(
-            (0.005..=0.2).contains(&ratio),
-            "switch width ratio must be in [0.005, 0.2], got {ratio}"
-        );
+        if let Err(message) = PgCircuitDesign::validate_switch_width(ratio) {
+            panic!("{message}");
+        }
         let vdd = tech.vdd().as_volts();
         let wakeup_time = Seconds::new(K_WAKE_S / ratio);
         let transition_energy = Joules::new(C_VIRTUAL_F * vdd * vdd * TRANSITION_OVERHEAD);
