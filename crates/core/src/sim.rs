@@ -7,7 +7,9 @@ use mapg_obs::{EventHub, MetricsHub, MetricsRegistry, ObsHandle};
 use mapg_power::{
     DramEnergyModel, EnergyCategory, PgCircuitDesign, RetentionStyle, TechnologyParams,
 };
-use mapg_trace::{EventSource, RecordedTrace, SyntheticWorkload, WorkloadProfile};
+use mapg_trace::{
+    ChunkedSource, EventSource, InFlight, RecordedTrace, SyntheticWorkload, WorkloadProfile,
+};
 use mapg_units::{Cycle, Cycles};
 
 use crate::controller::{Controller, ControllerConfig, GatingStats};
@@ -412,7 +414,7 @@ impl Default for SimConfig {
 
 /// Builds the selected cluster around `sources`, runs it to the budget,
 /// and returns the end-of-run statistics. Generic over the event source so
-/// the live-synthetic, quantized-replay, and reference paths share one
+/// the live chunked, quantized-replay, and reference paths share one
 /// driving routine (the fuzzer differentially crosses all of them).
 fn drive_cluster<S: EventSource>(
     reference: bool,
@@ -588,6 +590,9 @@ impl Simulation {
     /// Runs `config` under `policy` to completion: the uncached body of
     /// [`Simulation::try_run`].
     fn simulate(config: &SimConfig, policy: Box<dyn GatingPolicy>) -> Result<RunReport, MapgError> {
+        // Counted for the whole run, so the generation helper serves a
+        // run only while no other is in flight (DESIGN §9.6).
+        let in_flight = InFlight::enter();
         let circuit = config.circuit();
         let controller_config = ControllerConfig {
             tech: config.tech,
@@ -610,7 +615,7 @@ impl Simulation {
         );
         controller.set_obs(obs.clone());
 
-        let sources: Vec<SyntheticWorkload> = (0..config.cores)
+        let generators: Vec<SyntheticWorkload> = (0..config.cores)
             .map(|i| {
                 let profile = &config.profiles[i % config.profiles.len()];
                 SyntheticWorkload::new(profile, config.seed.wrapping_add(i as u64))
@@ -628,7 +633,7 @@ impl Simulation {
                 // Record each generator to the budget, re-chunk compute at
                 // the quantum, and drive the cluster from the replays. The
                 // traces must outlive the cluster ([`Replay`] borrows).
-                let traces: Vec<RecordedTrace> = sources
+                let traces: Vec<RecordedTrace> = generators
                     .into_iter()
                     .map(|mut workload| {
                         RecordedTrace::record(&mut workload, config.instructions_per_core)
@@ -645,11 +650,13 @@ impl Simulation {
                     config.instructions_per_core,
                 )?
             }
+            // The model stays on this thread; only generation may move to
+            // the helper.
             None => drive_cluster(
                 config.reference_scheduler,
                 config.core,
                 memory,
-                sources,
+                ChunkedSource::for_run(generators, &in_flight),
                 &obs,
                 &mut controller,
                 config.instructions_per_core,

@@ -90,7 +90,8 @@ impl<S: EventSource> Cluster<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `sources` is empty.
+    /// Panics with the message of [`Cluster::try_new`]'s error if
+    /// `sources` is empty or either configuration is rejected.
     pub fn new(core_config: CoreConfig, memory_config: HierarchyConfig, sources: Vec<S>) -> Self {
         match Cluster::try_new(core_config, memory_config, sources) {
             Ok(cluster) => cluster,
@@ -102,9 +103,11 @@ impl<S: EventSource> Cluster<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::NoCores`] if `sources` is empty, or
-    /// [`RunError::Memory`] if the hierarchy configuration fails
-    /// validation (zero DRAM banks, zero MSHRs, bad fault plan, ...).
+    /// Returns [`RunError::NoCores`] if `sources` is empty,
+    /// [`RunError::Core`] if [`CoreConfig::validate`] rejects
+    /// `core_config`, or [`RunError::Memory`] if the hierarchy
+    /// configuration fails validation (zero DRAM banks, zero MSHRs, bad
+    /// fault plan, ...).
     pub fn try_new(
         core_config: CoreConfig,
         memory_config: HierarchyConfig,
@@ -113,6 +116,7 @@ impl<S: EventSource> Cluster<S> {
         if sources.is_empty() {
             return Err(RunError::NoCores);
         }
+        core_config.validate().map_err(RunError::Core)?;
         let memory = MemoryHierarchy::try_new(memory_config)?;
         let cores = sources
             .into_iter()
@@ -362,6 +366,28 @@ mod tests {
             HierarchyConfig::baseline(),
             vec![],
         );
+    }
+
+    #[test]
+    fn a_bad_core_config_is_an_error_not_a_panic() {
+        let config = CoreConfig {
+            mlp_limit: 0,
+            ..CoreConfig::baseline()
+        };
+        let error =
+            Cluster::try_new(config, HierarchyConfig::baseline(), mem_sources(2)).unwrap_err();
+        assert_eq!(error, RunError::Core("mlp_limit must be at least 1".into()));
+        assert_eq!(error.to_string(), "mlp_limit must be at least 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "mlp_limit must be at least 1")]
+    fn new_panics_with_the_core_config_message() {
+        let config = CoreConfig {
+            mlp_limit: 0,
+            ..CoreConfig::baseline()
+        };
+        let _ = Cluster::new(config, HierarchyConfig::baseline(), mem_sources(1));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! `Cluster::try_new`, `Cluster::try_run`, their `ReferenceCluster`
 //! counterparts and `Core::try_run` return [`RunError`] for an empty core
-//! list, a zero instruction budget or a rejected memory configuration;
-//! `new` and `run` panic with the same text. A full simulation in the
+//! list, a zero instruction budget, a rejected core configuration (checked
+//! by `CoreConfig::validate` before any core is built) or a rejected memory
+//! configuration; `new` and `run` panic with the same text. A full simulation in the
 //! `mapg` crate checks its whole configuration once, before it builds a
 //! cluster, so these are the cluster API's own guards.
 
@@ -17,6 +18,9 @@ pub enum RunError {
     ZeroInstructions,
     /// A cluster was built from an empty source list.
     NoCores,
+    /// The core configuration was rejected by `CoreConfig::validate`; the
+    /// text is its message (e.g. a zero MLP limit).
+    Core(String),
     /// The shared memory hierarchy's configuration was rejected (bad DRAM
     /// geometry, zero MSHRs, inconsistent fault plan, ...).
     Memory(mapg_mem::ConfigError),
@@ -27,6 +31,7 @@ impl fmt::Display for RunError {
         match self {
             RunError::ZeroInstructions => f.write_str("must run at least one instruction"),
             RunError::NoCores => f.write_str("a cluster needs at least one core"),
+            RunError::Core(message) => f.write_str(message),
             RunError::Memory(e) => e.fmt(f),
         }
     }

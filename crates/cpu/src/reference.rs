@@ -197,7 +197,7 @@ impl<S: EventSource> ReferenceCluster<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `sources` is empty.
+    /// Panics with the message of [`ReferenceCluster::try_new`]'s error.
     pub fn new(core_config: CoreConfig, memory_config: HierarchyConfig, sources: Vec<S>) -> Self {
         match ReferenceCluster::try_new(core_config, memory_config, sources) {
             Ok(cluster) => cluster,
@@ -209,7 +209,9 @@ impl<S: EventSource> ReferenceCluster<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::NoCores`] if `sources` is empty.
+    /// Returns [`RunError::NoCores`] if `sources` is empty, or
+    /// [`RunError::Core`] if [`CoreConfig::validate`] rejects
+    /// `core_config`; no core is built then.
     pub fn try_new(
         core_config: CoreConfig,
         memory_config: HierarchyConfig,
@@ -218,6 +220,7 @@ impl<S: EventSource> ReferenceCluster<S> {
         if sources.is_empty() {
             return Err(RunError::NoCores);
         }
+        core_config.validate().map_err(RunError::Core)?;
         let cores: Vec<_> = sources
             .into_iter()
             .enumerate()
@@ -290,5 +293,26 @@ impl<S: EventSource> ReferenceCluster<S> {
             per_core: self.cores.iter().map(|c| c.stats.clone()).collect(),
             memory: self.memory.stats(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mapg_trace::{SyntheticWorkload, WorkloadProfile};
+
+    #[test]
+    fn a_bad_core_config_is_an_error_not_a_panic() {
+        let config = CoreConfig {
+            mlp_limit: 0,
+            ..CoreConfig::baseline()
+        };
+        let sources = vec![SyntheticWorkload::new(
+            &WorkloadProfile::mem_bound("ref"),
+            1,
+        )];
+        let error =
+            ReferenceCluster::try_new(config, HierarchyConfig::baseline(), sources).unwrap_err();
+        assert_eq!(error, RunError::Core("mlp_limit must be at least 1".into()));
     }
 }

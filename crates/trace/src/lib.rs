@@ -15,6 +15,19 @@
 //! [`SyntheticWorkload`] turns the profile into a deterministic, seeded
 //! event stream the core model consumes.
 //!
+//! # Chunked sources and the helper thread
+//!
+//! A simulation reads each core's generator through a [`ChunkedSource`],
+//! which serves events out of a buffer of [`CHUNK`] events. Generation is
+//! a pure function of `(profile, seed)` and reads no shared state, so the
+//! buffers can be filled on another thread without changing the stream a
+//! core sees: when a run is the only one [`InFlight`], the process may
+//! run two threads at once and the helper is free, the process's one
+//! persistent helper thread keeps every core's next buffer full while the
+//! simulation thread runs the model; otherwise each source refills
+//! inline. The generators themselves stay plain [`EventSource`]s, and
+//! recorded traces replay without a helper.
+//!
 //! # Example
 //!
 //! ```
@@ -36,6 +49,7 @@ mod address;
 mod bernoulli;
 mod event;
 mod generator;
+mod handoff;
 mod phase;
 mod profile;
 mod recorded;
@@ -45,6 +59,7 @@ pub mod suite;
 pub use address::{AddressPattern, AddressStream, LINE_BYTES, SEQ_STRIDE_BYTES};
 pub use event::{AccessKind, MemAccess, TraceEvent};
 pub use generator::{EventSource, SyntheticWorkload};
+pub use handoff::{helper_runs, ChunkedSource, InFlight, CHUNK};
 pub use phase::{Phase, PhaseModel, PhaseSchedule};
 pub use profile::{IdleInjection, ProfileBuilder, WorkloadProfile};
 pub use recorded::{ParseTraceError, RecordedTrace, Replay};
