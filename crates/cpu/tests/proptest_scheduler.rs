@@ -191,12 +191,15 @@ proptest! {
 
     /// Replayed basic-block-granularity recordings (the pintool-style
     /// workload shape, where compute batching folds the most events) must
-    /// also interleave identically.
+    /// also interleave identically: under a passive handler, and under
+    /// [`FaultyWakeLog`], whose late resumes land a folded compute run on
+    /// a core that slept past its data.
     #[test]
     fn quantized_replay_matches_reference(
         mixes in prop::collection::vec(0u8..3, 1..5),
         seed_base in 0u64..1_000,
         quantum in 1u64..8,
+        wake_seed in 0u64..1_000,
         budget in 500u64..3_000,
     ) {
         let traces: Vec<RecordedTrace> = mixes
@@ -209,25 +212,36 @@ proptest! {
                 RecordedTrace::record(&mut workload, budget).quantize_compute(quantum)
             })
             .collect();
+        let live = || {
+            Cluster::new(
+                CoreConfig::baseline(),
+                HierarchyConfig::baseline(),
+                traces.iter().map(|t| t.replay()).collect(),
+            )
+        };
+        let reference = || {
+            ReferenceCluster::new(
+                CoreConfig::baseline(),
+                HierarchyConfig::baseline(),
+                traces.iter().map(|t| t.replay()).collect(),
+            )
+        };
 
-        let mut live = Cluster::new(
-            CoreConfig::baseline(),
-            HierarchyConfig::baseline(),
-            traces.iter().map(|t| t.replay()).collect(),
-        );
+        let (mut live_passive, mut reference_passive) = (live(), reference());
         let mut live_log = InterleavingLog::default();
-        live.run(budget, &mut live_log);
-
-        let mut reference = ReferenceCluster::new(
-            CoreConfig::baseline(),
-            HierarchyConfig::baseline(),
-            traces.iter().map(|t| t.replay()).collect(),
-        );
+        live_passive.run(budget, &mut live_log);
         let mut reference_log = InterleavingLog::default();
-        reference.run(budget, &mut reference_log);
-
+        reference_passive.run(budget, &mut reference_log);
         prop_assert_eq!(live_log.entries, reference_log.entries);
-        prop_assert_eq!(live.stats(), reference.stats());
+        prop_assert_eq!(live_passive.stats(), reference_passive.stats());
+
+        let (mut live_faulty, mut reference_faulty) = (live(), reference());
+        let mut live_log = FaultyWakeLog::new(wake_seed);
+        live_faulty.run(budget, &mut live_log);
+        let mut reference_log = FaultyWakeLog::new(wake_seed);
+        reference_faulty.run(budget, &mut reference_log);
+        prop_assert_eq!(live_log.entries, reference_log.entries);
+        prop_assert_eq!(live_faulty.stats(), reference_faulty.stats());
     }
 
     /// Equivalence must survive active DRAM fault plans: latency spikes
