@@ -5,16 +5,16 @@
 //! Low thresholds over-gate (transition energy on short stalls); high
 //! thresholds leave long stalls unharvested. The figure locates the knee.
 
-use mapg::{MapgPolicy, PolicyKind, Simulation};
-use mapg_pool::Pool;
+use mapg::{run_all, PolicyKind};
 use mapg_trace::WorkloadProfile;
 
 use crate::experiments::base_config;
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Guard multipliers swept.
-pub const GUARDS: [f64; 7] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
+/// Guard multipliers swept, in quarters of the break-even time: 0 to 8×
+/// BET.
+pub const GUARDS: [u32; 7] = [0, 1, 2, 4, 8, 16, 32];
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -22,26 +22,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         WorkloadProfile::mem_bound("mem_bound"),
         WorkloadProfile::compute_bound("compute_bound"),
     ];
-    // Per profile: the no-gating baseline (`None`), then one run per guard.
-    // A custom guard has no `PolicyKind`, and a boxed policy is not `Send`,
-    // so this is the one sweep that maps on the pool itself and builds
-    // each policy inside the worker; the configs are still built here.
+    // Per profile: the no-gating baseline, then one run per guard.
     let runs = profiles
         .iter()
         .flat_map(|profile| {
             let base = base_config(scale).with_profile(profile.clone());
-            std::iter::once(None)
-                .chain(GUARDS.map(Some))
-                .map(move |guard| (base.clone(), guard))
+            std::iter::once(PolicyKind::NoGating)
+                .chain(GUARDS.map(|quarter_bets| PolicyKind::MapgGuard { quarter_bets }))
+                .map(move |policy| (base.clone(), policy))
         })
         .collect();
-    let reports = Pool::with_default_jobs().map(runs, |(config, guard)| match guard {
-        None => Simulation::new(config, PolicyKind::NoGating).run(),
-        Some(guard) => {
-            let policy = MapgPolicy::predictive().with_guard(guard);
-            Simulation::with_policy(config, Box::new(policy)).run()
-        }
-    });
+    let reports = run_all(runs);
     let mut tables = Vec::new();
     for (profile, reports) in profiles.iter().zip(reports.chunks(1 + GUARDS.len())) {
         let (baseline, swept) = reports.split_first().expect("baseline first");
@@ -58,7 +49,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         );
         for (guard, report) in GUARDS.iter().zip(swept) {
             table.push_row(vec![
-                format!("{guard:.2}"),
+                format!("{:.2}", f64::from(*guard) / 4.0),
                 format!("{:.1}", report.gating.gated_fraction() * 100.0),
                 pct(report.core_energy_savings_vs(baseline)),
                 pct(report.perf_overhead_vs(baseline)),

@@ -254,10 +254,6 @@ pub struct Scenario {
     /// Workload-profile knobs (all cores run the same profile with
     /// per-core seeds, like the headline experiments).
     pub profile: ProfileSpec,
-    /// When set, drive the run from quantized recordings (basic-block
-    /// replay, where compute batching folds the most events) instead of
-    /// live generators.
-    pub compute_quantum: Option<u64>,
     /// Token-limited wake-ups with this capacity, when set.
     pub tokens: Option<usize>,
     /// Safe-mode watchdog thresholds, when enabled.
@@ -345,15 +341,13 @@ impl Scenario {
             sim_seed: rng.below(1 << 48),
             policy: *rng.pick(&POLICY_POOL),
             profile: ProfileSpec::generate(&mut rng),
-            compute_quantum: if rng.chance(0.35) {
-                Some(rng.range(1, 64))
-            } else {
-                None
-            },
-            tokens: if rng.chance(0.4) {
-                Some(rng.range(1, cores as u64) as usize)
-            } else {
-                None
+            tokens: {
+                // The retired compute quantum still consumes its draws, so
+                // a campaign seed keeps mapping to the same scenarios.
+                if rng.chance(0.35) {
+                    rng.range(1, 64);
+                }
+                rng.chance(0.4).then(|| rng.range(1, cores as u64) as usize)
             },
             watchdog: if rng.chance(0.4) {
                 Some(WatchdogConfig {
@@ -441,9 +435,6 @@ impl Scenario {
             .with_fault_plan(self.faults)
             .with_trace_capacity(self.trace_capacity)
             .with_metrics();
-        if let Some(quantum) = self.compute_quantum {
-            config = config.with_compute_quantum(quantum);
-        }
         if let Some(tokens) = self.tokens {
             config = config.with_tokens(tokens);
         }
@@ -560,7 +551,6 @@ impl Scenario {
             ("sim_seed".into(), num_u(self.sim_seed)),
             ("policy".into(), policy),
             ("profile".into(), profile),
-            ("compute_quantum".into(), opt_u64(self.compute_quantum)),
             ("tokens".into(), opt_u64(self.tokens.map(|t| t as u64))),
             ("watchdog".into(), watchdog),
             ("faults".into(), faults),
@@ -759,7 +749,6 @@ impl Scenario {
             sim_seed: u64_of("sim_seed")?,
             policy,
             profile,
-            compute_quantum: opt_u64_of("compute_quantum")?,
             tokens: opt_u64_of("tokens")?.map(|t| t as usize),
             watchdog,
             faults,
@@ -787,11 +776,14 @@ type Replays = fn(&JsonValue) -> bool;
 /// the name, which values still replay, and how the error names them.
 /// Multi-channel and sharded runs are gone, so only one channel and one
 /// shard replay. The timeline recorder never changed a run, so either
-/// flag replays.
-const RETIRED_FIELDS: [(&str, Replays, &str); 3] = [
+/// flag replays. A compute quantum replayed a quantized recording, which
+/// is not the run a live generator drives, so only its absence (`null`,
+/// accepted for every retired field) replays.
+const RETIRED_FIELDS: [(&str, Replays, &str); 4] = [
     ("channels", |v| v.as_u64() == Some(1), "1"),
     ("shards", |v| v.as_u64() == Some(1), "1"),
     ("timeline", |v| v.as_bool().is_some(), "a boolean"),
+    ("compute_quantum", |_| false, "null"),
 ];
 
 fn parse_policy_name(name: &str) -> Option<PolicyKind> {
@@ -942,6 +934,27 @@ mod tests {
         }
         let err = with_flag(JsonValue::Number("1".into())).unwrap_err();
         assert!(err.to_string().contains("only a boolean replays"), "{err}");
+    }
+
+    /// Repro files from when quantized replays existed carry a
+    /// `compute_quantum`: `null` (a live run) replays, a quantum is
+    /// refused by name.
+    #[test]
+    fn legacy_json_with_a_compute_quantum_parses() {
+        let scenario = Scenario::generate(0xCAFE, 3);
+        let with_quantum = |quantum: JsonValue| {
+            let JsonValue::Object(mut fields) = scenario.to_json() else {
+                panic!("scenario JSON is an object");
+            };
+            fields.insert(5, ("compute_quantum".into(), quantum));
+            Scenario::from_json(&JsonValue::Object(fields))
+        };
+        assert_eq!(with_quantum(JsonValue::Null).unwrap(), scenario);
+        let err = with_quantum(JsonValue::Number("4".into())).unwrap_err();
+        assert!(matches!(err, MapgError::InvalidConfig(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("'compute_quantum' is 4"), "{message}");
+        assert!(message.contains("only null replays"), "{message}");
     }
 
     #[test]

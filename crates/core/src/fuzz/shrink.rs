@@ -50,13 +50,6 @@ fn halve_cores(s: &Scenario) -> Option<Scenario> {
     Some(out)
 }
 
-fn drop_quantum(s: &Scenario) -> Option<Scenario> {
-    s.compute_quantum?;
-    let mut out = s.clone();
-    out.compute_quantum = None;
-    Some(out)
-}
-
 fn drop_watchdog(s: &Scenario) -> Option<Scenario> {
     s.watchdog?;
     let mut out = s.clone();
@@ -196,10 +189,9 @@ fn shorten_fault_holds(s: &Scenario) -> Option<Scenario> {
 
 /// Passes in the order tried each fixpoint round: big structural cuts
 /// first, knob resets last.
-const PASSES: [Pass; 16] = [
+const PASSES: [Pass; 15] = [
     ("halve-instructions", halve_instructions),
     ("halve-cores", halve_cores),
-    ("drop-quantum", drop_quantum),
     ("drop-watchdog", drop_watchdog),
     ("drop-tokens", drop_tokens),
     ("drop-idle", drop_idle),

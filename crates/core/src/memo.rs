@@ -178,10 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_objects_traces_and_event_hubs_bypass_the_cache() {
+    fn traces_and_event_hubs_bypass_the_cache() {
         let cache = RunCache::new();
         let config = quick().with_run_cache(cache.clone());
-        Simulation::with_policy(config.clone(), PolicyKind::Mapg.instantiate()).run();
         let traced = Simulation::new(config.clone().with_trace(), PolicyKind::Mapg).run();
         assert!(traced.trace.is_some());
         let feed = EventHub::new(1024);
@@ -245,7 +244,6 @@ mod tests {
             base.clone().with_switch_width(0.05),
             base.clone().with_fault_plan(FaultPlan::light()),
             base.clone().with_memory(memory),
-            base.clone().with_compute_quantum(4),
             base.clone().with_reference_scheduler(),
             base.clone().with_instructions(20_001),
             base.clone().without_regate(),

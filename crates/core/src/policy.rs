@@ -369,6 +369,13 @@ pub enum PolicyKind {
         /// The predictor to drive the policy with.
         predictor: PredictorKind,
     },
+    /// [`MapgPolicy::predictive`] with its break-even guard set to
+    /// `quarter_bets / 4` (experiment R-F4). Whole quarters keep the kind
+    /// `Eq + Hash`, a memo key.
+    MapgGuard {
+        /// The guard multiplier, in quarters of the break-even time.
+        quarter_bets: u32,
+    },
 }
 
 /// Selects a miss-latency predictor for [`PolicyKind::MapgWith`].
@@ -464,6 +471,9 @@ impl PolicyKind {
                 predictor.instantiate(),
                 predictor.policy_name(),
             )),
+            PolicyKind::MapgGuard { quarter_bets } => {
+                Box::new(MapgPolicy::predictive().with_guard(f64::from(quarter_bets) / 4.0))
+            }
         }
     }
 
@@ -477,7 +487,7 @@ impl PolicyKind {
             PolicyKind::NaiveOnMiss => "naive-on-miss",
             PolicyKind::Timeout { .. } => "timeout",
             PolicyKind::MapgOracle => "mapg-oracle",
-            PolicyKind::Mapg => "mapg",
+            PolicyKind::Mapg | PolicyKind::MapgGuard { .. } => "mapg",
             PolicyKind::MapgAlwaysGate => "mapg-always-gate",
             PolicyKind::MapgNoEarlyWake => "mapg-no-early-wake",
             PolicyKind::MapgWith { predictor } => predictor.policy_name(),
@@ -622,19 +632,47 @@ mod tests {
         }
     }
 
+    /// Every variant, every predictor under `MapgWith`, and both
+    /// parameterized kinds at a few values.
     #[test]
     fn kind_names_match_instances() {
-        for kind in PolicyKind::COMPARISON_SET {
-            assert_eq!(kind.name(), kind.instantiate().name());
+        let fixed = [
+            PolicyKind::NoGating,
+            PolicyKind::ClockGating,
+            PolicyKind::DvfsStall,
+            PolicyKind::NaiveOnMiss,
+            PolicyKind::MapgOracle,
+            PolicyKind::Mapg,
+            PolicyKind::MapgAlwaysGate,
+            PolicyKind::MapgNoEarlyWake,
+        ];
+        let timeouts = [0, 100, 5_000].map(|idle_cycles| PolicyKind::Timeout { idle_cycles });
+        let predictors = PredictorKind::ALL.map(|predictor| PolicyKind::MapgWith { predictor });
+        let guards = [0, 1, 4, 32].map(|quarter_bets| PolicyKind::MapgGuard { quarter_bets });
+        let kinds: Vec<PolicyKind> = fixed
+            .into_iter()
+            .chain(timeouts)
+            .chain(predictors)
+            .chain(guards)
+            .collect();
+        for kind in &kinds {
+            // Exhaustive, so a new variant does not compile until this
+            // test names it.
+            match kind {
+                PolicyKind::NoGating
+                | PolicyKind::ClockGating
+                | PolicyKind::DvfsStall
+                | PolicyKind::NaiveOnMiss
+                | PolicyKind::Timeout { .. }
+                | PolicyKind::MapgOracle
+                | PolicyKind::Mapg
+                | PolicyKind::MapgAlwaysGate
+                | PolicyKind::MapgNoEarlyWake
+                | PolicyKind::MapgWith { .. }
+                | PolicyKind::MapgGuard { .. } => {}
+            }
+            assert_eq!(kind.name(), kind.instantiate().name(), "{kind:?}");
         }
-        assert_eq!(
-            PolicyKind::MapgAlwaysGate.name(),
-            PolicyKind::MapgAlwaysGate.instantiate().name()
-        );
-        assert_eq!(
-            PolicyKind::MapgNoEarlyWake.name(),
-            PolicyKind::MapgNoEarlyWake.instantiate().name()
-        );
     }
 
     #[test]

@@ -7,9 +7,7 @@ use mapg_obs::{EventHub, MetricsHub, MetricsRegistry, ObsHandle};
 use mapg_power::{
     DramEnergyModel, EnergyCategory, PgCircuitDesign, RetentionStyle, TechnologyParams,
 };
-use mapg_trace::{
-    ChunkedSource, EventSource, InFlight, RecordedTrace, SyntheticWorkload, WorkloadProfile,
-};
+use mapg_trace::{ChunkedSource, InFlight, SyntheticWorkload, WorkloadProfile};
 use mapg_units::{Cycle, Cycles};
 
 use crate::controller::{Controller, ControllerConfig, GatingStats};
@@ -17,7 +15,7 @@ use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::memo::RunCache;
-use crate::policy::{GatingPolicy, PolicyKind};
+use crate::policy::PolicyKind;
 use crate::report::RunReport;
 use crate::watchdog::WatchdogConfig;
 
@@ -50,7 +48,6 @@ pub struct SimConfig {
     retention: RetentionStyle,
     tokens: Option<usize>,
     regate_on_early_wake: bool,
-    dram_energy: DramEnergyModel,
     fault_plan: FaultPlan,
     watchdog: Option<WatchdogConfig>,
     trace_capacity: Option<usize>,
@@ -58,7 +55,6 @@ pub struct SimConfig {
     metrics_hub: Option<MetricsHub>,
     event_hub: Option<EventHub>,
     reference_scheduler: bool,
-    compute_quantum: Option<u64>,
     run_cache: Option<RunCache>,
 }
 
@@ -210,20 +206,6 @@ impl SimConfig {
         self
     }
 
-    /// Drives the cluster from **quantized recordings** instead of live
-    /// synthetic generators: each core's workload is recorded to the
-    /// instruction budget, compute runs are re-chunked at basic-block
-    /// granularity (`quantum` instructions — see
-    /// [`mapg_trace::RecordedTrace::quantize_compute`]), and the run
-    /// replays the recording. This is the pintool-style workload shape,
-    /// where compute batching folds the most events; exposing it here lets
-    /// the differential fuzzer drive the full controller stack through the
-    /// replay path too.
-    pub fn with_compute_quantum(mut self, quantum: u64) -> Self {
-        self.compute_quantum = Some(quantum);
-        self
-    }
-
     /// Runs on the frozen seed stack ([`mapg_cpu::ReferenceCluster`]: the
     /// retained per-event linear-scan scheduler over the seed memory
     /// hierarchy) instead of the optimized one.
@@ -239,8 +221,8 @@ impl SimConfig {
 
     /// Memoizes this run in `cache`: a repeated `(config, policy)` returns
     /// the report computed earlier instead of simulating again. Only runs
-    /// built by [`Simulation::new`] without a trace or an event hub
-    /// consult the cache (see [`Simulation::try_run`]).
+    /// without a trace or an event hub consult the cache (see
+    /// [`Simulation::try_run`]).
     pub fn with_run_cache(mut self, cache: RunCache) -> Self {
         self.run_cache = Some(cache);
         self
@@ -255,8 +237,7 @@ impl SimConfig {
     /// check that fails: an empty workload mix, zero cores or
     /// instructions, a core, memory, fault-plan or watchdog configuration
     /// that fails its own check, a switch width outside the circuit
-    /// model's range, or a zero token capacity, trace capacity or compute
-    /// quantum.
+    /// model's range, or a zero token or trace capacity.
     pub fn validate(&self) -> Result<(), MapgError> {
         if self.profiles.is_empty() {
             return Err(MapgError::invalid("a mix needs at least one profile"));
@@ -281,9 +262,6 @@ impl SimConfig {
         if self.trace_capacity == Some(0) {
             return Err(MapgError::invalid("trace capacity must be non-zero"));
         }
-        if self.compute_quantum == Some(0) {
-            return Err(MapgError::invalid("compute quantum must be non-zero"));
-        }
         Ok(())
     }
 
@@ -305,7 +283,6 @@ impl SimConfig {
             retention,
             tokens,
             regate_on_early_wake,
-            dram_energy,
             fault_plan,
             watchdog,
             trace_capacity,
@@ -313,7 +290,6 @@ impl SimConfig {
             metrics_hub: _,
             event_hub: _,
             reference_scheduler,
-            compute_quantum,
             run_cache: _,
         } = self;
         *profiles == other.profiles
@@ -327,13 +303,11 @@ impl SimConfig {
             && *retention == other.retention
             && *tokens == other.tokens
             && *regate_on_early_wake == other.regate_on_early_wake
-            && *dram_energy == other.dram_energy
             && *fault_plan == other.fault_plan
             && *watchdog == other.watchdog
             && *trace_capacity == other.trace_capacity
             && *metrics == other.metrics
             && *reference_scheduler == other.reference_scheduler
-            && *compute_quantum == other.compute_quantum
     }
 
     /// This configuration without its hubs and cache handle: what a
@@ -398,7 +372,6 @@ impl Default for SimConfig {
             retention: RetentionStyle::Retentive,
             tokens: None,
             regate_on_early_wake: true,
-            dram_energy: DramEnergyModel::ddr3(),
             fault_plan: FaultPlan::none(),
             watchdog: None,
             trace_capacity: None,
@@ -406,35 +379,8 @@ impl Default for SimConfig {
             metrics_hub: None,
             event_hub: None,
             reference_scheduler: false,
-            compute_quantum: None,
             run_cache: None,
         }
-    }
-}
-
-/// Builds the selected cluster around `sources`, runs it to the budget,
-/// and returns the end-of-run statistics. Generic over the event source so
-/// the live chunked, quantized-replay, and reference paths share one
-/// driving routine (the fuzzer differentially crosses all of them).
-fn drive_cluster<S: EventSource>(
-    reference: bool,
-    core: CoreConfig,
-    memory: HierarchyConfig,
-    sources: Vec<S>,
-    obs: &ObsHandle,
-    controller: &mut Controller,
-    instructions_per_core: u64,
-) -> Result<ClusterStats, MapgError> {
-    if reference {
-        let mut cluster = mapg_cpu::ReferenceCluster::try_new(core, memory, sources)?;
-        cluster.set_obs(obs.clone());
-        cluster.try_run(instructions_per_core, controller)?;
-        Ok(cluster.stats())
-    } else {
-        let mut cluster = Cluster::try_new(core, memory, sources)?;
-        cluster.set_obs(obs.clone());
-        cluster.try_run(instructions_per_core, controller)?;
-        Ok(cluster.stats())
     }
 }
 
@@ -490,42 +436,16 @@ const _: () = {
 
 /// One configured run: a cluster of cores, a shared hierarchy, and a gating
 /// controller executing the chosen policy.
+#[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    policy: Box<dyn GatingPolicy>,
-    /// The kind `policy` was built from, when known: the run's memo key.
-    kind: Option<PolicyKind>,
-}
-
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
-            .field("config", &self.config)
-            .field("policy", &self.policy.name())
-            .finish()
-    }
+    policy: PolicyKind,
 }
 
 impl Simulation {
     /// Pairs a configuration with a policy.
     pub fn new(config: SimConfig, policy: PolicyKind) -> Self {
-        Simulation {
-            kind: Some(policy),
-            ..Simulation::with_policy(config, policy.instantiate())
-        }
-    }
-
-    /// Pairs a configuration with an already-built policy, for variants no
-    /// [`PolicyKind`] names (e.g. a [`crate::MapgPolicy`] with a custom
-    /// break-even guard). The run is otherwise identical to
-    /// [`Simulation::new`]: same accounting audits, same observability —
-    /// but it never consults a [`RunCache`], since no key names the policy.
-    pub fn with_policy(config: SimConfig, policy: Box<dyn GatingPolicy>) -> Self {
-        Simulation {
-            config,
-            policy,
-            kind: None,
-        }
+        Simulation { config, policy }
     }
 
     /// Runs to completion and produces the report.
@@ -553,43 +473,35 @@ impl Simulation {
     /// rejects the configuration; nothing is simulated or looked up then.
     ///
     /// With a [`RunCache`] attached ([`SimConfig::with_run_cache`]), a run
-    /// built by [`Simulation::new`] with no trace and no event hub returns
-    /// the cached report of an equal earlier run and merges its metrics
-    /// into the metrics hub, if one is attached — the same bytes a fresh
-    /// computation would produce and publish. Traced and published runs
-    /// always compute: their trace is not cached.
+    /// with no trace and no event hub returns the cached report of an
+    /// equal earlier run and merges its metrics into the metrics hub, if
+    /// one is attached — the same bytes a fresh computation would produce
+    /// and publish. Traced and published runs always compute: their trace
+    /// is not cached.
     pub fn try_run(self) -> Result<RunReport, MapgError> {
-        let Simulation {
-            mut config,
-            policy,
-            kind,
-        } = self;
+        let Simulation { mut config, policy } = self;
         config.validate()?;
-        let memo = match (config.run_cache.take(), kind) {
-            (Some(cache), Some(kind))
-                if config.trace_capacity.is_none() && config.event_hub.is_none() =>
-            {
-                Some((cache, kind))
-            }
-            _ => None,
-        };
-        let Some((cache, kind)) = memo else {
+        let Some(cache) = config
+            .run_cache
+            .take()
+            .filter(|_| config.trace_capacity.is_none() && config.event_hub.is_none())
+        else {
             return Simulation::simulate(&config, policy);
         };
-        if let Some(report) = cache.get(&config, kind) {
+        if let Some(report) = cache.get(&config, policy) {
             if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &report.metrics) {
                 hub.merge(metrics);
             }
             return Ok(report);
         }
         let report = Simulation::simulate(&config, policy)?;
-        cache.insert(config, kind, report.clone());
+        cache.insert(config, policy, report.clone());
         Ok(report)
     }
 
     /// Runs `config` under `policy` to completion: the uncached body of
     /// [`Simulation::try_run`].
-    fn simulate(config: &SimConfig, policy: Box<dyn GatingPolicy>) -> Result<RunReport, MapgError> {
+    fn simulate(config: &SimConfig, policy: PolicyKind) -> Result<RunReport, MapgError> {
         // Counted for the whole run, so the generation helper serves a
         // run only while no other is in flight (DESIGN §9.6).
         let in_flight = InFlight::enter();
@@ -604,7 +516,7 @@ impl Simulation {
             fault_seed: config.seed,
             watchdog: config.watchdog,
         };
-        let mut controller = Controller::new(policy, controller_config);
+        let mut controller = Controller::new(policy.instantiate(), controller_config);
         // One observability handle per run, shared by every component via
         // cheap clones. Built here, on the thread that runs the simulation
         // (the handle is `!Send`), so emission order is simulation order
@@ -628,39 +540,20 @@ impl Simulation {
         if !config.fault_plan.is_nop() {
             memory.dram_faults = config.fault_plan.dram_faults(config.seed);
         }
-        let cluster_stats = match config.compute_quantum {
-            Some(quantum) => {
-                // Record each generator to the budget, re-chunk compute at
-                // the quantum, and drive the cluster from the replays. The
-                // traces must outlive the cluster ([`Replay`] borrows).
-                let traces: Vec<RecordedTrace> = generators
-                    .into_iter()
-                    .map(|mut workload| {
-                        RecordedTrace::record(&mut workload, config.instructions_per_core)
-                            .quantize_compute(quantum)
-                    })
-                    .collect();
-                drive_cluster(
-                    config.reference_scheduler,
-                    config.core,
-                    memory,
-                    traces.iter().map(RecordedTrace::replay).collect(),
-                    &obs,
-                    &mut controller,
-                    config.instructions_per_core,
-                )?
-            }
-            // The model stays on this thread; only generation may move to
-            // the helper.
-            None => drive_cluster(
-                config.reference_scheduler,
-                config.core,
-                memory,
-                ChunkedSource::for_run(generators, &in_flight),
-                &obs,
-                &mut controller,
-                config.instructions_per_core,
-            )?,
+        // The model stays on this thread; only generation may move to the
+        // helper. The reference stack is the frozen oracle the differential
+        // tests and the fuzzer cross the live one against.
+        let sources = ChunkedSource::for_run(generators, &in_flight);
+        let cluster_stats = if config.reference_scheduler {
+            let mut cluster = mapg_cpu::ReferenceCluster::try_new(config.core, memory, sources)?;
+            cluster.set_obs(obs.clone());
+            cluster.try_run(config.instructions_per_core, &mut controller)?;
+            cluster.stats()
+        } else {
+            let mut cluster = Cluster::try_new(config.core, memory, sources)?;
+            cluster.set_obs(obs.clone());
+            cluster.try_run(config.instructions_per_core, &mut controller)?;
+            cluster.stats()
         };
         let final_times: Vec<Cycle> = cluster_stats
             .per_core
@@ -687,13 +580,14 @@ impl Simulation {
         }
         let makespan = cluster_stats.makespan_cycles();
         let runtime = Cycles::new(makespan).at(clock);
+        let dram_energy = DramEnergyModel::ddr3();
         energy.add(
             EnergyCategory::DramAccess,
-            config.dram_energy.access_energy(&cluster_stats.memory.dram),
+            dram_energy.access_energy(&cluster_stats.memory.dram),
         );
         energy.add(
             EnergyCategory::DramBackground,
-            config.dram_energy.background_power * runtime,
+            dram_energy.background_power * runtime,
         );
         energy.record_metrics(&obs);
 
@@ -793,6 +687,14 @@ mod tests {
         let heap = Simulation::new(config.clone(), PolicyKind::Mapg).run();
         let reference = Simulation::new(config.with_reference_scheduler(), PolicyKind::Mapg).run();
         assert_eq!(heap, reference);
+    }
+
+    /// R-F4's guard kind at 4 quarters is the default guard: the same
+    /// report as `Mapg`, name included.
+    #[test]
+    fn guard_kind_at_one_bet_is_mapg() {
+        let guarded = Simulation::new(quick(), PolicyKind::MapgGuard { quarter_bets: 4 }).run();
+        assert_eq!(guarded, Simulation::new(quick(), PolicyKind::Mapg).run());
     }
 
     #[test]
@@ -950,10 +852,6 @@ mod tests {
                 }),
                 "watchdog window and min_samples must be non-zero",
             ),
-            (
-                quick().with_compute_quantum(0),
-                "compute quantum must be non-zero",
-            ),
         ];
         for (config, expected) in cases {
             assert_eq!(rejection(config.clone()), expected);
@@ -1071,33 +969,6 @@ mod tests {
             "healthy run tripped the watchdog: {}",
             report.degradation
         );
-    }
-
-    #[test]
-    fn quantized_replay_agrees_across_schedulers() {
-        // The quantized-recording path must preserve the event-wheel ↔
-        // reference equivalence end-to-end (controller included).
-        let config = quick()
-            .with_cores(2)
-            .with_instructions(20_000)
-            .with_seed(11)
-            .with_compute_quantum(4);
-        let live = Simulation::new(config.clone(), PolicyKind::Mapg).run();
-        let reference = Simulation::new(config.with_reference_scheduler(), PolicyKind::Mapg).run();
-        assert_eq!(live, reference);
-    }
-
-    #[test]
-    fn quantized_replay_is_deterministic() {
-        let mk = || {
-            quick()
-                .with_instructions(15_000)
-                .with_compute_quantum(7)
-                .with_seed(3)
-        };
-        let a = Simulation::new(mk(), PolicyKind::Mapg).run();
-        let b = Simulation::new(mk(), PolicyKind::Mapg).run();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -62,7 +62,6 @@ proptest! {
             prop_oneof![Just((0usize, 0usize)), Just((4, 8))],
         )),
         trace_capacity in optional(or_invalid(1usize..=64, Just(0))),
-        compute_quantum in optional(or_invalid(1u64..=8, Just(0))),
         policy in prop_oneof![Just(PolicyKind::Mapg), Just(PolicyKind::NoGating)],
     ) {
         let mut hierarchy = HierarchyConfig::baseline();
@@ -98,9 +97,6 @@ proptest! {
         }
         if let Some(capacity) = trace_capacity {
             config = config.with_trace_capacity(capacity);
-        }
-        if let Some(quantum) = compute_quantum {
-            config = config.with_compute_quantum(quantum);
         }
 
         let verdict = config.validate();

@@ -2,9 +2,12 @@
 //!
 //! Per-operation energies sit in the DDR3 x8-device datasheet range
 //! (activate ≈ 15 nJ, read/write burst ≈ 10/12 nJ per 64 B line across the
-//! rank) plus a background term for standby/refresh power. DRAM energy is
-//! reported separately from core energy in every experiment — core gating
-//! does not change it except through runtime (background term).
+//! rank) plus a background term for standby/refresh power. Every run adds
+//! both terms to its energy ledger (`DramAccess`, `DramBackground`), so
+//! they are part of the total energy and of every EDP column; the
+//! core-energy columns leave them out, and no experiment prints DRAM
+//! energy on its own. Core gating changes DRAM energy only through
+//! runtime (the background term).
 
 use mapg_mem::DramStats;
 use mapg_units::{Joules, Seconds, Watts};
