@@ -2,7 +2,7 @@
 //! drives the per-core FSMs, and reports resume times to the cores.
 
 use mapg_cpu::{CoreId, StallHandler, StallInfo};
-use mapg_obs::{EventKind, FaultKind, ObsHandle, Scope};
+use mapg_obs::{EventKind, FaultKind, Histogram, MetricsRegistry, ObsHandle, Scope};
 use mapg_power::{EnergyAccount, EnergyCategory, PgCircuitDesign, TechnologyParams};
 use mapg_units::{Cycle, Cycles, Hertz, Watts};
 
@@ -74,6 +74,26 @@ impl fmt::Display for GatingStats {
             self.mean_residency(),
             self.penalty_cycles
         )
+    }
+}
+
+/// The distributions over every sleep that a metrics run renders
+/// (`gated_duration`, `wake_latency`, `bet_shortfall`).
+#[derive(Debug, Clone, Default)]
+struct SleepHistograms {
+    gated_duration: Histogram,
+    wake_latency: Histogram,
+    /// How far short of break-even each sleep that missed it fell.
+    bet_shortfall: Histogram,
+}
+
+impl SleepHistograms {
+    fn record(&mut self, sleeping: Cycles, wake_latency: Cycles, break_even: Cycles) {
+        self.gated_duration.record(sleeping.raw());
+        self.wake_latency.record(wake_latency.raw());
+        if sleeping < break_even {
+            self.bet_shortfall.record((break_even - sleeping).raw());
+        }
     }
 }
 
@@ -152,6 +172,8 @@ pub struct Controller {
     /// Last event time seen per core, for the monotonic-time invariant.
     last_event: Vec<Cycle>,
     obs: ObsHandle,
+    /// Kept only when the handle says the run renders metrics.
+    sleeps: Option<SleepHistograms>,
     /// Mirror of the watchdog's mode, for emitting strictly balanced
     /// safe-mode enter/exit trace events.
     safe_mode_active: bool,
@@ -198,22 +220,61 @@ impl Controller {
             brownout_until: Cycle::ZERO,
             last_event: Vec::new(),
             obs: ObsHandle::disabled(),
+            sleeps: None,
             safe_mode_active: false,
             config,
         }
     }
 
-    /// Attaches an observability handle to the controller and its
-    /// subsystems (token manager, watchdog). Gate/wake/token/safe-mode
-    /// trace events and gating metrics flow through it from now on.
+    /// Attaches an observability handle. Gate/wake/token/safe-mode trace
+    /// events flow through it from now on; if the handle has metrics on,
+    /// the controller and its token manager also start keeping the
+    /// per-sleep and token-wait distributions that
+    /// [`Controller::record_metrics`] renders.
     pub fn set_obs(&mut self, obs: ObsHandle) {
+        let metrics = obs.metrics_enabled();
         if let Some(tokens) = self.tokens.as_mut() {
-            tokens.set_obs(obs.clone());
+            tokens.record_waits(metrics);
         }
-        if let Some(watchdog) = self.watchdog.as_mut() {
-            watchdog.set_obs(obs.clone());
-        }
+        self.sleeps = metrics.then(SleepHistograms::default);
         self.obs = obs;
+    }
+
+    /// Renders the controller's metrics into `metrics`, once, at the end
+    /// of a run: the gate counts, each core's FSM residency (`fsm_*`),
+    /// the per-sleep distributions, token grants and waits, and the
+    /// watchdog's counters. A counter or histogram appears only when the
+    /// run touched it; the `fsm_*` counters appear whenever any core gated.
+    pub fn record_metrics(&self, metrics: &mut MetricsRegistry) {
+        let sleeps = self.sleeps.as_ref();
+        let tokens = self.tokens.as_ref();
+        let degradation = self.degradation();
+        for (name, count) in [
+            ("gates", self.stats.gated),
+            ("regates", self.stats.regates),
+            ("bet_misses", sleeps.map_or(0, |s| s.bet_shortfall.count())),
+            ("token_grants", tokens.map_or(0, TokenManager::grants)),
+            ("safe_mode_trips", degradation.safe_mode_entries),
+            ("safe_mode_recoveries", degradation.recoveries),
+            ("demoted_gates", degradation.demoted_gates),
+        ] {
+            if count > 0 {
+                metrics.count(name, count);
+            }
+        }
+        for fsm in &self.fsms {
+            fsm.residency().record_metrics(metrics);
+        }
+        for (name, histogram) in [
+            ("gated_duration", sleeps.map(|s| &s.gated_duration)),
+            ("wake_latency", sleeps.map(|s| &s.wake_latency)),
+            ("bet_shortfall", sleeps.map(|s| &s.bet_shortfall)),
+            ("token_wait", tokens.and_then(TokenManager::waits)),
+        ] {
+            if let Some(histogram) = histogram.filter(|h| h.count() > 0) {
+                metrics.merge_histogram(name, histogram);
+            }
+        }
     }
 
     /// Emits a safe-mode enter/exit trace event when the watchdog's mode
@@ -310,10 +371,6 @@ impl Controller {
             self.safe_mode_active = false;
             self.obs
                 .emit(end.raw(), Scope::Global, EventKind::SafeModeExit);
-        }
-        let obs = self.obs.clone();
-        for fsm in &self.fsms {
-            fsm.residency().record_metrics(&obs);
         }
         self.audit_books();
     }
@@ -710,7 +767,7 @@ impl Controller {
 
     /// Closes one sleep that began its entry ramp at `gate_at`: emits the
     /// wake, charges the ramps, the gated residual and the transition,
-    /// records the sleep's metrics, and drives the core's FSM. Returns
+    /// records the sleep's distributions, and drives the core's FSM. Returns
     /// when the wake completes.
     fn close_sleep(
         &mut self,
@@ -745,12 +802,8 @@ impl Controller {
             self.config.circuit.transition_energy(),
         );
         self.stats.gated_cycles += sleeping.raw();
-        self.obs.observe("gated_duration", sleeping.raw());
-        self.obs.observe("wake_latency", wake.latency.raw());
-        if sleeping < self.ctx.break_even {
-            self.obs.count("bet_misses", 1);
-            self.obs
-                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
+        if let Some(sleeps) = &mut self.sleeps {
+            sleeps.record(sleeping, wake.latency, self.ctx.break_even);
         }
         self.record_pg_cycle(core, gate_at, entry_done, wake.start, wake_done);
         wake_done

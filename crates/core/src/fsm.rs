@@ -53,14 +53,14 @@ impl StateResidency {
         self.active + self.entering + self.sleeping + self.waking
     }
 
-    /// Dumps the residency into an observability registry as
-    /// `fsm_*_cycles` counters. Summed over all cores these reconcile
-    /// with the trace-derived sleep spans and the gating statistics.
-    pub fn record_metrics(&self, obs: &mapg_obs::ObsHandle) {
-        obs.count("fsm_active_cycles", self.active.raw());
-        obs.count("fsm_entering_cycles", self.entering.raw());
-        obs.count("fsm_sleeping_cycles", self.sleeping.raw());
-        obs.count("fsm_waking_cycles", self.waking.raw());
+    /// Adds the residency to a metrics registry as `fsm_*_cycles`
+    /// counters. Summed over all cores these reconcile with the
+    /// trace-derived sleep spans and the gating statistics.
+    pub fn record_metrics(&self, metrics: &mut mapg_obs::MetricsRegistry) {
+        metrics.count("fsm_active_cycles", self.active.raw());
+        metrics.count("fsm_entering_cycles", self.entering.raw());
+        metrics.count("fsm_sleeping_cycles", self.sleeping.raw());
+        metrics.count("fsm_waking_cycles", self.waking.raw());
     }
 }
 

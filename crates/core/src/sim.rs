@@ -5,12 +5,13 @@ use mapg_cpu::{Cluster, ClusterStats, CoreConfig};
 use mapg_mem::{HierarchyConfig, LatencyHistogram};
 use mapg_obs::{EventHub, MetricsHub, MetricsRegistry, ObsHandle};
 use mapg_power::{
-    DramEnergyModel, EnergyCategory, PgCircuitDesign, RetentionStyle, TechnologyParams,
+    DramEnergyModel, EnergyAccount, EnergyCategory, PgCircuitDesign, RetentionStyle,
+    TechnologyParams,
 };
 use mapg_trace::{ChunkedSource, InFlight, SyntheticWorkload, WorkloadProfile};
 use mapg_units::{Cycle, Cycles};
 
-use crate::controller::{Controller, ControllerConfig, GatingStats};
+use crate::controller::{Controller, ControllerConfig};
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
@@ -384,17 +385,20 @@ impl Default for SimConfig {
     }
 }
 
-/// Renders the metrics a run's statistics already hold, once, at the end
-/// of the run: the stall, LLC-miss, DRAM and gating counts, and the
+/// Renders every metric of a run, once, at its end, from the statistics
+/// the run kept: the controller's ([`Controller::record_metrics`]), the
+/// energy ledger's, and the stall, LLC-miss and DRAM counts with the
 /// stall-length and miss-latency histograms (copied exactly; see
 /// [`mapg_mem::LatencyHistogram`]). They reconcile with the report by
-/// construction. As when they were counted per event, each appears only
-/// when the run touched it.
-fn record_report_metrics(
-    metrics: &mut MetricsRegistry,
+/// construction. Each appears only when the run touched it.
+fn render_metrics(
     cluster: &ClusterStats,
-    gating: &GatingStats,
-) {
+    controller: &Controller,
+    energy: &EnergyAccount,
+) -> MetricsRegistry {
+    let mut metrics = MetricsRegistry::new();
+    controller.record_metrics(&mut metrics);
+    energy.record_metrics(&mut metrics);
     let mut stall_length = LatencyHistogram::new();
     for core in &cluster.per_core {
         stall_length.merge(&core.stall_durations);
@@ -408,8 +412,6 @@ fn record_report_metrics(
         ("llc_misses", memory.miss_latency.count()),
         ("dram_accesses", memory.dram.accesses()),
         ("dram_fault_spikes", memory.dram.fault_spikes),
-        ("gates", gating.gated),
-        ("regates", gating.regates),
     ] {
         if count > 0 {
             metrics.count(name, count);
@@ -423,6 +425,7 @@ fn record_report_metrics(
             metrics.merge_histogram(name, histogram.histogram());
         }
     }
+    metrics
 }
 
 // Configurations go out to pool workers and reports come back, so both
@@ -589,7 +592,6 @@ impl Simulation {
             EnergyCategory::DramBackground,
             dram_energy.background_power * runtime,
         );
-        energy.record_metrics(&obs);
 
         let peak_concurrent_wakes = controller
             .token_manager()
@@ -629,10 +631,10 @@ impl Simulation {
             }
         }
 
-        let (trace, mut metrics) = obs.take();
-        if let Some(metrics) = &mut metrics {
-            record_report_metrics(metrics, &cluster_stats, controller.stats());
-        }
+        let trace = obs.take();
+        let metrics = obs
+            .metrics_enabled()
+            .then(|| render_metrics(&cluster_stats, &controller, &energy));
         if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &metrics) {
             hub.merge(metrics);
         }

@@ -11,6 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use mapg_obs::Histogram;
 use mapg_units::{Cycle, Cycles};
 
 /// Why a zero token capacity is refused: with no tokens no core could
@@ -39,7 +40,8 @@ pub struct TokenManager {
     /// Streaming sweep over the granted intervals, for exact peak
     /// concurrency in O(capacity) memory.
     ledger: Ledger,
-    obs: mapg_obs::ObsHandle,
+    /// Every grant's wait, kept only when the run renders metrics.
+    waits: Option<Histogram>,
 }
 
 /// One sweep event: a token taken (`+1`) or released (`-1`) at a cycle.
@@ -139,14 +141,21 @@ impl TokenManager {
             delayed_grants: 0,
             delay_cycles: 0,
             ledger: Ledger::default(),
-            obs: mapg_obs::ObsHandle::disabled(),
+            waits: None,
         }
     }
 
-    /// Attaches an observability handle; grant counts and token-wait
-    /// distributions flow through it.
-    pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
-        self.obs = obs;
+    /// Starts (or stops) keeping the distribution of every grant's wait,
+    /// [`TokenManager::waits`]. Off by default: only a run that renders
+    /// metrics reads it.
+    pub fn record_waits(&mut self, on: bool) {
+        self.waits = on.then(Histogram::new);
+    }
+
+    /// The wait of every grant since [`TokenManager::record_waits`]
+    /// turned recording on, in cycles (`None` while it is off).
+    pub fn waits(&self) -> Option<&Histogram> {
+        self.waits.as_ref()
     }
 
     /// Token capacity.
@@ -169,8 +178,9 @@ impl TokenManager {
         let start = ready.max(self.slots[slot]);
         self.slots[slot] = start + duration;
         self.grants += 1;
-        self.obs.count("token_grants", 1);
-        self.obs.observe("token_wait", (start - ready).raw());
+        if let Some(waits) = &mut self.waits {
+            waits.record((start - ready).raw());
+        }
         if start > ready {
             self.delayed_grants += 1;
             self.delay_cycles += (start - ready).raw();

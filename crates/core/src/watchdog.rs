@@ -130,7 +130,6 @@ pub struct Watchdog {
     mode: Mode,
     backoff: Cycles,
     stats: DegradationStats,
-    obs: mapg_obs::ObsHandle,
 }
 
 impl Watchdog {
@@ -153,14 +152,7 @@ impl Watchdog {
             wakeup,
             stats: DegradationStats::default(),
             config,
-            obs: mapg_obs::ObsHandle::disabled(),
         }
-    }
-
-    /// Attaches an observability handle; trip/recovery/demotion counters
-    /// flow through it.
-    pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
-        self.obs = obs;
     }
 
     /// Advances the watchdog to `now`: leaves safe mode if the hold has
@@ -171,7 +163,6 @@ impl Watchdog {
             if now >= until {
                 self.mode = Mode::Armed;
                 self.stats.recoveries += 1;
-                self.obs.count("safe_mode_recoveries", 1);
                 // Hysteresis: fresh evidence only after re-arm.
                 self.clear_window();
                 return false;
@@ -204,7 +195,6 @@ impl Watchdog {
                 until: now + self.backoff,
             };
             self.stats.safe_mode_entries += 1;
-            self.obs.count("safe_mode_trips", 1);
             self.backoff = self.backoff.scale(2.0).min(self.config.backoff_max);
             self.clear_window();
         } else if self.filled == self.config.window {
@@ -219,7 +209,6 @@ impl Watchdog {
     pub fn note_demotion(&mut self, stall: Cycles) {
         self.stats.demoted_gates += 1;
         self.stats.safe_stall_cycles += stall.raw();
-        self.obs.count("demoted_gates", 1);
     }
 
     /// Degradation statistics so far.

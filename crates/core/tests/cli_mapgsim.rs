@@ -101,6 +101,50 @@ fn capture_runs_print_the_same_report_as_plain_runs() {
     assert!(traced.starts_with(&plain), "tracing changed the report");
 }
 
+/// The faulty, token-limited, safe-mode smoke run writes the committed
+/// metrics golden byte for byte, with and without a trace alongside:
+/// the metrics must not depend on the trace sink.
+#[test]
+fn smoke_metrics_match_the_golden_with_and_without_a_trace() {
+    let golden = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tracing-smoke-metrics.json"),
+    )
+    .expect("committed golden");
+    let trace_path = temp_file("mapgsim-cli-smoke-test", "trace.json");
+    for traced in [true, false] {
+        let metrics_path = temp_file(
+            "mapgsim-cli-smoke-test",
+            if traced { "traced.json" } else { "plain.json" },
+        );
+        let mut args = vec![
+            "--workload",
+            "mcf_like",
+            "--cores",
+            "2",
+            "--tokens",
+            "2",
+            "--fault-plan",
+            "moderate",
+            "--safe-mode",
+            "--metrics",
+            metrics_path.to_str().unwrap(),
+        ];
+        if traced {
+            args.extend(["--trace", trace_path.to_str().unwrap()]);
+        }
+        let out = run(&args);
+        assert!(out.status.success(), "{:?}", out);
+        let metrics = std::fs::read(&metrics_path).expect("metrics written");
+        std::fs::remove_file(&metrics_path).ok();
+        assert!(
+            metrics == golden,
+            "metrics (trace {traced}) differ from the golden:\n{}",
+            String::from_utf8_lossy(&metrics)
+        );
+    }
+    std::fs::remove_file(&trace_path).ok();
+}
+
 #[test]
 fn unwritable_trace_path_is_a_clean_error() {
     let out = run(&[

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use mapg::{FaultPlan, PolicyKind, SimConfig, Simulation};
 use mapg_obs::{EventKind, Scope, TraceBuffer};
+use mapg_trace::WorkloadProfile;
 
 fn fault_plan(choice: usize) -> FaultPlan {
     match choice {
@@ -170,6 +171,55 @@ proptest! {
         // Event counts match the stats' view of gating activity.
         let enters = trace.count_kind(EventKind::SleepEnter) as u64;
         prop_assert_eq!(enters, report.gating.gated + report.gating.regates);
+    }
+
+    /// The metrics a run renders from its statistics at the end agree
+    /// with the report's counters and with each other.
+    #[test]
+    fn rendered_metrics_reconcile_with_their_statistics(
+        seed in 0u64..1_000,
+        cores in 1usize..5,
+        plan_choice in 0usize..4,
+        tokens in 0usize..3,
+        watchdog in any::<bool>(),
+        mixed in any::<bool>(),
+    ) {
+        // The mixed profile's shorter stalls are where a gate can end
+        // short of break-even and reach the `bet_*` metrics.
+        let mut config = observed_config(seed, cores, plan_choice, tokens, watchdog);
+        if mixed {
+            config = config.with_profile(WorkloadProfile::mixed("mixed"));
+        }
+        let report = Simulation::new(config, PolicyKind::Mapg).run();
+        let trace = report.trace.as_ref().expect("trace was requested");
+        let metrics = report.metrics.as_ref().expect("metrics were requested");
+        let count = |name| metrics.histogram(name).map_or(0, |h| h.count());
+
+        // One grant per sleep (gate or re-gate), plus a re-request per
+        // grant a fault dropped in flight; none without token limiting.
+        let grants = metrics.counter("token_grants");
+        let sleeps = report.gating.gated + report.gating.regates;
+        let expected = if tokens > 0 { sleeps + report.faults.dropped_grants } else { 0 };
+        prop_assert_eq!(grants, expected);
+        prop_assert_eq!(
+            grants,
+            trace.count_kind(EventKind::TokenGrant) as u64 + report.faults.dropped_grants
+        );
+        prop_assert_eq!(count("token_wait"), grants);
+        if plan_choice == 0 {
+            prop_assert_eq!(
+                metrics.histogram("token_wait").map_or(0, |h| h.sum()),
+                report.gating.token_delay_cycles
+            );
+        }
+
+        prop_assert_eq!(metrics.counter("bet_misses"), count("bet_shortfall"));
+        prop_assert_eq!(count("wake_latency"), count("gated_duration"));
+
+        let degradation = &report.degradation;
+        prop_assert_eq!(metrics.counter("safe_mode_trips"), degradation.safe_mode_entries);
+        prop_assert_eq!(metrics.counter("safe_mode_recoveries"), degradation.recoveries);
+        prop_assert_eq!(metrics.counter("demoted_gates"), degradation.demoted_gates);
     }
 
     #[test]

@@ -200,12 +200,12 @@ impl<S: EventSource> Cluster<S> {
             let index = key.index();
             let core = &mut self.cores[index as usize];
             // Run-ahead: the popped core is the global minimum; keep
-            // stepping it — one batched event per iteration, zero heap
+            // stepping it — one event per iteration, zero heap
             // traffic — until it either finishes or falls behind another
             // core. Only then does its key re-enter the heap, fused with
             // the extraction of the new minimum in a single sift.
             loop {
-                core.step_batched(target, memory, handler);
+                core.step(memory, handler);
                 if core.stats().instructions >= target {
                     next = heap.pop();
                     break;

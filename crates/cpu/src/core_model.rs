@@ -164,11 +164,6 @@ pub struct Core<S> {
     earliest_outstanding: Cycle,
     /// Completion of the most recently issued DRAM load (dependency target).
     last_miss_completion: Cycle,
-    /// One-event lookahead used by compute batching: when
-    /// [`Core::step_batched`] folds a run of consecutive `Compute` events,
-    /// the first non-compute event it pulls is parked here and consumed by
-    /// the next step.
-    pending: Option<TraceEvent>,
     stats: CoreStats,
     obs: ObsHandle,
 }
@@ -197,7 +192,6 @@ impl<S: EventSource> Core<S> {
             outstanding: Vec::with_capacity(config.mlp_limit),
             earliest_outstanding: Cycle::new(u64::MAX),
             last_miss_completion: Cycle::ZERO,
-            pending: None,
             stats: CoreStats::new(),
             obs: ObsHandle::disabled(),
         }
@@ -261,75 +255,20 @@ impl<S: EventSource> Core<S> {
         }
         let target = self.stats.instructions + instructions;
         while self.stats.instructions < target {
-            self.step_batched(target, memory, handler);
+            self.step(memory, handler);
         }
         self.stats.total_cycles = self.now.raw();
         Ok(())
     }
 
-    /// The next event to execute: the parked lookahead if batching stashed
-    /// one, otherwise a fresh event from the source.
-    fn next_event(&mut self) -> TraceEvent {
-        self.pending
-            .take()
-            .unwrap_or_else(|| self.source.next_event())
-    }
-
     /// Processes exactly one trace event. Exposed so clusters can interleave
     /// cores in global time order.
     pub fn step<H: StallHandler>(&mut self, memory: &mut MemoryHierarchy, handler: &mut H) {
-        let event = self.next_event();
+        let event = self.source.next_event();
         self.process(event, memory, handler);
     }
 
-    /// Processes one *batched* step: a run of consecutive `Compute` events
-    /// is folded into a single time hop, stopping at the first non-compute
-    /// event (which is parked in `pending`) or once the folded batch reaches
-    /// `target` retired instructions.
-    ///
-    /// Equivalent to calling [`Core::step`] per event: compute events touch
-    /// no shared state (no memory access, no stall callback, no obs
-    /// events), so only their summed `cycles`/`instructions` are
-    /// observable, and the target bound makes the batch consume exactly
-    /// the events a per-event loop bounded by `target` would. In
-    /// particular batching can never skip a stall boundary — the event
-    /// that *would* stall ends the batch and runs on the next step.
-    pub fn step_batched<H: StallHandler>(
-        &mut self,
-        target: u64,
-        memory: &mut MemoryHierarchy,
-        handler: &mut H,
-    ) {
-        let mut event = self.next_event();
-        if let TraceEvent::Compute {
-            mut cycles,
-            mut instructions,
-        } = event
-        {
-            while self.stats.instructions + instructions < target {
-                match self.source.next_event() {
-                    TraceEvent::Compute {
-                        cycles: c,
-                        instructions: i,
-                    } => {
-                        cycles += c;
-                        instructions += i;
-                    }
-                    other => {
-                        self.pending = Some(other);
-                        break;
-                    }
-                }
-            }
-            event = TraceEvent::Compute {
-                cycles,
-                instructions,
-            };
-        }
-        self.process(event, memory, handler);
-    }
-
-    /// Executes one (possibly folded) trace event against the hierarchy.
+    /// Executes one trace event against the hierarchy.
     fn process<H: StallHandler>(
         &mut self,
         event: TraceEvent,
@@ -659,9 +598,9 @@ mod tests {
     }
 
     #[test]
-    fn batching_stops_at_stall_boundary() {
+    fn consecutive_computes_run_up_to_a_stall() {
         // Two computes, then a dependent-load pair that must stall: the
-        // batch may fold the computes but must not swallow the loads.
+        // run retires the computes and still stalls on the second load.
         let script = Script::new(vec![
             TraceEvent::Compute {
                 cycles: 10,
@@ -683,50 +622,15 @@ mod tests {
     }
 
     #[test]
-    fn batching_respects_instruction_target() {
-        // An endless compute stream (the Script fallback): the batch must
-        // stop folding exactly at the target, not run away.
+    fn runs_stop_exactly_at_the_instruction_target() {
+        // An endless compute stream (the Script fallback): the run must
+        // stop exactly at the target, not run away.
         let script = Script::new(vec![]);
         let mut memory = MemoryHierarchy::new(HierarchyConfig::baseline());
         let mut core = Core::new(CoreConfig::baseline(), script);
         core.run(1_000, &mut memory, &mut PassiveHandler);
         assert_eq!(core.stats().instructions, 1_000);
         assert_eq!(core.stats().total_cycles, 1_000);
-    }
-
-    #[test]
-    fn batched_and_single_stepping_agree() {
-        let events = vec![
-            TraceEvent::Compute {
-                cycles: 5,
-                instructions: 8,
-            },
-            TraceEvent::Compute {
-                cycles: 7,
-                instructions: 4,
-            },
-            load(0x10_0000),
-            TraceEvent::Compute {
-                cycles: 3,
-                instructions: 6,
-            },
-            dep_load(0x20_0000),
-            TraceEvent::Idle { cycles: 50 },
-        ];
-        let run = |batched: bool| {
-            let mut memory = MemoryHierarchy::new(HierarchyConfig::baseline());
-            let mut core = Core::new(CoreConfig::baseline(), Script::new(events.clone()));
-            let target = 40;
-            while core.stats().instructions < target {
-                if batched {
-                    core.step_batched(target, &mut memory, &mut PassiveHandler);
-                } else {
-                    core.step(&mut memory, &mut PassiveHandler);
-                }
-            }
-            core.stats().clone()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! hierarchy it forms the complete seed simulator, retained as the
 //! **equivalence oracle**: the scheduler-equivalence suite, the
 //! differential fuzzer and the repository benchmark demand that the
-//! optimized stack ([`Cluster::run`](crate::Cluster::run) with compute
-//! batching, the heap scheduler and the flattened caches) reproduces this
+//! optimized stack ([`Cluster::run`](crate::Cluster::run) with the heap
+//! scheduler's run-ahead and the flattened caches) reproduces this
 //! stack's core interleaving, statistics and `RunReport`s bit-for-bit
 //! across random core counts, workload mixes and seeds.
 //!
@@ -26,8 +26,7 @@ use crate::core_model::{CoreConfig, CoreStats};
 use crate::error::RunError;
 use crate::stall::{CoreId, StallCause, StallHandler, StallInfo};
 
-/// The seed core: strictly one trace event per step, no compute batching,
-/// no event lookahead.
+/// The seed core: strictly one trace event per step, no event lookahead.
 #[derive(Debug, Clone)]
 struct ReferenceCore<S> {
     id: CoreId,

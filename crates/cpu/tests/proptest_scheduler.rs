@@ -190,10 +190,11 @@ proptest! {
     }
 
     /// Replayed basic-block-granularity recordings (the pintool-style
-    /// workload shape, where compute batching folds the most events) must
+    /// workload shape: long runs of consecutive `Compute` events, which
+    /// the live core's run-ahead steps through without the heap) must
     /// also interleave identically: under a passive handler, and under
-    /// [`FaultyWakeLog`], whose late resumes land a folded compute run on
-    /// a core that slept past its data.
+    /// [`FaultyWakeLog`], whose late resumes land a compute run on a core
+    /// that slept past its data.
     #[test]
     fn quantized_replay_matches_reference(
         mixes in prop::collection::vec(0u8..3, 1..5),

@@ -16,13 +16,19 @@
 //!   `mapgd` event feed ([`EventHub`]) keeps its records in the same
 //!   ring.
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters and
-//!   power-of-two-bucket histograms (stall length, gated duration, wake
-//!   latency, break-even shortfall) with a commutative [`merge`](MetricsRegistry::merge), so
-//!   aggregation over parallel runs is deterministic.
+//!   power-of-two-bucket [`Histogram`]s (stall length, gated duration,
+//!   wake latency, break-even shortfall) with a commutative
+//!   [`merge`](MetricsRegistry::merge), so aggregation over parallel runs
+//!   is deterministic. A run renders its registry once, at its end, from
+//!   the typed statistics its components kept; nothing writes to it per
+//!   event.
 //! - **Handle** ([`ObsHandle`]): the single instrumentation entry point
-//!   components hold. A disabled handle is a `None` — every `emit`/`count`/
-//!   `observe` call is a single branch and no allocation, so instrumented
-//!   hot paths cost nothing when observability is off.
+//!   components hold. It carries the run's trace ring, if any, and a flag
+//!   saying whether the run renders metrics. Without a trace every `emit`
+//!   is a single branch on a `None` and no allocation, so instrumented
+//!   hot paths cost nothing when tracing is off; with one, `emit` packs
+//!   the record into its word at the call site and one out-of-line push
+//!   stores it.
 //! - **Hub** ([`MetricsHub`]): a thread-safe accumulator that many
 //!   simulations merge their registries into; merging is commutative and
 //!   associative, so the aggregate is identical at any job count.
@@ -42,16 +48,25 @@
 //! That property is what the workspace's regression suite pins.
 //!
 //! ```
-//! use mapg_obs::{EventKind, ObsHandle, Scope};
+//! use mapg_obs::{EventKind, Histogram, MetricsRegistry, ObsHandle, Scope};
 //!
+//! // During the run: trace events go through the handle, and components
+//! // keep their own typed statistics.
 //! let obs = ObsHandle::enabled(Some(1024), true);
+//! let mut stall_length = Histogram::new();
 //! obs.emit(10, Scope::Core(0), EventKind::StallBegin);
-//! obs.count("stalls", 1);
-//! obs.observe("stall_length", 90);
 //! obs.emit(100, Scope::Core(0), EventKind::StallEnd);
-//! let (trace, metrics) = obs.collect();
-//! assert_eq!(trace.unwrap().len(), 2);
-//! assert_eq!(metrics.unwrap().counter("stalls"), 1);
+//! stall_length.record(90);
+//!
+//! // At its end: move the trace out, render the metrics once.
+//! let trace = obs.take().expect("tracing was enabled");
+//! assert_eq!(trace.len(), 2);
+//! let mut metrics = MetricsRegistry::new();
+//! if obs.metrics_enabled() {
+//!     metrics.count("stalls", stall_length.count());
+//!     metrics.merge_histogram("stall_length", &stall_length);
+//! }
+//! assert_eq!(metrics.counter("stalls"), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -175,12 +175,8 @@ fn bucket_lower_bound(index: usize) -> u64 {
 
 /// One metric kind's storage: names in sorted order, values alongside.
 ///
-/// Updates find their entry by the name's address first: every metric site
-/// names its metric with a literal, so a site passes the same `&'static
-/// str` on every call, and a scan over a dozen pointers is cheaper than
-/// one string comparison. A miss falls back to a binary search by text —
-/// the same literal compiled into two crates may sit at two addresses and
-/// must still land in one entry — and inserts when the name is new.
+/// Lookups binary-search by the name's text, so the same literal compiled
+/// into two crates (two addresses) lands in one entry.
 #[derive(Clone, PartialEq, Eq)]
 struct Table<V> {
     names: Vec<&'static str>,
@@ -189,25 +185,13 @@ struct Table<V> {
 
 impl<V: Default> Table<V> {
     /// The value stored under `name`, inserted as `V::default()` if absent.
-    #[inline]
     fn entry(&mut self, name: &'static str) -> &mut V {
-        let index = match self
-            .names
-            .iter()
-            .position(|known| known.as_ptr() == name.as_ptr() && known.len() == name.len())
-        {
-            Some(index) => index,
-            None => self.find_or_insert(name),
-        };
-        &mut self.values[index]
-    }
-
-    fn find_or_insert(&mut self, name: &'static str) -> usize {
-        self.names.binary_search(&name).unwrap_or_else(|index| {
+        let index = self.names.binary_search(&name).unwrap_or_else(|index| {
             self.names.insert(index, name);
             self.values.insert(index, V::default());
             index
-        })
+        });
+        &mut self.values[index]
     }
 }
 

@@ -66,7 +66,16 @@ struct Slot {
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
+/// `record` as one narrow word, or `None` when it needs a wide slot.
+/// Inlined, so at an emit site whose kind and scope are constants the
+/// code folds away and only the field checks and shifts remain.
+#[inline]
+pub(crate) fn narrow_word(record: TraceRecord) -> Option<u64> {
+    Slot::pack(record).to_word()
+}
+
 impl Slot {
+    #[inline]
     fn pack(record: TraceRecord) -> Slot {
         let (scope, id) = match record.scope {
             Scope::Core(id) => (CORE, id),
@@ -114,6 +123,7 @@ impl Slot {
 
     /// The slot as one narrow word, or `None` when its cycle needs more
     /// than [`CYCLE_BITS`] or its id more than [`ID_BITS`].
+    #[inline]
     fn to_word(self) -> Option<u64> {
         if self.at >> CYCLE_BITS != 0 || self.id >> ID_BITS != 0 {
             return None;
@@ -257,16 +267,51 @@ impl TraceBuffer {
     /// Appends a record, evicting the oldest if the ring is full.
     pub fn push(&mut self, record: TraceRecord) {
         let slot = Slot::pack(record);
-        let overwrote = match (&mut self.slots, slot.to_word()) {
-            (Slots::Narrow(words), Some(word)) => put(words, self.capacity, &mut self.head, word),
-            (Slots::Wide(slots), _) => put(slots, self.capacity, &mut self.head, slot),
-            (Slots::Narrow(words), None) => {
+        if let Some(word) = slot.to_word() {
+            return self.push_word(word);
+        }
+        let overwrote = match &mut self.slots {
+            Slots::Wide(slots) => put(slots, self.capacity, &mut self.head, slot),
+            Slots::Narrow(words) => {
                 let mut wide = Vec::with_capacity(words.capacity());
                 wide.extend(words.iter().map(|&word| Slot::from_word(word)));
                 let overwrote = put(&mut wide, self.capacity, &mut self.head, slot);
                 self.slots = Slots::Wide(wide);
                 overwrote
             }
+        };
+        self.dropped += u64::from(overwrote);
+    }
+
+    /// Appends a record already packed by [`narrow_word`], evicting the
+    /// oldest if the ring is full. A ring that has widened stores it as
+    /// the slot it decodes to.
+    ///
+    /// A narrow ring that is full, where a long run spends nearly all its
+    /// pushes, takes a few inlined instructions: store over the oldest,
+    /// advance the head, count the drop. Growth and wide rings go through
+    /// one call.
+    #[inline(always)]
+    pub(crate) fn push_word(&mut self, word: u64) {
+        if let Slots::Narrow(words) = &mut self.slots {
+            if words.len() == self.capacity {
+                words[self.head] = word;
+                self.head += 1;
+                if self.head == self.capacity {
+                    self.head = 0;
+                }
+                self.dropped += 1;
+                return;
+            }
+        }
+        self.push_word_slow(word);
+    }
+
+    #[inline(never)]
+    fn push_word_slow(&mut self, word: u64) {
+        let overwrote = match &mut self.slots {
+            Slots::Narrow(words) => put(words, self.capacity, &mut self.head, word),
+            Slots::Wide(slots) => put(slots, self.capacity, &mut self.head, Slot::from_word(word)),
         };
         self.dropped += u64::from(overwrote);
     }

@@ -151,14 +151,14 @@ impl EnergyAccount {
             + self.get(EnergyCategory::GatedResidual)
     }
 
-    /// Dumps the ledger into an observability registry as `energy_nj_*`
-    /// counters (whole nanojoules, rounded). Deterministic: a pure
-    /// function of the bucket contents.
-    pub fn record_metrics(&self, obs: &mapg_obs::ObsHandle) {
+    /// Adds the ledger to a metrics registry as `energy_nj_*` counters
+    /// (whole nanojoules, rounded). Deterministic: a pure function of the
+    /// bucket contents.
+    pub fn record_metrics(&self, metrics: &mut mapg_obs::MetricsRegistry) {
         for category in EnergyCategory::ALL {
             let nanojoules = (self.get(category).as_joules() * 1e9).round();
             if nanojoules.is_finite() && nanojoules >= 0.0 {
-                obs.count(category.metric_name(), nanojoules as u64);
+                metrics.count(category.metric_name(), nanojoules as u64);
             }
         }
     }

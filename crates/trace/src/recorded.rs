@@ -109,8 +109,7 @@ impl RecordedTrace {
     /// into one event carrying the summed cycles and instructions.
     ///
     /// Compute events touch no shared state, so a coalesced trace drives a
-    /// core through the identical timeline with fewer events — the offline
-    /// complement of the core's online compute batching. Real pintool-style
+    /// core through the identical timeline with fewer events. Real pintool-style
     /// recordings are the main beneficiary: they often emit one tiny
     /// compute quantum per basic block. Stall-relevant events (memory
     /// accesses, idle periods) are never merged or reordered.
@@ -148,8 +147,7 @@ impl RecordedTrace {
     /// Pintool/DynamoRIO-style frontends emit one compute quantum per
     /// basic block (conventionally ~4 instructions), where the synthetic
     /// generator emits one coarse event per inter-access gap. Quantizing a
-    /// coarse recording reproduces that fine-grained trace shape — the
-    /// workload the cluster's compute batching is designed for — without
+    /// coarse recording reproduces that fine-grained trace shape without
     /// needing a real binary frontend. Totals are preserved exactly: the
     /// quanta of one event sum to its original cycles and instructions,
     /// and non-compute events are never moved, so a core driven through
