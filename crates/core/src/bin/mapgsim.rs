@@ -18,28 +18,22 @@ use mapg::fuzz::ReproFile;
 use mapg::{FaultPlan, PolicyKind, PredictorKind, SimConfig, Simulation};
 use mapg_trace::{WorkloadProfile, WorkloadSuite};
 
-const POLICIES: [(&str, PolicyKind); 11] = [
-    ("no-gating", PolicyKind::NoGating),
-    ("clock-gating", PolicyKind::ClockGating),
-    ("dvfs-stall", PolicyKind::DvfsStall),
-    ("naive-on-miss", PolicyKind::NaiveOnMiss),
-    ("timeout", PolicyKind::Timeout { idle_cycles: 100 }),
-    ("mapg", PolicyKind::Mapg),
-    ("mapg-oracle", PolicyKind::MapgOracle),
-    ("mapg-always-gate", PolicyKind::MapgAlwaysGate),
-    ("mapg-no-early-wake", PolicyKind::MapgNoEarlyWake),
-    (
-        "mapg+ewma",
-        PolicyKind::MapgWith {
-            predictor: PredictorKind::Ewma,
-        },
-    ),
-    (
-        "mapg+last-value",
-        PolicyKind::MapgWith {
-            predictor: PredictorKind::LastValue,
-        },
-    ),
+const POLICIES: [PolicyKind; 11] = [
+    PolicyKind::NoGating,
+    PolicyKind::ClockGating,
+    PolicyKind::DvfsStall,
+    PolicyKind::NaiveOnMiss,
+    PolicyKind::Timeout { idle_cycles: 100 },
+    PolicyKind::Mapg,
+    PolicyKind::MapgOracle,
+    PolicyKind::MapgAlwaysGate,
+    PolicyKind::MapgNoEarlyWake,
+    PolicyKind::MapgWith {
+        predictor: PredictorKind::Ewma,
+    },
+    PolicyKind::MapgWith {
+        predictor: PredictorKind::LastValue,
+    },
 ];
 
 fn find_workload(name: &str) -> Option<WorkloadProfile> {
@@ -159,8 +153,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(ExitCode::SUCCESS);
             }
             "--list-policies" => {
-                for (name, _) in POLICIES {
-                    println!("{name}");
+                for policy in POLICIES {
+                    println!("{}", policy.name());
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -232,9 +226,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
     let profile = find_workload(&workload)
         .ok_or_else(|| format!("unknown workload '{workload}'; try --list-workloads"))?;
-    let (_, policy) = POLICIES
+    let policy = POLICIES
         .into_iter()
-        .find(|(name, _)| *name == policy_name)
+        .find(|policy| policy.name() == policy_name)
         .ok_or_else(|| format!("unknown policy '{policy_name}'; try --list-policies"))?;
 
     let mut config = SimConfig::default()

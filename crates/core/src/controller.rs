@@ -9,7 +9,7 @@ use mapg_units::{Cycle, Cycles, Hertz, Watts};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::fsm::{GatingFsm, PgState};
 use crate::invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
-use crate::policy::{GatingPolicy, PolicyContext, StallAction};
+use crate::policy::{Policy, PolicyContext, StallAction};
 use crate::tokens::TokenManager;
 use crate::watchdog::{DegradationStats, Watchdog, WatchdogConfig};
 
@@ -146,7 +146,7 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Executes a [`GatingPolicy`] over a run: implements
+/// Executes a [`Policy`] over a run: implements
 /// [`mapg_cpu::StallHandler`], so it plugs directly into a
 /// [`Core`](mapg_cpu::Core) or [`Cluster`](mapg_cpu::Cluster).
 ///
@@ -155,7 +155,7 @@ impl Default for ControllerConfig {
 /// energy are integrated by the [`Simulation`](crate::Simulation) after the
 /// run, from the core and DRAM statistics.
 pub struct Controller {
-    policy: Box<dyn GatingPolicy>,
+    policy: Policy,
     config: ControllerConfig,
     ctx: PolicyContext,
     fsms: Vec<GatingFsm>,
@@ -195,7 +195,7 @@ impl Controller {
     ///
     /// Panics if the token capacity is zero or the fault plan / watchdog
     /// configuration is out of range.
-    pub fn new(policy: Box<dyn GatingPolicy>, config: ControllerConfig) -> Self {
+    pub fn new(policy: Policy, config: ControllerConfig) -> Self {
         if let Err(e) = config.fault_plan.validate() {
             panic!("{e}");
         }
@@ -319,8 +319,8 @@ impl Controller {
     }
 
     /// The wrapped policy (for predictor-score extraction).
-    pub fn policy(&self) -> &dyn GatingPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// Token statistics, when token limiting is enabled.
@@ -844,7 +844,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{MapgPolicy, NaiveOnMiss, NoGating, PolicyKind};
+    use crate::policy::{PolicyKind, PredictorKind};
     use mapg_cpu::StallCause;
 
     fn stall(duration: u64) -> StallInfo {
@@ -861,7 +861,7 @@ mod tests {
     #[test]
     fn context_is_circuit_derived() {
         let config = ControllerConfig::baseline();
-        let controller = Controller::new(Box::new(NoGating), config);
+        let controller = Controller::new(PolicyKind::NoGating.instantiate(), config);
         let ctx = controller.context();
         assert_eq!(ctx.entry, config.circuit.entry_cycles(config.clock));
         assert_eq!(ctx.wakeup, config.circuit.wakeup_cycles(config.clock));
@@ -870,7 +870,10 @@ mod tests {
 
     #[test]
     fn passive_policy_charges_idle_energy() {
-        let mut controller = Controller::new(Box::new(NoGating), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::NoGating.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(200);
         let resume = controller.on_stall(&info);
         assert_eq!(resume, info.data_ready);
@@ -888,7 +891,7 @@ mod tests {
     #[test]
     fn naive_gate_pays_wake_penalty() {
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(NaiveOnMiss), config);
+        let mut controller = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
         let info = stall(300);
         let resume = controller.on_stall(&info);
         let wakeup = config.circuit.wakeup_cycles(config.clock);
@@ -913,8 +916,10 @@ mod tests {
 
     #[test]
     fn oracle_gate_has_zero_penalty() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(400);
         let resume = controller.on_stall(&info);
         assert_eq!(resume, info.data_ready, "oracle hides the wake entirely");
@@ -924,8 +929,10 @@ mod tests {
 
     #[test]
     fn oracle_skips_below_break_even() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let short = stall(5);
         let resume = controller.on_stall(&short);
         assert_eq!(resume, short.data_ready);
@@ -937,11 +944,11 @@ mod tests {
         let config = ControllerConfig::baseline();
         let long = stall(2_000);
 
-        let mut idle_ctl = Controller::new(Box::new(NoGating), config);
+        let mut idle_ctl = Controller::new(PolicyKind::NoGating.instantiate(), config);
         idle_ctl.on_stall(&long);
         let idle_energy = idle_ctl.energy().total();
 
-        let mut gate_ctl = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut gate_ctl = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         gate_ctl.on_stall(&long);
         let gate_energy = gate_ctl.energy().total();
 
@@ -957,7 +964,7 @@ mod tests {
             tokens: Some(1),
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         // Two cores stall with identical timing: their wake ramps collide.
         let a = StallInfo {
             core: CoreId(0),
@@ -981,7 +988,7 @@ mod tests {
     #[test]
     fn fsm_residencies_match_stats() {
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         let info = stall(500);
         let resume = controller.on_stall(&info);
         controller.finish(&[resume]);
@@ -995,14 +1002,15 @@ mod tests {
 
     #[test]
     fn underpredicted_long_stall_regates() {
-        use crate::predictor::StaticPredictor;
         // A static 200-cycle prediction on a 5000-cycle stall: the core
         // wakes at ~start+200, finds the data 4800 cycles away, and must
         // nap again until the response.
-        let policy =
-            MapgPolicy::with_predictor(StaticPredictor::new(Cycles::new(200)), "static-test");
+        let policy = PolicyKind::MapgWith {
+            predictor: PredictorKind::Static,
+        }
+        .instantiate();
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(policy), config);
+        let mut controller = Controller::new(policy, config);
         let info = stall(5_000);
         let resume = controller.on_stall(&info);
         assert_eq!(controller.stats().regates, 1);
@@ -1021,14 +1029,15 @@ mod tests {
 
     #[test]
     fn regate_can_be_disabled() {
-        use crate::predictor::StaticPredictor;
-        let policy =
-            MapgPolicy::with_predictor(StaticPredictor::new(Cycles::new(200)), "static-test");
+        let policy = PolicyKind::MapgWith {
+            predictor: PredictorKind::Static,
+        }
+        .instantiate();
         let config = ControllerConfig {
             regate_on_early_wake: false,
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(policy), config);
+        let mut controller = Controller::new(policy, config);
         let info = stall(5_000);
         let resume = controller.on_stall(&info);
         assert_eq!(controller.stats().regates, 0);
@@ -1052,8 +1061,10 @@ mod tests {
 
     #[test]
     fn finish_leaves_normal_runs_invariant_clean() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(500);
         let resume = controller.on_stall(&info);
         controller.finish(&[resume]);
@@ -1072,8 +1083,11 @@ mod tests {
             },
             ..ControllerConfig::baseline()
         };
-        let mut faulty = Controller::new(Box::new(NaiveOnMiss), config);
-        let mut clean = Controller::new(Box::new(NaiveOnMiss), ControllerConfig::baseline());
+        let mut faulty = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
+        let mut clean = Controller::new(
+            PolicyKind::NaiveOnMiss.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(300);
         let faulty_resume = faulty.on_stall(&info);
         let clean_resume = clean.on_stall(&info);
@@ -1095,7 +1109,7 @@ mod tests {
             },
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         // First gated stall opens a veto window over its wake...
         let a = stall(400);
         controller.on_stall(&a);
@@ -1133,7 +1147,7 @@ mod tests {
             watchdog: Some(watchdog),
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(NaiveOnMiss), config);
+        let mut controller = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
         let gated_stall = |start: u64| StallInfo {
             start: Cycle::new(start),
             data_ready: Cycle::new(start + 300),

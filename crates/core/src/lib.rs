@@ -32,7 +32,7 @@
 //!
 //! | concern | types |
 //! |---|---|
-//! | policies | [`GatingPolicy`], [`MapgPolicy`], [`NoGating`], [`ClockGating`], [`NaiveOnMiss`], [`TimeoutGating`], [`DvfsStall`], [`PolicyKind`] |
+//! | policies | [`PolicyKind`], [`Policy`], [`PredictorKind`], [`StallAction`] |
 //! | prediction | [`MissLatencyPredictor`], [`HistoryTablePredictor`], [`EwmaPredictor`], [`LastValuePredictor`], [`StaticPredictor`], [`OraclePredictor`], [`PredictorScore`] |
 //! | mechanism | [`GatingFsm`], [`PgState`], [`TokenManager`], [`Controller`] |
 //! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`RunCache`], [`run_all`], [`SuiteRunner`], [`SuiteMatrix`], [`Replication`] |
@@ -66,10 +66,7 @@ pub use fsm::{GatingFsm, PgState, StateResidency};
 pub use fsutil::write_atomic;
 pub use invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
 pub use memo::RunCache;
-pub use policy::{
-    ClockGating, DvfsStall, GatingPolicy, MapgPolicy, NaiveOnMiss, NoGating, PolicyContext,
-    PolicyKind, PredictorKind, StallAction, TimeoutGating,
-};
+pub use policy::{Policy, PolicyContext, PolicyKind, PredictorKind, StallAction};
 pub use predictor::{
     EwmaPredictor, HistoryTablePredictor, LastValuePredictor, MissLatencyPredictor,
     OraclePredictor, PredictorScore, StaticPredictor,

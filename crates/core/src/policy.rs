@@ -1,18 +1,20 @@
 //! Gating policies: what to do with a memory stall.
 //!
-//! A policy sees each stall at its onset and picks a [`StallAction`]. The
-//! [`Controller`](crate::Controller) executes the action, charges the
-//! energy, and reports the resume time back to the core. The policy zoo:
+//! A [`Policy`] sees each stall at its onset and picks a [`StallAction`].
+//! The [`Controller`](crate::Controller) executes the action, charges the
+//! energy, and reports the resume time back to the core. The baselines are
+//! fixed rules; the MAPG kinds share one rule with three parameters (a
+//! miss-latency predictor, a break-even guard and early wake):
 //!
-//! | policy | action on stall | wake scheduling | what it represents |
+//! | [`PolicyKind`] | action on stall | wake scheduling | what it represents |
 //! |---|---|---|---|
-//! | [`NoGating`] | stay active | — | no power management |
-//! | [`ClockGating`] | stop clocks | — | conventional fine-grain clock gating |
-//! | [`DvfsStall`] | scale V/f down | — | DVFS-during-stall baseline |
-//! | [`NaiveOnMiss`] | gate every stall | reactive (starts at data arrival) | gating without MAPG's machinery |
-//! | [`TimeoutGating`] | gate after idle timeout | reactive | classic idle-driven power gating |
-//! | [`MapgPolicy`] (oracle) | gate iff `actual ≥ BET` | early (hidden under miss) | upper bound |
-//! | [`MapgPolicy`] (predictive) | gate iff `predicted ≥ BET` | early, from prediction | **the paper's policy** |
+//! | `NoGating` | stay active | — | no power management |
+//! | `ClockGating` | stop clocks | — | conventional fine-grain clock gating |
+//! | `DvfsStall` | scale V/f down | — | DVFS-during-stall baseline |
+//! | `NaiveOnMiss` | gate every stall | reactive (starts at data arrival) | gating without MAPG's machinery |
+//! | `Timeout` | gate after idle timeout | reactive | classic idle-driven power gating |
+//! | `MapgOracle` | gate iff `actual ≥ BET` | early (hidden under miss) | upper bound |
+//! | `Mapg` | gate iff `predicted ≥ BET` | early, from prediction | **the paper's policy** |
 
 use mapg_cpu::StallInfo;
 use mapg_power::OperatingPoint;
@@ -57,153 +59,20 @@ pub enum StallAction {
     },
 }
 
-/// A gating policy. See the table in the module-level documentation for
-/// the policy zoo.
+/// A gating policy: the rule a [`PolicyKind`] names, with the predictor
+/// state the MAPG kinds learn across stalls. Built only by
+/// [`PolicyKind::instantiate`].
 ///
 /// The controller guarantees `decide` and `observe` are called in strict
-/// alternation for each stall (stalls resolve synchronously), so policies
-/// may carry per-stall scratch state between the two calls.
-pub trait GatingPolicy {
-    /// Chooses an action for the stall described by `info`.
-    fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction;
-
-    /// Learns from the completed stall's actual duration.
-    fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Prediction-accuracy bookkeeping, for predictive policies.
-    fn predictor_score(&self) -> Option<&PredictorScore> {
-        None
-    }
+/// alternation for each stall (stalls resolve synchronously), so a MAPG
+/// policy carries its prediction from one call to the other.
+pub struct Policy {
+    kind: PolicyKind,
+    /// The predictor side of a MAPG kind; `None` for the fixed baselines.
+    mapg: Option<Mapg>,
 }
 
-/// No power management at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoGating;
-
-impl GatingPolicy for NoGating {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::StayActive
-    }
-
-    fn name(&self) -> &'static str {
-        "no-gating"
-    }
-}
-
-/// Clock gating during every stall: removes idle dynamic power, keeps
-/// leakage. Zero latency, zero risk — the reference conventional technique.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClockGating;
-
-impl GatingPolicy for ClockGating {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::ClockGate
-    }
-
-    fn name(&self) -> &'static str {
-        "clock-gating"
-    }
-}
-
-/// DVFS to the floor point during every stall. Idealized in the policy's
-/// favour: the V/f transition itself is modelled as free, which real PLL
-/// relock times (microseconds) would never allow at stall granularity.
-/// Even so it keeps paying `V³`-scaled leakage.
-#[derive(Debug, Clone)]
-pub struct DvfsStall {
-    point: OperatingPoint,
-}
-
-impl DvfsStall {
-    /// Parks at the given operating point during stalls.
-    pub fn new(point: OperatingPoint) -> Self {
-        DvfsStall { point }
-    }
-}
-
-impl Default for DvfsStall {
-    fn default() -> Self {
-        DvfsStall::new(OperatingPoint::min())
-    }
-}
-
-impl GatingPolicy for DvfsStall {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::DvfsScale {
-            point: self.point.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "dvfs-stall"
-    }
-}
-
-/// Gate on every stall, wake reactively when the data arrives. Pays the
-/// full wake latency as a performance penalty on every gated stall and
-/// loses energy on short stalls — the strawman MAPG improves on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveOnMiss;
-
-impl GatingPolicy for NaiveOnMiss {
-    fn decide(&mut self, info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::PowerGate {
-            gate_at: info.start,
-            wake_at: info.data_ready,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-on-miss"
-    }
-}
-
-/// Classic idle-timeout gating: gate only once the core has been idle for
-/// `timeout` cycles, wake reactively.
-///
-/// Implementation note: with the synchronous stall model the policy *knows*
-/// `data_ready`; it uses it solely to evaluate whether the timeout would
-/// have expired before the data returned — i.e. to faithfully emulate the
-/// timeout hardware, not to predict.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeoutGating {
-    timeout: Cycles,
-}
-
-impl TimeoutGating {
-    /// Creates the policy with the given idle threshold.
-    pub fn new(timeout: Cycles) -> Self {
-        TimeoutGating { timeout }
-    }
-}
-
-impl GatingPolicy for TimeoutGating {
-    fn decide(&mut self, info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        let gate_at = info.start + self.timeout;
-        if gate_at >= info.data_ready {
-            // The data would arrive before the timeout fires: never gates.
-            // The idle wait itself is clock-gated, as in any contemporary
-            // core.
-            StallAction::ClockGate
-        } else {
-            StallAction::PowerGate {
-                gate_at,
-                wake_at: info.data_ready,
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "timeout"
-    }
-}
-
-/// The MAPG policy, generic over its predictor.
-///
-/// On each stall:
+/// The MAPG rule's state. On each stall:
 /// 1. predict the stall duration `d̂`;
 /// 2. gate iff `d̂ ≥ guard · BET` (the guard margin biases against gating
 ///    marginal stalls, where a mis-prediction costs energy *and* time);
@@ -213,90 +82,81 @@ impl GatingPolicy for TimeoutGating {
 ///
 /// With [`OraclePredictor`] this is the paper's oracle variant; with
 /// [`HistoryTablePredictor`] it is the deployable policy.
-#[derive(Debug)]
-pub struct MapgPolicy<P> {
-    predictor: P,
+struct Mapg {
+    predictor: Box<dyn MissLatencyPredictor>,
     score: PredictorScore,
     guard: f64,
     early_wake: bool,
-    name: &'static str,
     /// Prediction made in `decide`, consumed by the matching `observe`.
     pending_prediction: Option<Cycles>,
 }
 
-impl MapgPolicy<HistoryTablePredictor> {
-    /// The deployable MAPG configuration: PC-indexed history predictor,
-    /// unity guard, early wake on.
-    pub fn predictive() -> Self {
-        MapgPolicy::with_predictor(HistoryTablePredictor::hardware_default(), "mapg")
-    }
-
-    /// Ablation: prediction and break-even guard disabled — gate every
-    /// stall but keep early-wake scheduling (from the predictor's
-    /// estimate).
-    pub fn always_gate() -> Self {
-        let mut policy = MapgPolicy::with_predictor(
-            HistoryTablePredictor::hardware_default(),
-            "mapg-always-gate",
-        );
-        policy.guard = 0.0;
-        policy
-    }
-
-    /// Ablation: break-even guard kept, early wake disabled (reactive
-    /// wake at data arrival).
-    pub fn no_early_wake() -> Self {
-        let mut policy = MapgPolicy::with_predictor(
-            HistoryTablePredictor::hardware_default(),
-            "mapg-no-early-wake",
-        );
-        policy.early_wake = false;
-        policy
-    }
-}
-
-impl MapgPolicy<OraclePredictor> {
-    /// The oracle variant: perfect duration knowledge, perfect wake timing.
-    pub fn oracle() -> Self {
-        MapgPolicy::with_predictor(OraclePredictor, "mapg-oracle")
-    }
-}
-
-impl<P: MissLatencyPredictor> MapgPolicy<P> {
-    /// Builds the policy around an arbitrary predictor.
-    pub fn with_predictor(predictor: P, name: &'static str) -> Self {
-        MapgPolicy {
-            predictor,
-            score: PredictorScore::new(),
-            guard: 1.0,
-            early_wake: true,
-            name,
-            pending_prediction: None,
+impl Policy {
+    /// Chooses an action for the stall described by `info`.
+    pub fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction {
+        if let Some(mapg) = &mut self.mapg {
+            return mapg.decide(info, ctx);
+        }
+        match self.kind {
+            PolicyKind::NoGating => StallAction::StayActive,
+            PolicyKind::ClockGating => StallAction::ClockGate,
+            // Idealized in the policy's favour: the V/f transition itself
+            // is free, which real PLL relock times (microseconds) would
+            // never allow at stall granularity.
+            PolicyKind::DvfsStall => StallAction::DvfsScale {
+                point: OperatingPoint::min(),
+            },
+            PolicyKind::NaiveOnMiss => StallAction::PowerGate {
+                gate_at: info.start,
+                wake_at: info.data_ready,
+            },
+            PolicyKind::Timeout { idle_cycles } => {
+                // `data_ready` only tells whether the timeout hardware
+                // would have fired before the data returned; it is not a
+                // prediction.
+                let gate_at = info.start + Cycles::new(idle_cycles);
+                if gate_at >= info.data_ready {
+                    // The idle wait itself is clock-gated, as in any
+                    // contemporary core.
+                    StallAction::ClockGate
+                } else {
+                    StallAction::PowerGate {
+                        gate_at,
+                        wake_at: info.data_ready,
+                    }
+                }
+            }
+            PolicyKind::MapgOracle
+            | PolicyKind::Mapg
+            | PolicyKind::MapgAlwaysGate
+            | PolicyKind::MapgNoEarlyWake
+            | PolicyKind::MapgWith { .. }
+            | PolicyKind::MapgGuard { .. } => unreachable!("MAPG kinds carry a predictor"),
         }
     }
 
-    /// Sets the break-even guard multiplier (default 1.0). Values above 1
-    /// gate more conservatively.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guard` is negative or not finite.
-    pub fn with_guard(mut self, guard: f64) -> Self {
-        assert!(
-            guard.is_finite() && guard >= 0.0,
-            "guard must be finite and non-negative, got {guard}"
-        );
-        self.guard = guard;
-        self
+    /// Learns from the completed stall's actual duration.
+    pub fn observe(&mut self, info: &StallInfo, actual: Cycles) {
+        if let Some(mapg) = &mut self.mapg {
+            if let Some(predicted) = mapg.pending_prediction.take() {
+                mapg.score.record(predicted, actual);
+            }
+            mapg.predictor.observe(info, actual);
+        }
     }
 
-    /// The wrapped predictor.
-    pub fn predictor(&self) -> &P {
-        &self.predictor
+    /// Short name for reports: [`PolicyKind::name`].
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// Prediction-accuracy bookkeeping, for the MAPG kinds.
+    pub fn predictor_score(&self) -> Option<&PredictorScore> {
+        self.mapg.as_ref().map(|mapg| &mapg.score)
     }
 }
 
-impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
+impl Mapg {
     fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction {
         let predicted = self.predictor.predict(info);
         self.pending_prediction = Some(predicted);
@@ -322,54 +182,49 @@ impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
             wake_at,
         }
     }
-
-    fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        if let Some(predicted) = self.pending_prediction.take() {
-            self.score.record(predicted, actual);
-        }
-        self.predictor.observe(info, actual);
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn predictor_score(&self) -> Option<&PredictorScore> {
-        Some(&self.score)
-    }
 }
 
 /// Selects a policy by name — the configuration surface the simulation,
 /// benches and examples share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
-    /// [`NoGating`].
+    /// No power management at all.
     NoGating,
-    /// [`ClockGating`].
+    /// Clock gating during every stall: zero latency, zero risk, the
+    /// reference conventional technique.
     ClockGating,
-    /// [`DvfsStall`] at the floor operating point.
+    /// DVFS to the floor operating point during every stall. Even with a
+    /// free transition it keeps paying `V³`-scaled leakage.
     DvfsStall,
-    /// [`NaiveOnMiss`].
+    /// Gate on every stall, wake reactively when the data arrives: pays
+    /// the full wake latency on every gated stall and loses energy on
+    /// short ones, the strawman MAPG improves on.
     NaiveOnMiss,
-    /// [`TimeoutGating`] with the given idle threshold in cycles.
+    /// Classic idle-timeout gating: gate once the core has been idle for
+    /// the given threshold, wake reactively.
     Timeout {
         /// Idle cycles before gating.
         idle_cycles: u64,
     },
-    /// [`MapgPolicy::oracle`].
+    /// MAPG driven by the [`OraclePredictor`]: perfect duration knowledge,
+    /// perfect wake timing.
     MapgOracle,
-    /// [`MapgPolicy::predictive`] — the paper's policy.
+    /// The paper's policy: PC-indexed [`HistoryTablePredictor`], unity
+    /// guard, early wake on.
     Mapg,
-    /// [`MapgPolicy::always_gate`] ablation.
+    /// Ablation: prediction and break-even guard disabled (guard 0), so
+    /// every stall gates, with early wake still scheduled from the
+    /// predictor's estimate.
     MapgAlwaysGate,
-    /// [`MapgPolicy::no_early_wake`] ablation.
+    /// Ablation: break-even guard kept, early wake disabled (reactive wake
+    /// at data arrival).
     MapgNoEarlyWake,
     /// MAPG with an explicitly chosen predictor (experiment R-F7).
     MapgWith {
         /// The predictor to drive the policy with.
         predictor: PredictorKind,
     },
-    /// [`MapgPolicy::predictive`] with its break-even guard set to
+    /// [`PolicyKind::Mapg`] with its break-even guard set to
     /// `quarter_bets / 4` (experiment R-F4). Whole quarters keep the kind
     /// `Eq + Hash`, a memo key.
     MapgGuard {
@@ -426,20 +281,6 @@ impl PredictorKind {
     }
 }
 
-impl MissLatencyPredictor for Box<dyn MissLatencyPredictor> {
-    fn predict(&mut self, info: &StallInfo) -> Cycles {
-        (**self).predict(info)
-    }
-
-    fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        (**self).observe(info, actual);
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 impl PolicyKind {
     /// The comparison set used by the headline experiments (R-T3, R-F2,
     /// R-F3): every baseline plus MAPG and its oracle.
@@ -454,31 +295,42 @@ impl PolicyKind {
     ];
 
     /// Instantiates the policy.
-    pub fn instantiate(&self) -> Box<dyn GatingPolicy> {
-        match *self {
-            PolicyKind::NoGating => Box::new(NoGating),
-            PolicyKind::ClockGating => Box::new(ClockGating),
-            PolicyKind::DvfsStall => Box::new(DvfsStall::default()),
-            PolicyKind::NaiveOnMiss => Box::new(NaiveOnMiss),
-            PolicyKind::Timeout { idle_cycles } => {
-                Box::new(TimeoutGating::new(Cycles::new(idle_cycles)))
+    pub fn instantiate(&self) -> Policy {
+        let (predictor, guard, early_wake) = match *self {
+            PolicyKind::NoGating
+            | PolicyKind::ClockGating
+            | PolicyKind::DvfsStall
+            | PolicyKind::NaiveOnMiss
+            | PolicyKind::Timeout { .. } => {
+                return Policy {
+                    kind: *self,
+                    mapg: None,
+                }
             }
-            PolicyKind::MapgOracle => Box::new(MapgPolicy::oracle()),
-            PolicyKind::Mapg => Box::new(MapgPolicy::predictive()),
-            PolicyKind::MapgAlwaysGate => Box::new(MapgPolicy::always_gate()),
-            PolicyKind::MapgNoEarlyWake => Box::new(MapgPolicy::no_early_wake()),
-            PolicyKind::MapgWith { predictor } => Box::new(MapgPolicy::with_predictor(
-                predictor.instantiate(),
-                predictor.policy_name(),
-            )),
-            PolicyKind::MapgGuard { quarter_bets } => {
-                Box::new(MapgPolicy::predictive().with_guard(f64::from(quarter_bets) / 4.0))
-            }
+            PolicyKind::MapgOracle => (PredictorKind::Oracle, 1.0, true),
+            PolicyKind::Mapg => (PredictorKind::HistoryTable, 1.0, true),
+            PolicyKind::MapgAlwaysGate => (PredictorKind::HistoryTable, 0.0, true),
+            PolicyKind::MapgNoEarlyWake => (PredictorKind::HistoryTable, 1.0, false),
+            PolicyKind::MapgWith { predictor } => (predictor, 1.0, true),
+            PolicyKind::MapgGuard { quarter_bets } => (
+                PredictorKind::HistoryTable,
+                f64::from(quarter_bets) / 4.0,
+                true,
+            ),
+        };
+        Policy {
+            kind: *self,
+            mapg: Some(Mapg {
+                predictor: predictor.instantiate(),
+                score: PredictorScore::new(),
+                guard,
+                early_wake,
+                pending_prediction: None,
+            }),
         }
     }
 
-    /// The policy's display name (matches the instantiated policy's
-    /// [`GatingPolicy::name`]).
+    /// The policy's display name, which its runs report.
     pub fn name(&self) -> &'static str {
         match *self {
             PolicyKind::NoGating => "no-gating",
@@ -498,6 +350,7 @@ impl PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimConfig, Simulation};
     use mapg_cpu::{CoreId, StallCause};
 
     fn ctx() -> PolicyContext {
@@ -521,23 +374,22 @@ mod tests {
 
     #[test]
     fn trivial_policies() {
+        let decide = |kind: PolicyKind| kind.instantiate().decide(&stall(100), &ctx());
+        assert_eq!(decide(PolicyKind::NoGating), StallAction::StayActive);
+        assert_eq!(decide(PolicyKind::ClockGating), StallAction::ClockGate);
         assert_eq!(
-            NoGating.decide(&stall(100), &ctx()),
-            StallAction::StayActive
+            decide(PolicyKind::DvfsStall),
+            StallAction::DvfsScale {
+                point: OperatingPoint::min()
+            }
         );
-        assert_eq!(
-            ClockGating.decide(&stall(100), &ctx()),
-            StallAction::ClockGate
-        );
-        assert!(matches!(
-            DvfsStall::default().decide(&stall(100), &ctx()),
-            StallAction::DvfsScale { .. }
-        ));
     }
 
     #[test]
     fn naive_gates_everything_reactively() {
-        let action = NaiveOnMiss.decide(&stall(20), &ctx());
+        let action = PolicyKind::NaiveOnMiss
+            .instantiate()
+            .decide(&stall(20), &ctx());
         assert_eq!(
             action,
             StallAction::PowerGate {
@@ -549,7 +401,7 @@ mod tests {
 
     #[test]
     fn timeout_skips_short_stalls() {
-        let mut policy = TimeoutGating::new(Cycles::new(100));
+        let mut policy = PolicyKind::Timeout { idle_cycles: 100 }.instantiate();
         assert_eq!(policy.decide(&stall(80), &ctx()), StallAction::ClockGate);
         match policy.decide(&stall(300), &ctx()) {
             StallAction::PowerGate { gate_at, wake_at } => {
@@ -562,7 +414,7 @@ mod tests {
 
     #[test]
     fn oracle_gates_only_above_break_even() {
-        let mut policy = MapgPolicy::oracle();
+        let mut policy = PolicyKind::MapgOracle.instantiate();
         assert_eq!(
             policy.decide(&stall(30), &ctx()),
             StallAction::ClockGate,
@@ -580,7 +432,7 @@ mod tests {
 
     #[test]
     fn predictive_learns_then_gates() {
-        let mut policy = MapgPolicy::predictive();
+        let mut policy = PolicyKind::Mapg.instantiate();
         let info = stall(400);
         // Default estimate (200) ≥ BET (50): gates immediately.
         let action = policy.decide(&info, &ctx());
@@ -591,7 +443,7 @@ mod tests {
 
     #[test]
     fn predictive_skips_after_learning_short_stalls() {
-        let mut policy = MapgPolicy::predictive();
+        let mut policy = PolicyKind::Mapg.instantiate();
         let short = stall(10);
         let context = ctx();
         // Train the PC with many short stalls.
@@ -608,7 +460,7 @@ mod tests {
 
     #[test]
     fn always_gate_ablation_ignores_break_even() {
-        let mut policy = MapgPolicy::always_gate();
+        let mut policy = PolicyKind::MapgAlwaysGate.instantiate();
         let short = stall(10);
         let context = ctx();
         for _ in 0..50 {
@@ -623,7 +475,7 @@ mod tests {
 
     #[test]
     fn no_early_wake_ablation_wakes_reactively() {
-        let mut policy = MapgPolicy::no_early_wake();
+        let mut policy = PolicyKind::MapgNoEarlyWake.instantiate();
         match policy.decide(&stall(400), &ctx()) {
             StallAction::PowerGate { wake_at, .. } => {
                 assert_eq!(wake_at, Cycle::new(1400), "reactive wake");
@@ -633,9 +485,10 @@ mod tests {
     }
 
     /// Every variant, every predictor under `MapgWith`, and both
-    /// parameterized kinds at a few values.
+    /// parameterized kinds at a few values: a short run reports the
+    /// kind's name, and a predictor score exactly for the MAPG kinds.
     #[test]
-    fn kind_names_match_instances() {
+    fn every_kind_reports_its_name_and_predictor() {
         let fixed = [
             PolicyKind::NoGating,
             PolicyKind::ClockGating,
@@ -649,35 +502,31 @@ mod tests {
         let timeouts = [0, 100, 5_000].map(|idle_cycles| PolicyKind::Timeout { idle_cycles });
         let predictors = PredictorKind::ALL.map(|predictor| PolicyKind::MapgWith { predictor });
         let guards = [0, 1, 4, 32].map(|quarter_bets| PolicyKind::MapgGuard { quarter_bets });
-        let kinds: Vec<PolicyKind> = fixed
+        let config = SimConfig::default().with_instructions(2_000);
+        for kind in fixed
             .into_iter()
             .chain(timeouts)
             .chain(predictors)
             .chain(guards)
-            .collect();
-        for kind in &kinds {
+        {
             // Exhaustive, so a new variant does not compile until this
             // test names it.
-            match kind {
+            let predictive = match kind {
                 PolicyKind::NoGating
                 | PolicyKind::ClockGating
                 | PolicyKind::DvfsStall
                 | PolicyKind::NaiveOnMiss
-                | PolicyKind::Timeout { .. }
-                | PolicyKind::MapgOracle
+                | PolicyKind::Timeout { .. } => false,
+                PolicyKind::MapgOracle
                 | PolicyKind::Mapg
                 | PolicyKind::MapgAlwaysGate
                 | PolicyKind::MapgNoEarlyWake
                 | PolicyKind::MapgWith { .. }
-                | PolicyKind::MapgGuard { .. } => {}
-            }
-            assert_eq!(kind.name(), kind.instantiate().name(), "{kind:?}");
+                | PolicyKind::MapgGuard { .. } => true,
+            };
+            let report = Simulation::new(config.clone(), kind).run();
+            assert_eq!(report.policy, kind.name(), "{kind:?}");
+            assert_eq!(report.predictor.is_some(), predictive, "{kind:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "guard")]
-    fn guard_must_be_finite() {
-        let _ = MapgPolicy::predictive().with_guard(f64::NAN);
     }
 }

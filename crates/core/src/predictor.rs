@@ -26,9 +26,6 @@ pub trait MissLatencyPredictor {
 
     /// Learns from a completed stall of duration `actual`.
     fn observe(&mut self, info: &StallInfo, actual: Cycles);
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Always predicts a fixed duration (e.g. the nominal DRAM round trip).
@@ -50,10 +47,6 @@ impl MissLatencyPredictor for StaticPredictor {
     }
 
     fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
 }
 
 /// Predicts the duration of the previous stall (global last-value).
@@ -77,10 +70,6 @@ impl MissLatencyPredictor for LastValuePredictor {
 
     fn observe(&mut self, _info: &StallInfo, actual: Cycles) {
         self.last = actual;
-    }
-
-    fn name(&self) -> &'static str {
-        "last-value"
     }
 }
 
@@ -128,10 +117,6 @@ impl MissLatencyPredictor for EwmaPredictor {
 
     fn observe(&mut self, _info: &StallInfo, actual: Cycles) {
         self.fold(actual);
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
     }
 }
 
@@ -229,10 +214,6 @@ impl MissLatencyPredictor for HistoryTablePredictor {
         // policy, like a direct-mapped untagged table would alias — the
         // conservative choice for a model).
     }
-
-    fn name(&self) -> &'static str {
-        "history-table"
-    }
 }
 
 /// The oracle: "predicts" the actual duration. Upper bound for R-F7 and
@@ -246,10 +227,6 @@ impl MissLatencyPredictor for OraclePredictor {
     }
 
     fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
-
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
 }
 
 /// Accuracy bookkeeping wrapped around any predictor (experiment R-F7).
@@ -381,7 +358,6 @@ mod tests {
         assert_eq!(p.predict(&i), Cycles::new(150));
         p.observe(&i, Cycles::new(500));
         assert_eq!(p.predict(&i), Cycles::new(150));
-        assert_eq!(p.name(), "static");
     }
 
     #[test]

@@ -313,3 +313,33 @@ fn repro_with_garbage_json_is_a_clean_error() {
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+/// The policy names `mapgsim` accepts, in `--list-policies` order.
+const POLICY_NAMES: [&str; 11] = [
+    "no-gating",
+    "clock-gating",
+    "dvfs-stall",
+    "naive-on-miss",
+    "timeout",
+    "mapg",
+    "mapg-oracle",
+    "mapg-always-gate",
+    "mapg-no-early-wake",
+    "mapg+ewma",
+    "mapg+last-value",
+];
+
+#[test]
+fn every_listed_policy_runs_under_its_own_name() {
+    let out = run(&["--list-policies"]);
+    assert!(out.status.success());
+    let listed = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(listed.lines().collect::<Vec<_>>(), POLICY_NAMES);
+    for name in POLICY_NAMES {
+        let out = run(&["--policy", name, "--instructions", "2000"]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        let report = String::from_utf8(out.stdout).unwrap();
+        let header = format!("[mem_bound / {name}] ");
+        assert!(report.starts_with(&header), "{name}: {report}");
+    }
+}

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use mapg::{Controller, ControllerConfig, GatingFsm, MapgPolicy, PolicyKind, TokenManager};
+use mapg::{Controller, ControllerConfig, GatingFsm, PolicyKind, TokenManager};
 use mapg_cpu::{CoreId, StallCause, StallHandler, StallInfo};
 use mapg_units::{Cycle, Cycles};
 
@@ -104,7 +104,7 @@ proptest! {
         stalls in prop::collection::vec(1u64..5_000, 1..300),
     ) {
         let mut controller = Controller::new(
-            Box::new(MapgPolicy::oracle()),
+            PolicyKind::MapgOracle.instantiate(),
             ControllerConfig::baseline(),
         );
         let mut t = 0u64;

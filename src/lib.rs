@@ -30,7 +30,7 @@ pub use mapg_units;
 /// Convenience prelude with the names used by virtually every program built
 /// on this workspace.
 pub mod prelude {
-    pub use mapg::{GatingPolicy, PolicyKind, RunReport, SimConfig, Simulation, SuiteRunner};
+    pub use mapg::{PolicyKind, RunReport, SimConfig, Simulation, SuiteRunner};
     pub use mapg_power::{PgCircuitDesign, TechnologyParams};
     pub use mapg_trace::{WorkloadProfile, WorkloadSuite};
     pub use mapg_units::{Cycles, Joules, Watts};
