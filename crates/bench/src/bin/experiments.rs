@@ -18,6 +18,7 @@
 //! experiment and printed in registry order, so stdout is byte-identical
 //! at any job count (the `--jobs 1` serial run is the reference).
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -31,6 +32,21 @@ const USAGE: &str = "usage: experiments [--scale smoke|quick|paper|full] [--csv]
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args, &mut io::stdout().lock()) {
+        Ok(code) => code,
+        // A reader that stopped reading (`experiments | head`) ends the
+        // run quietly.
+        Err(error) if error.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(error) => {
+            eprintln!("cannot write to stdout: {error}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parses `args` and runs the selected experiments, writing tables to
+/// `out`; only a failed write to `out` is an `Err`.
+fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     let mut scale = Scale::Paper;
     let mut csv = false;
     let mut jobs = mapg_pool::default_jobs();
@@ -44,63 +60,63 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--list" => {
                 for experiment in experiments::all() {
-                    println!("{:<7} {}", experiment.id, experiment.title);
+                    writeln!(out, "{:<7} {}", experiment.id, experiment.title)?;
                 }
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             "--csv" => csv = true,
             "--scale" => {
                 let Some(name) = iter.next() else {
                     eprintln!("--scale needs a value (smoke|quick|paper|full)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 let Some(parsed) = Scale::parse(name) else {
                     eprintln!("unknown scale '{name}' (smoke|quick|paper|full)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 scale = parsed;
             }
             "--jobs" => {
                 let Some(value) = iter.next() else {
                     eprintln!("--jobs needs a value (a worker count >= 1)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 match value.parse::<usize>() {
                     Ok(n) if n >= 1 => jobs = n,
                     _ => {
                         eprintln!("invalid job count '{value}' (need an integer >= 1)");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             }
             "--manifest" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--manifest needs an output path");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 manifest_path = Some(path.to_owned());
             }
             "--metrics" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--metrics needs an output path");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 metrics_path = Some(path.to_owned());
             }
             "--out-dir" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--out-dir needs a directory path");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 out_dir = Some(path.to_owned());
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                writeln!(out, "{USAGE}")?;
+                return Ok(ExitCode::SUCCESS);
             }
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag '{flag}'\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             id => selected.push(id.to_owned()),
         }
@@ -108,7 +124,7 @@ fn main() -> ExitCode {
 
     if out_dir.is_some() && !csv {
         eprintln!("--out-dir writes per-experiment CSV files and requires --csv");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let to_run: Vec<Experiment> = if selected.is_empty() {
@@ -126,7 +142,7 @@ fn main() -> ExitCode {
                 }
                 None => {
                     eprintln!("unknown experiment '{id}'; try --list");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -137,14 +153,15 @@ fn main() -> ExitCode {
     if let Some(dir) = &out_dir {
         if let Err(error) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out-dir '{dir}': {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
-    println!(
+    writeln!(
+        out,
         "# MAPG reproduction — {} experiment(s) at {scale:?} scale\n",
         to_run.len()
-    );
+    )?;
 
     // Fan the experiments out across the pool, buffering each one's
     // rendered output; ordered results keep the printed stream
@@ -182,12 +199,12 @@ fn main() -> ExitCode {
     let mut entries = Vec::with_capacity(results.len());
     for (rendered, elapsed, entry) in results {
         eprintln!("[{} done in {elapsed:.2?}]\n", entry.id);
-        print!("{rendered}");
+        write!(out, "{rendered}")?;
         if let Some(dir) = &out_dir {
             let path = Path::new(dir).join(format!("{}.csv", entry.id));
             if let Err(error) = mapg::write_atomic(&path, rendered.as_bytes()) {
                 eprintln!("cannot write '{}': {error}", path.display());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         entries.push(entry);
@@ -206,7 +223,7 @@ fn main() -> ExitCode {
         }
         if let Err(error) = mapg::write_atomic(Path::new(&path), combined.to_json().as_bytes()) {
             eprintln!("cannot write metrics '{path}': {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("[metrics written to {path}]");
     }
@@ -221,9 +238,9 @@ fn main() -> ExitCode {
         };
         if let Err(error) = mapg::write_atomic(Path::new(&path), manifest.to_json().as_bytes()) {
             eprintln!("cannot write manifest '{path}': {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("[manifest written to {path}]");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -28,8 +28,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         WorkloadProfile::mixed("mixed"),
     ] {
         let config = base_config(scale).with_profile(profile.clone());
-        let baseline = Replication::run(config.clone(), PolicyKind::NoGating, REPLICAS);
-        let mapg = Replication::run(config, PolicyKind::Mapg, REPLICAS);
+        // One batch: each seed's two runs share a front end.
+        let replications =
+            Replication::run_policies(config, &[PolicyKind::NoGating, PolicyKind::Mapg], REPLICAS);
+        let [baseline, mapg] = &replications[..] else {
+            unreachable!("one replication per policy");
+        };
 
         type PairedMetric = fn(&RunReport, &RunReport) -> f64;
         let metrics: [(&str, PairedMetric); 3] = [
@@ -38,7 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ("edp_delta%", |m, b| m.edp_delta_vs(b) * 100.0),
         ];
         for (name, metric) in metrics {
-            let summary = mapg.summarize_paired(&baseline, metric);
+            let summary = mapg.summarize_paired(baseline, metric);
             table.push_row(vec![
                 profile.name().to_owned(),
                 name.to_owned(),

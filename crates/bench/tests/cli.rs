@@ -478,3 +478,28 @@ fn fuzz_rejects_a_zero_second_budget() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("invalid budget '0'"), "{err}");
 }
+
+/// A reader that stops after one line (`experiments | head -1`) ends the
+/// run quietly: exit 0, no panic. The tables are written after every
+/// experiment has run, by which time the pipe is closed.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--scale", "smoke"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("experiments binary should spawn");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("# MAPG reproduction"), "{first}");
+    let out = child.wait_with_output().expect("experiments should exit");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

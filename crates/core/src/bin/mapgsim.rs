@@ -10,6 +10,7 @@
 //! ```
 
 use std::fmt::Display;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -46,8 +47,9 @@ fn find_workload(name: &str) -> Option<WorkloadProfile> {
     WorkloadSuite::spec_like().get(name).cloned()
 }
 
-fn usage() {
-    println!(
+fn usage(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "usage: mapgsim [OPTIONS]\n\
          \n\
          options:\n\
@@ -73,7 +75,7 @@ fn usage() {
          \x20                      diverges (conflicts with every run-shaping flag)\n\
          \x20 --list-workloads     print available workload names\n\
          \x20 --list-policies      print available policy names"
-    );
+    )
 }
 
 /// Parses `--flag VALUE`, with an explicit message for a missing value and
@@ -87,18 +89,47 @@ where
         .map_err(|e| format!("invalid {what} for {flag}: '{raw}' ({e})"))
 }
 
+/// Why a run ended early: a message for the user, or a failed write to
+/// stdout.
+enum Failure {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(error: io::Error) -> Self {
+        Failure::Stdout(error)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut io::stdout().lock()) {
         Ok(code) => code,
-        Err(message) => {
+        // A reader that stopped reading (`mapgsim | head`) ends the run
+        // quietly.
+        Err(Failure::Stdout(error)) if error.kind() == io::ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
+        Err(Failure::Stdout(error)) => {
+            eprintln!("error: cannot write to stdout: {error}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+/// Parses `args` and runs what they ask for, writing the output to `out`.
+fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, Failure> {
     let mut workload = String::from("mem_bound");
     let mut policy_name = String::from("mapg");
     let mut instructions: u64 = 1_000_000;
@@ -142,19 +173,19 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         match arg.as_str() {
             "--help" | "-h" => {
-                usage();
+                usage(out)?;
                 return Ok(ExitCode::SUCCESS);
             }
             "--list-workloads" => {
                 for profile in WorkloadSuite::spec_like().iter() {
-                    println!("{}", profile.name());
+                    writeln!(out, "{}", profile.name())?;
                 }
-                println!("mem_bound\ncompute_bound\nmixed");
+                writeln!(out, "mem_bound\ncompute_bound\nmixed")?;
                 return Ok(ExitCode::SUCCESS);
             }
             "--list-policies" => {
                 for policy in POLICIES {
-                    println!("{}", policy.name());
+                    writeln!(out, "{}", policy.name())?;
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -202,7 +233,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 repro_path = Some(parse_value(arg, "path", iter.next())?);
             }
             other => {
-                return Err(format!("unknown option '{other}' (try --help)"));
+                return Err(format!("unknown option '{other}' (try --help)").into());
             }
         }
     }
@@ -212,15 +243,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             return Err(format!(
                 "--repro replays a self-contained recorded scenario; drop {}",
                 run_flags.join(", ")
-            ));
+            )
+            .into());
         }
-        return replay_repro(path);
+        return replay_repro(path, out);
     }
 
     if compare && (trace_path.is_some() || metrics_path.is_some()) {
         return Err(
             "--trace/--metrics capture exactly one run; drop --compare or the capture flags"
-                .to_owned(),
+                .to_owned()
+                .into(),
         );
     }
 
@@ -264,7 +297,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let report = Simulation::new(config.clone(), policy)
         .try_run()
         .map_err(|e| e.to_string())?;
-    print!("{report}");
+    write!(out, "{report}")?;
 
     if let Some(path) = &trace_path {
         let trace = report
@@ -279,7 +312,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         mapg::write_atomic(Path::new(path), trace.to_chrome_trace().as_bytes())
             .map_err(|e| format!("cannot write trace '{path}': {e}"))?;
-        println!("trace written to {path} ({} events)", trace.len());
+        writeln!(out, "trace written to {path} ({} events)", trace.len())?;
     }
     if let Some(path) = &metrics_path {
         let metrics = report
@@ -288,30 +321,34 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             .ok_or_else(|| "internal: report carries no metrics despite --metrics".to_owned())?;
         mapg::write_atomic(Path::new(path), metrics.to_json().as_bytes())
             .map_err(|e| format!("cannot write metrics '{path}': {e}"))?;
-        println!("metrics written to {path}");
+        writeln!(out, "metrics written to {path}")?;
     }
 
     if compare && policy != PolicyKind::NoGating {
         let baseline = Simulation::new(config, PolicyKind::NoGating)
             .try_run()
             .map_err(|e| e.to_string())?;
-        println!("--- vs no-gating ---");
-        println!(
+        writeln!(out, "--- vs no-gating ---")?;
+        writeln!(
+            out,
             "core energy savings : {:+.1}%",
             report.core_energy_savings_vs(&baseline) * 100.0
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "leakage savings     : {:+.1}%",
             report.leakage_savings_vs(&baseline) * 100.0
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "runtime overhead    : {:+.2}%",
             report.perf_overhead_vs(&baseline) * 100.0
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "EDP delta           : {:+.1}%",
             report.edp_delta_vs(&baseline) * 100.0
-        );
+        )?;
     }
     if !report.invariants.is_clean() {
         eprintln!("error: invariants broken: {}", report.invariants);
@@ -323,32 +360,34 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 /// The `--repro` mode: replay a fuzz repro file through the differential
 /// oracle (live vs reference stack plus reconciliation laws) and exit
 /// nonzero when any divergence still reproduces.
-fn replay_repro(path: &str) -> Result<ExitCode, String> {
+fn replay_repro(path: &str, out: &mut impl Write) -> Result<ExitCode, Failure> {
     const REPRO_USAGE: &str =
         "usage: mapgsim --repro FILE  (FILE is a repro JSON written by `mapg-fuzz --out DIR`)";
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("--repro: cannot read '{path}': {e}\n{REPRO_USAGE}"))?;
     let repro = ReproFile::from_json_text(&text)
         .map_err(|e| format!("--repro: '{path}' is not a valid repro file: {e}\n{REPRO_USAGE}"))?;
-    println!("repro      : {path}");
+    writeln!(out, "repro      : {path}")?;
     if let (Some(seed), Some(index)) = (repro.campaign_seed, repro.scenario_index) {
-        println!(
+        writeln!(
+            out,
             "provenance : campaign seed {seed}, scenario {index}, {} shrink step(s)",
             repro.shrink_steps
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "recorded   : {} — {}",
         repro.finding_class, repro.finding_detail
-    );
+    )?;
     match repro.replay().map_err(|e| e.to_string())? {
         Some(finding) => {
-            println!("replay     : {} — {}", finding.class, finding.detail);
+            writeln!(out, "replay     : {} — {}", finding.class, finding.detail)?;
             eprintln!("error: divergence still reproduces");
             Ok(ExitCode::FAILURE)
         }
         None => {
-            println!("replay     : clean (both stacks agree, all laws hold)");
+            writeln!(out, "replay     : clean (both stacks agree, all laws hold)")?;
             Ok(ExitCode::SUCCESS)
         }
     }

@@ -7,7 +7,10 @@
 //!
 //! The replicas are one [`run_all`] batch: the seeded configs are built on
 //! the calling thread and fanned out across the caller's worker budget,
-//! and the reports come back in seed order at any job count.
+//! and the reports come back in seed order at any job count. Replicating
+//! several policies at once ([`Replication::run_policies`]) puts every
+//! policy's replica of one seed in that batch, so a single-core seed's
+//! runs share one front end (DESIGN §9.7).
 
 use core::fmt;
 
@@ -115,19 +118,58 @@ pub struct Replication {
 
 impl Replication {
     /// Runs `config` under `policy` once per seed (`1_000 + 977·i` for
-    /// replica `i`), as one [`run_all`] batch.
+    /// replica `i`), as one [`run_all`] batch: the one-policy case of
+    /// [`Replication::run_policies`].
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is zero.
     pub fn run(config: SimConfig, policy: PolicyKind, replicas: usize) -> Self {
+        Replication::run_policies(config, &[policy], replicas)
+            .pop()
+            .expect("one replication per policy")
+    }
+
+    /// Runs `config` under each of `policies` once per seed (the seeds of
+    /// [`Replication::run`]) as one seed-major [`run_all`] batch, and
+    /// returns one replication per policy, in `policies` order. Replicas
+    /// of the same seed are paired samples for
+    /// [`Replication::summarize_paired`].
+    ///
+    /// ```
+    /// use mapg::{PolicyKind, Replication, SimConfig};
+    ///
+    /// let config = SimConfig::default().with_instructions(20_000);
+    /// let pair = Replication::run_policies(config, &[PolicyKind::NoGating, PolicyKind::Mapg], 3);
+    /// let savings = pair[1].summarize_paired(&pair[0], |m, b| m.core_energy_savings_vs(b));
+    /// assert!(savings.min > 0.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replicas` is zero.
+    pub fn run_policies(
+        config: SimConfig,
+        policies: &[PolicyKind],
+        replicas: usize,
+    ) -> Vec<Replication> {
         assert!(replicas > 0, "need at least one replica");
         let runs = (0..replicas as u64)
-            .map(|i| (config.clone().with_seed(1_000 + 977 * i), policy))
+            .flat_map(|i| {
+                let seeded = config.clone().with_seed(1_000 + 977 * i);
+                policies.iter().map(move |&policy| (seeded.clone(), policy))
+            })
             .collect();
-        Replication {
-            reports: run_all(runs),
+        let mut replications: Vec<Replication> = policies
+            .iter()
+            .map(|_| Replication {
+                reports: Vec::with_capacity(replicas),
+            })
+            .collect();
+        for (i, report) in run_all(runs).into_iter().enumerate() {
+            replications[i % policies.len()].reports.push(report);
         }
+        replications
     }
 
     /// The individual reports (seed order).
@@ -243,6 +285,22 @@ mod tests {
         let paired = mapg.summarize_paired(&baseline, |m, b| m.core_energy_savings_vs(b));
         assert!(paired.mean > 0.0, "MAPG saves energy on every seed");
         assert!(paired.min > 0.0);
+    }
+
+    #[test]
+    fn policies_replicated_together_equal_their_own_replications() {
+        let config = SimConfig::default().with_instructions(10_000);
+        let policies = [
+            PolicyKind::NoGating,
+            PolicyKind::Mapg,
+            PolicyKind::MapgOracle,
+        ];
+        let together = Replication::run_policies(config.clone(), &policies, 3);
+        assert_eq!(together.len(), 3);
+        for (policy, replication) in policies.into_iter().zip(&together) {
+            let alone = Replication::run(config.clone(), policy, 3);
+            assert_eq!(replication.reports(), alone.reports());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The full-system simulation: workload → cores → hierarchy → controller →
 //! energy ledger → report.
 
-use mapg_cpu::{Cluster, ClusterStats, CoreConfig};
+use mapg_cpu::{Cluster, ClusterStats, CoreConfig, Lockstep};
 use mapg_mem::{HierarchyConfig, LatencyHistogram};
 use mapg_obs::{EventHub, MetricsHub, MetricsRegistry, ObsHandle};
 use mapg_power::{
@@ -320,6 +320,52 @@ impl SimConfig {
         self
     }
 
+    /// Whether this run may share its front end (its event generation and
+    /// L1/L2 lookups) with other runs (DESIGN §9.7): one core, no
+    /// prefetcher, no reference scheduler, no trace and no event hub.
+    /// Every such run takes the lockstep path, a lone run as a group of
+    /// one; every other run drives a [`Cluster`].
+    pub(crate) fn shares_front_end(&self) -> bool {
+        self.cores == 1
+            && !self.memory.prefetch.is_enabled()
+            && !self.reference_scheduler
+            && self.trace_capacity.is_none()
+            && self.event_hub.is_none()
+    }
+
+    /// Whether `self` and `other` both
+    /// [share their front end](SimConfig::shares_front_end) and read the
+    /// same event stream through the same caches: the front-end key.
+    pub(crate) fn shares_front_end_with(&self, other: &SimConfig) -> bool {
+        self.shares_front_end()
+            && other.shares_front_end()
+            && self.profiles == other.profiles
+            && self.cores == other.cores
+            && self.instructions_per_core == other.instructions_per_core
+            && self.seed == other.seed
+            && self.memory.l1 == other.memory.l1
+            && self.memory.l2 == other.memory.l2
+    }
+
+    /// The run cache this run consults: none for a traced or published
+    /// run, whose trace is not cached.
+    fn memo(&self) -> Option<&RunCache> {
+        self.run_cache
+            .as_ref()
+            .filter(|_| self.trace_capacity.is_none() && self.event_hub.is_none())
+    }
+
+    /// The hierarchy the run simulates: a non-no-op fault plan injects its
+    /// DRAM-side faults into it, keyed to the simulation seed; a no-op plan
+    /// leaves the memory configuration untouched.
+    fn faulty_memory(&self) -> HierarchyConfig {
+        let mut memory = self.memory;
+        if !self.fault_plan.is_nop() {
+            memory.dram_faults = self.fault_plan.dram_faults(self.seed);
+        }
+        memory
+    }
+
     /// The first configured profile (the only one outside mix mode).
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profiles[0]
@@ -482,36 +528,60 @@ impl Simulation {
     /// and publish. Traced and published runs always compute: their trace
     /// is not cached.
     pub fn try_run(self) -> Result<RunReport, MapgError> {
-        let Simulation { mut config, policy } = self;
+        let Simulation { config, policy } = self;
         config.validate()?;
-        let Some(cache) = config
-            .run_cache
-            .take()
-            .filter(|_| config.trace_capacity.is_none() && config.event_hub.is_none())
-        else {
-            return Simulation::simulate(&config, policy);
-        };
-        if let Some(report) = cache.get(&config, policy) {
-            if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &report.metrics) {
-                hub.merge(metrics);
-            }
+        if let Some(report) = Simulation::recall(&config, policy) {
             return Ok(report);
         }
-        let report = Simulation::simulate(&config, policy)?;
-        cache.insert(config, policy, report.clone());
+        let run = (config, policy);
+        let report = Simulation::compute(std::slice::from_ref(&run))?
+            .pop()
+            .expect("one report per run");
+        let (config, policy) = run;
+        Simulation::remember(config, policy, &report);
         Ok(report)
     }
 
-    /// Runs `config` under `policy` to completion: the uncached body of
-    /// [`Simulation::try_run`].
-    fn simulate(config: &SimConfig, policy: PolicyKind) -> Result<RunReport, MapgError> {
-        // Counted for the whole run, so the generation helper serves a
-        // run only while no other is in flight (DESIGN §9.6).
-        let in_flight = InFlight::enter();
-        let circuit = config.circuit();
+    /// The memoized report of `(config, policy)`, if its run cache holds
+    /// one; a hit merges its metrics into the metrics hub, if one is
+    /// attached, as the computed run would have.
+    pub(crate) fn recall(config: &SimConfig, policy: PolicyKind) -> Option<RunReport> {
+        let report = config.memo()?.get(config, policy)?;
+        if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &report.metrics) {
+            hub.merge(metrics);
+        }
+        Some(report)
+    }
+
+    /// Memoizes `report` as the outcome of `(config, policy)` in the run's
+    /// cache, if it consults one.
+    pub(crate) fn remember(config: SimConfig, policy: PolicyKind, report: &RunReport) {
+        if let Some(cache) = config.memo().cloned() {
+            cache.insert(config, policy, report.clone());
+        }
+    }
+
+    /// Computes validated, uncached runs: a group of runs that
+    /// [share one front end](SimConfig::shares_front_end) in lockstep, or
+    /// one run that shares none on a cluster. Reports come back in `runs`
+    /// order.
+    pub(crate) fn compute(runs: &[(SimConfig, PolicyKind)]) -> Result<Vec<RunReport>, MapgError> {
+        let (config, policy) = &runs[0];
+        if config.shares_front_end() {
+            return Simulation::lockstep(runs);
+        }
+        assert_eq!(runs.len(), 1, "only front-end groups hold several runs");
+        Ok(vec![Simulation::simulate(config, *policy)?])
+    }
+
+    /// One run's stall handler and observability handle. Built on the
+    /// thread that runs the simulation (the handle is `!Send`), so
+    /// emission order is simulation order and the trace stays
+    /// deterministic at any outer parallelism.
+    fn back_end(config: &SimConfig, policy: PolicyKind) -> (Controller, ObsHandle) {
         let controller_config = ControllerConfig {
             tech: config.tech,
-            circuit,
+            circuit: config.circuit(),
             clock: config.core.clock,
             tokens: config.tokens,
             regate_on_early_wake: config.regate_on_early_wake,
@@ -520,29 +590,28 @@ impl Simulation {
             watchdog: config.watchdog,
         };
         let mut controller = Controller::new(policy.instantiate(), controller_config);
-        // One observability handle per run, shared by every component via
-        // cheap clones. Built here, on the thread that runs the simulation
-        // (the handle is `!Send`), so emission order is simulation order
-        // and the trace stays deterministic at any outer parallelism.
+        // One handle per run, shared by every component via cheap clones.
         let obs = ObsHandle::enabled(
             config.trace_capacity,
             config.metrics || config.metrics_hub.is_some(),
         );
         controller.set_obs(obs.clone());
+        (controller, obs)
+    }
 
+    /// Runs `config` under `policy` to completion on a cluster.
+    fn simulate(config: &SimConfig, policy: PolicyKind) -> Result<RunReport, MapgError> {
+        // Counted for the whole run, so the generation helper serves a
+        // run only while no other is in flight (DESIGN §9.6).
+        let in_flight = InFlight::enter();
+        let (mut controller, obs) = Simulation::back_end(config, policy);
         let generators: Vec<SyntheticWorkload> = (0..config.cores)
             .map(|i| {
                 let profile = &config.profiles[i % config.profiles.len()];
                 SyntheticWorkload::new(profile, config.seed.wrapping_add(i as u64))
             })
             .collect();
-        // A non-no-op plan injects its DRAM-side faults into the shared
-        // hierarchy, keyed to the simulation seed; a no-op plan leaves the
-        // memory configuration untouched.
-        let mut memory = config.memory;
-        if !config.fault_plan.is_nop() {
-            memory.dram_faults = config.fault_plan.dram_faults(config.seed);
-        }
+        let memory = config.faulty_memory();
         // The model stays on this thread; only generation may move to the
         // helper. The reference stack is the frozen oracle the differential
         // tests and the fuzzer cross the live one against.
@@ -558,6 +627,51 @@ impl Simulation {
             cluster.try_run(config.instructions_per_core, &mut controller)?;
             cluster.stats()
         };
+        Ok(Simulation::report(config, controller, &obs, cluster_stats))
+    }
+
+    /// Runs a group that shares one front end: one generator and one set
+    /// of L1/L2 caches feed every run's back end (DESIGN §9.7).
+    fn lockstep(runs: &[(SimConfig, PolicyKind)]) -> Result<Vec<RunReport>, MapgError> {
+        // The group reads one stream, so it counts as one run in flight
+        // for the generation helper (DESIGN §9.6).
+        let in_flight = InFlight::enter();
+        let front = &runs[0].0;
+        let (mut controllers, observers): (Vec<_>, Vec<_>) = runs
+            .iter()
+            .map(|(config, policy)| Simulation::back_end(config, *policy))
+            .unzip();
+        let generator = SyntheticWorkload::new(front.profile(), front.seed);
+        let mut sources = ChunkedSource::for_run(vec![generator], &in_flight);
+        let source = sources.pop().expect("one source per generator");
+        let back_ends = runs
+            .iter()
+            .map(|(config, _)| (config.core, config.faulty_memory()))
+            .collect();
+        let mut lockstep = Lockstep::try_new(source, back_ends)?;
+        for (i, obs) in observers.iter().enumerate() {
+            lockstep.set_obs(i, obs.clone());
+        }
+        lockstep.try_run(front.instructions_per_core, &mut controllers)?;
+        Ok(controllers
+            .into_iter()
+            .zip(&observers)
+            .zip(runs)
+            .enumerate()
+            .map(|(i, ((controller, obs), (config, _)))| {
+                Simulation::report(config, controller, obs, lockstep.stats(i))
+            })
+            .collect())
+    }
+
+    /// Closes a finished run's books: the controller's, the energy
+    /// ledger's, the end-of-run audits, the metrics and the report.
+    fn report(
+        config: &SimConfig,
+        mut controller: Controller,
+        obs: &ObsHandle,
+        cluster_stats: ClusterStats,
+    ) -> RunReport {
         let final_times: Vec<Cycle> = cluster_stats
             .per_core
             .iter()
@@ -642,7 +756,7 @@ impl Simulation {
             feed.publish(trace.iter());
         }
 
-        Ok(RunReport {
+        RunReport {
             policy: controller.policy_name(),
             workload: config.workload_name(),
             cores: config.cores,
@@ -660,7 +774,7 @@ impl Simulation {
             faults: controller.fault_stats(),
             trace,
             metrics,
-        })
+        }
     }
 }
 

@@ -7,11 +7,14 @@
 //! bit-for-bit at any worker count; [`mapg_pool::Pool::map`] returns them in
 //! submission order regardless of completion order.
 //!
-//! Workers run [`Simulation::new`]`(config, policy).run()` and nothing
-//! else. Build every [`SimConfig`] on the calling thread: pool workers do
-//! not inherit the caller's thread-locals (an ambient metrics or event
-//! hub, a `with_default_jobs` override), so a config assembled inside a
-//! worker would silently lose them.
+//! The runs a batch must compute are grouped first: single-core runs that
+//! read the same event stream through the same caches share one front end
+//! and run in lockstep, one generator and one set of L1/L2 lookups feeding
+//! every run's timing (DESIGN §9.7). Workers compute one group each and
+//! nothing else. Build every [`SimConfig`] on the calling thread: pool
+//! workers do not inherit the caller's thread-locals (an ambient metrics or
+//! event hub, a `with_default_jobs` override), so a config assembled inside
+//! a worker would silently lose them.
 
 use mapg_pool::Pool;
 use mapg_trace::WorkloadSuite;
@@ -28,6 +31,12 @@ use crate::sim::{SimConfig, Simulation};
 /// [`mapg_pool::with_default_jobs`] override on this thread, else the
 /// host's parallelism. `1` runs the batch inline on the calling thread.
 ///
+/// Every config is validated first. Runs with a
+/// [`RunCache`](crate::RunCache) are then looked up in it. The misses are
+/// grouped by front end, a group being split when there are fewer groups
+/// than workers, and computed; their reports are memoized in submission
+/// order.
+///
 /// ```
 /// use mapg::{run_all, PolicyKind, SimConfig};
 ///
@@ -42,12 +51,90 @@ use crate::sim::{SimConfig, Simulation};
 ///
 /// # Panics
 ///
-/// Re-raises the first panicking run's payload (an invalid config), after
-/// cancelling the runs not yet started.
+/// Panics with the message of [`SimConfig::validate`] for the first
+/// invalid config, before any run starts.
 pub fn run_all(runs: Vec<(SimConfig, PolicyKind)>) -> Vec<RunReport> {
-    Pool::with_default_jobs().map(runs, |(config, policy)| {
-        Simulation::new(config, policy).run()
-    })
+    for (config, _) in &runs {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+    }
+    let mut reports: Vec<Option<RunReport>> = Vec::with_capacity(runs.len());
+    let mut groups: Vec<Group> = Vec::new();
+    for (index, (config, policy)) in runs.into_iter().enumerate() {
+        let recalled = Simulation::recall(&config, policy);
+        if recalled.is_some() {
+            reports.push(recalled);
+            continue;
+        }
+        reports.push(None);
+        let shared = groups
+            .iter_mut()
+            .find(|group| group.runs[0].0.shares_front_end_with(&config));
+        match shared {
+            Some(group) => {
+                group.indices.push(index);
+                group.runs.push((config, policy));
+            }
+            None => groups.push(Group {
+                indices: vec![index],
+                runs: vec![(config, policy)],
+            }),
+        }
+    }
+    let pool = Pool::with_default_jobs();
+    spread(&mut groups, pool.jobs());
+    let mut computed: Vec<(usize, (SimConfig, PolicyKind), RunReport)> = pool
+        .map(groups, |group| {
+            let computed = Simulation::compute(&group.runs).unwrap_or_else(|e| panic!("{e}"));
+            (group, computed)
+        })
+        .into_iter()
+        .flat_map(|(group, computed)| {
+            group
+                .indices
+                .into_iter()
+                .zip(group.runs)
+                .zip(computed)
+                .map(|((index, run), report)| (index, run, report))
+        })
+        .collect();
+    computed.sort_unstable_by_key(|&(index, ..)| index);
+    for (index, (config, policy), report) in computed {
+        Simulation::remember(config, policy, &report);
+        reports[index] = Some(report);
+    }
+    reports
+        .into_iter()
+        .map(|report| report.expect("every run recalled or computed"))
+        .collect()
+}
+
+/// Runs computed together: several that share one front end, or one that
+/// shares none. `indices[i]` is the batch position of `runs[i]`.
+struct Group {
+    indices: Vec<usize>,
+    runs: Vec<(SimConfig, PolicyKind)>,
+}
+
+/// Halves the largest group until every one of `workers` has a group or
+/// every group is a single run. A split repeats the front end once, which
+/// costs less than a worker left idle.
+fn spread(groups: &mut Vec<Group>, workers: usize) {
+    while groups.len() < workers {
+        let Some(at) = (0..groups.len())
+            .filter(|&at| groups[at].runs.len() > 1)
+            .max_by_key(|&at| groups[at].runs.len())
+        else {
+            return;
+        };
+        let half = groups[at].runs.len() / 2;
+        let split = Group {
+            indices: groups[at].indices.split_off(half),
+            runs: groups[at].runs.split_off(half),
+        };
+        groups.insert(at + 1, split);
+    }
 }
 
 /// Runs every (profile, policy) combination of a suite and collects the
@@ -232,6 +319,25 @@ mod tests {
         let serial = mapg_pool::with_default_jobs(1, || runner.run(&policies));
         let parallel = mapg_pool::with_default_jobs(8, || runner.run(&policies));
         assert_eq!(serial.reports(), parallel.reports());
+    }
+
+    #[test]
+    fn spread_halves_the_largest_group_until_every_worker_has_one() {
+        let group = |size: usize| Group {
+            indices: (0..size).collect(),
+            runs: vec![(SimConfig::default(), PolicyKind::Mapg); size],
+        };
+        let sizes = |groups: &[Group]| groups.iter().map(|g| g.runs.len()).collect::<Vec<_>>();
+        let mut groups = vec![group(28)];
+        spread(&mut groups, 2);
+        assert_eq!(sizes(&groups), [14, 14]);
+        assert_eq!(groups[1].indices[0], 14, "positions travel with their runs");
+        let mut groups = vec![group(3), group(1)];
+        spread(&mut groups, 8);
+        assert_eq!(sizes(&groups), [1, 1, 1, 1], "single runs are not split");
+        let mut groups = vec![group(5), group(2)];
+        spread(&mut groups, 1);
+        assert_eq!(sizes(&groups), [5, 2], "enough groups: nothing to split");
     }
 
     #[test]

@@ -343,3 +343,28 @@ fn every_listed_policy_runs_under_its_own_name() {
         assert!(report.starts_with(&header), "{name}: {report}");
     }
 }
+
+/// A reader that stops after one line (`mapgsim ... | head -1`) ends the
+/// run quietly: exit 0, no panic. `--compare` writes again after its
+/// second simulation, by which time the pipe is closed.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mapgsim"))
+        .args(["--instructions", "300000", "--compare"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("mapgsim binary should spawn");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("[mem_bound / mapg]"), "{first}");
+    let out = child.wait_with_output().expect("mapgsim should exit");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,8 +1,8 @@
 //! The bounded-MLP core.
 
-use mapg_mem::{LatencyHistogram, MemoryHierarchy, ServiceLevel};
+use mapg_mem::{AccessResponse, LatencyHistogram, MemoryHierarchy, ServiceLevel};
 use mapg_obs::{EventKind, ObsHandle, Scope};
-use mapg_trace::{AccessKind, EventSource, TraceEvent};
+use mapg_trace::{AccessKind, EventSource, MemAccess, TraceEvent};
 use mapg_units::{Cycle, Cycles, Hertz};
 
 use crate::error::RunError;
@@ -149,6 +149,10 @@ impl CoreStats {
 
 /// A single core executing an event stream against a shared hierarchy.
 ///
+/// A core reads its events from its own source `S`; a `Core<()>` owns
+/// none and is fed each event by its caller (the lockstep driver, DESIGN
+/// §9.7).
+///
 /// See the [crate-level docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Core<S> {
@@ -168,7 +172,7 @@ pub struct Core<S> {
     obs: ObsHandle,
 }
 
-impl<S: EventSource> Core<S> {
+impl<S> Core<S> {
     /// Creates a core with id 0; use [`Core::with_id`] inside clusters.
     pub fn new(config: CoreConfig, source: S) -> Self {
         Core::with_id(CoreId(0), config, source)
@@ -222,7 +226,9 @@ impl<S: EventSource> Core<S> {
     pub fn config(&self) -> &CoreConfig {
         &self.config
     }
+}
 
+impl<S: EventSource> Core<S> {
     /// Runs until at least `instructions` have retired.
     ///
     /// # Panics
@@ -265,16 +271,18 @@ impl<S: EventSource> Core<S> {
     /// cores in global time order.
     pub fn step<H: StallHandler>(&mut self, memory: &mut MemoryHierarchy, handler: &mut H) {
         let event = self.source.next_event();
-        self.process(event, memory, handler);
+        self.process(event, |now, access| memory.access(now, access), handler);
     }
+}
 
-    /// Executes one trace event against the hierarchy.
-    fn process<H: StallHandler>(
-        &mut self,
-        event: TraceEvent,
-        memory: &mut MemoryHierarchy,
-        handler: &mut H,
-    ) {
+impl<S> Core<S> {
+    /// Executes one trace event. `memory` serves the event's reference,
+    /// if it is one, at the time the core issues it.
+    pub(crate) fn process<H, M>(&mut self, event: TraceEvent, memory: M, handler: &mut H)
+    where
+        H: StallHandler,
+        M: FnOnce(Cycle, &MemAccess) -> AccessResponse,
+    {
         self.stats.instructions += event.instructions();
         match event {
             TraceEvent::Compute { cycles, .. } => {
@@ -304,7 +312,7 @@ impl<S: EventSource> Core<S> {
                         );
                     }
                 }
-                let response = memory.access(self.now, &access);
+                let response = memory(self.now, &access);
                 match (access.kind, response.level) {
                     (AccessKind::Store, _) => {
                         // Posted: one issue cycle, never blocks.
@@ -386,11 +394,21 @@ impl<S: EventSource> Core<S> {
     }
 
     /// Retires outstanding misses that have completed.
+    ///
+    /// Runs after every compute event, so the nothing-completed test is
+    /// forced inline in each copy of [`Core::process`] (the cluster's and
+    /// the lockstep driver's); only the sweep is a call.
+    #[inline(always)]
     fn prune(&mut self) {
-        let now = self.now;
-        if self.earliest_outstanding > now {
+        if self.earliest_outstanding > self.now {
             return;
         }
+        self.retire_completed();
+    }
+
+    /// The sweep of [`Core::prune`].
+    fn retire_completed(&mut self) {
+        let now = self.now;
         let mut earliest = Cycle::new(u64::MAX);
         self.outstanding.retain(|&c| {
             if c > now {

@@ -14,7 +14,9 @@
 //!   handler may *extend* a stall (wake-up penalty) by returning a resume
 //!   time later than the data-ready time;
 //! - [`Cluster`] — N cores sharing one hierarchy, stepped in global time
-//!   order so DRAM contention between cores is honoured.
+//!   order so DRAM contention between cores is honoured;
+//! - [`Lockstep`] — N single-core runs of one event stream that differ
+//!   only in timing, sharing the stream's generation and L1/L2 lookups.
 //!
 //! # Model summary
 //!
@@ -50,6 +52,7 @@
 mod cluster;
 mod core_model;
 mod error;
+mod lockstep;
 mod reference;
 mod sched;
 mod stall;
@@ -57,5 +60,6 @@ mod stall;
 pub use cluster::{Cluster, ClusterStats};
 pub use core_model::{Core, CoreConfig, CoreStats};
 pub use error::RunError;
+pub use lockstep::Lockstep;
 pub use reference::ReferenceCluster;
 pub use stall::{CoreId, PassiveHandler, StallCause, StallHandler, StallInfo};

@@ -3,7 +3,7 @@
 use mapg_trace::{AccessKind, MemAccess};
 use mapg_units::{Cycle, Cycles};
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 use crate::dram::{Dram, DramConfig, DramStats, RowBufferOutcome};
 use crate::error::ConfigError;
 use crate::faults::DramFaultConfig;
@@ -138,25 +138,21 @@ impl HierarchyStats {
 
 /// The L1 → L2 → DRAM hierarchy with LLC MSHRs.
 ///
+/// Two owned parts serve each reference. [`CacheLevels`] holds the L1 and
+/// L2 tag, LRU and dirty state, which depend only on the order of the
+/// references; it *resolves* a reference to the level that serves it and
+/// the dirty victims the lookups evicted. [`Backside`] holds everything
+/// timed — MSHRs, DRAM, the prefetcher and the miss-latency record — and
+/// *serves* that resolution at the time the reference is issued.
+/// [`MemoryHierarchy::access`] is drain → resolve → serve; a caller that
+/// feeds one reference stream to several timings resolves once and serves
+/// once per [`Backside`] (DESIGN §9.7).
+///
 /// See the [crate-level docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
-    config: HierarchyConfig,
-    l1: Cache,
-    l2: Cache,
-    dram: Dram,
-    mshrs: MshrFile,
-    prefetcher: StreamPrefetcher,
-    /// Prefetch candidates waiting for their issue time (keeps DRAM calls
-    /// chronological; see [`MemoryHierarchy::drain_prefetches`]).
-    pending_prefetches: Vec<(Cycle, u64)>,
-    /// Exact minimum `ready` time over `pending_prefetches`, `u64::MAX`
-    /// when the queue is empty. `drain_prefetches` runs on *every* access,
-    /// but nothing can change until time reaches this mark, so the common
-    /// case collapses to a single compare instead of a queue sweep.
-    next_prefetch_ready: Cycle,
-    miss_latency: LatencyHistogram,
-    mshr_stalls: u64,
+    caches: CacheLevels,
+    backside: Backside,
 }
 
 impl MemoryHierarchy {
@@ -168,16 +164,8 @@ impl MemoryHierarchy {
     /// [`CacheConfig::sets`], [`Dram::new`], [`MshrFile::new`]).
     pub fn new(config: HierarchyConfig) -> Self {
         MemoryHierarchy {
-            l1: Cache::new(config.l1),
-            l2: Cache::new(config.l2),
-            dram: Dram::with_faults(config.dram, config.dram_faults),
-            mshrs: MshrFile::new(config.mshr_entries),
-            prefetcher: StreamPrefetcher::new(config.prefetch),
-            pending_prefetches: Vec::new(),
-            next_prefetch_ready: Cycle::new(u64::MAX),
-            miss_latency: LatencyHistogram::new(),
-            mshr_stalls: 0,
-            config,
+            caches: CacheLevels::new(&config),
+            backside: Backside::new(config),
         }
     }
 
@@ -191,84 +179,255 @@ impl MemoryHierarchy {
 
     /// The hierarchy configuration.
     pub fn config(&self) -> &HierarchyConfig {
-        &self.config
+        &self.backside.config
     }
 
     /// Attaches an observability handle to the hierarchy's DRAM: per-bank
     /// fault events flow through it. LLC-miss and DRAM counts live in
     /// [`HierarchyStats`], which the run renders as metrics once.
     pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
-        self.dram.set_obs(obs);
+        self.backside.set_obs(obs);
     }
 
     /// Serves one reference issued at `now`.
     pub fn access(&mut self, now: Cycle, access: &MemAccess) -> AccessResponse {
+        self.backside.drain_prefetches(&mut self.caches, now);
+        let resolution = self.caches.resolve(access);
+        self.backside.serve(&self.caches, now, &resolution)
+    }
+
+    /// Number of misses in flight at `now` (MSHR occupancy).
+    pub fn misses_in_flight(&mut self, now: Cycle) -> usize {
+        self.backside.mshrs.in_flight(now)
+    }
+
+    /// Snapshot of all statistics.
+    pub fn stats(&self) -> HierarchyStats {
+        self.backside.stats(&self.caches)
+    }
+
+    /// Cold-resets every component and clears statistics.
+    pub fn reset(&mut self) {
+        self.caches.reset();
+        self.backside.reset();
+    }
+}
+
+/// What the caches answered for one reference: the level that serves it
+/// and the dirty victims its lookups evicted from L2, which the
+/// [`Backside`] writes to DRAM. Nothing in it depends on time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolution {
+    /// Level that serves the reference.
+    level: ServiceLevel,
+    /// Byte address of the reference.
+    addr: u64,
+    /// Its L2 line (the MSHR and prefetcher key).
+    line: u64,
+    is_write: bool,
+    /// An L2 hit on a line the prefetcher brought in (the stream is
+    /// confirmed).
+    prefetched: bool,
+    /// Byte address of the dirty L2 line that the L1 victim's writeback
+    /// evicted, written to DRAM once L1 is done.
+    l1_victim_writeback: Option<u64>,
+    /// Byte address of the dirty L2 line the demand miss evicted, written
+    /// to DRAM once L2 is done.
+    l2_victim_writeback: Option<u64>,
+}
+
+/// The order-only half of a [`MemoryHierarchy`]: the L1 and L2 tag, LRU
+/// and dirty state. [`CacheLevels::resolve`] reads only a reference's
+/// address and write flag, so the same reference stream leaves the same
+/// state and gives the same resolutions whatever the timing.
+#[derive(Debug, Clone)]
+pub struct CacheLevels {
+    l1: Cache,
+    l2: Cache,
+}
+
+impl CacheLevels {
+    /// Cold L1 and L2 caches with `config`'s geometries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either geometry is inconsistent (see
+    /// [`CacheConfig::sets`]).
+    pub fn new(config: &HierarchyConfig) -> Self {
+        CacheLevels {
+            l1: Cache::new(config.l1),
+            l2: Cache::new(config.l2),
+        }
+    }
+
+    /// Looks `access` up in L1 and, on a miss, in L2, updating both the
+    /// way a demand reference does.
+    ///
+    /// Always inlined, as is [`Backside::serve`]: a cluster's
+    /// [`MemoryHierarchy::access`] is then one call per reference, which
+    /// ran the 16-core `sim_cpu_mapg` benchmark a few percent faster than
+    /// calling the two halves out of line.
+    #[inline(always)]
+    pub fn resolve(&mut self, access: &MemAccess) -> Resolution {
         // Start pulling the L2 set's metadata toward the host caches
         // before the L1 probe: L2 planes are too large to stay resident,
         // and on the L1-miss path the probe below would otherwise eat the
         // full host memory latency. Pure hint, no simulated effect.
         self.l2.prefetch_probe(access.addr);
-        self.drain_prefetches(now);
         let is_write = access.kind == AccessKind::Store;
-        let l1_done = now + self.config.l1.hit_latency;
-        match self.l1.access(access.addr, is_write) {
-            crate::cache::CacheOutcome::Hit { .. } => {
-                return AccessResponse {
-                    completion: l1_done,
-                    level: ServiceLevel::L1,
-                    row: None,
-                };
+        let mut resolution = Resolution {
+            level: ServiceLevel::L1,
+            addr: access.addr,
+            line: self.l2.line_of(access.addr),
+            is_write,
+            prefetched: false,
+            l1_victim_writeback: None,
+            l2_victim_writeback: None,
+        };
+        if let CacheOutcome::Miss { writeback } = self.l1.access(access.addr, is_write) {
+            // An L1 dirty victim is written into L2; it stays on-chip
+            // unless L2 in turn evicts a dirty line, which then drains to
+            // DRAM off the critical path.
+            if let Some(victim_line) = writeback {
+                if let CacheOutcome::Miss {
+                    writeback: Some(l2_victim),
+                } = self
+                    .l2
+                    .access(victim_line * self.l1.config().line_bytes, true)
+                {
+                    resolution.l1_victim_writeback = Some(l2_victim * self.l2.config().line_bytes);
+                }
             }
-            crate::cache::CacheOutcome::Miss { writeback } => {
-                // An L1 dirty victim is written into L2; it stays on-chip
-                // unless L2 in turn evicts a dirty line, which then drains
-                // to DRAM off the critical path.
-                if let Some(victim_line) = writeback {
-                    let victim_addr = victim_line * self.config.l1.line_bytes;
-                    if let crate::cache::CacheOutcome::Miss {
-                        writeback: Some(l2_victim),
-                    } = self.l2.access(victim_addr, true)
-                    {
-                        let l2_victim_addr = l2_victim * self.config.l2.line_bytes;
-                        let _ = self.dram.access(l1_done, l2_victim_addr, true);
-                    }
+            match self.l2.access(access.addr, is_write) {
+                CacheOutcome::Hit { prefetched } => {
+                    resolution.level = ServiceLevel::L2;
+                    resolution.prefetched = prefetched;
+                }
+                CacheOutcome::Miss { writeback } => {
+                    resolution.level = ServiceLevel::Dram;
+                    resolution.l2_victim_writeback =
+                        writeback.map(|victim_line| victim_line * self.l2.config().line_bytes);
                 }
             }
         }
+        resolution
+    }
 
-        let l2_done = l1_done + self.config.l2.hit_latency;
-        match self.l2.access(access.addr, is_write) {
-            crate::cache::CacheOutcome::Hit { prefetched } => {
-                if prefetched {
-                    // Stream confirmed: keep the runway ahead of the
-                    // consumer.
-                    let line = self.l2.line_of(access.addr);
-                    let candidates = self.prefetcher.observe_prefetch_hit(line);
-                    self.fetch_prefetch_candidates(candidates, l2_done);
-                }
-                AccessResponse {
-                    completion: l2_done,
-                    level: ServiceLevel::L2,
-                    row: None,
-                }
-            }
-            crate::cache::CacheOutcome::Miss { writeback } => {
-                // L2 dirty victim goes to DRAM off the critical path: it
-                // occupies the bank/bus (affecting later accesses) but the
-                // demand miss does not wait for it.
-                if let Some(victim_line) = writeback {
-                    let victim_addr = victim_line * self.config.l2.line_bytes;
-                    let _ = self.dram.access(l2_done, victim_addr, true);
-                }
-                self.dram_fill(now, l2_done, access)
-            }
+    fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+    }
+}
+
+/// The timed half of a [`MemoryHierarchy`]: MSHRs, DRAM, the stream
+/// prefetcher and the miss-latency record. [`Backside::serve`] turns a
+/// [`Resolution`] into a completion time.
+#[derive(Debug, Clone)]
+pub struct Backside {
+    config: HierarchyConfig,
+    dram: Dram,
+    mshrs: MshrFile,
+    prefetcher: StreamPrefetcher,
+    /// Prefetch candidates waiting for their issue time (keeps DRAM calls
+    /// chronological; see [`Backside::drain_prefetches`]).
+    pending_prefetches: Vec<(Cycle, u64)>,
+    /// Exact minimum `ready` time over `pending_prefetches`, `u64::MAX`
+    /// when the queue is empty. `drain_prefetches` runs on *every* access,
+    /// but nothing can change until time reaches this mark, so the common
+    /// case collapses to a single compare instead of a queue sweep.
+    next_prefetch_ready: Cycle,
+    miss_latency: LatencyHistogram,
+    mshr_stalls: u64,
+}
+
+impl Backside {
+    /// A cold back side for `config`; its cache geometries only set the
+    /// hit latencies and line size it times with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DRAM, fault or MSHR configuration is inconsistent
+    /// (see [`Dram::new`], [`MshrFile::new`]).
+    fn new(config: HierarchyConfig) -> Self {
+        Backside {
+            dram: Dram::with_faults(config.dram, config.dram_faults),
+            mshrs: MshrFile::new(config.mshr_entries),
+            prefetcher: StreamPrefetcher::new(config.prefetch),
+            pending_prefetches: Vec::new(),
+            next_prefetch_ready: Cycle::new(u64::MAX),
+            miss_latency: LatencyHistogram::new(),
+            mshr_stalls: 0,
+            config,
         }
     }
 
+    /// A cold back side for `config`, timing with its cache geometries'
+    /// hit latencies and line size; DRAM/MSHR/fault-injection
+    /// inconsistencies come back as [`ConfigError`] values (see
+    /// [`HierarchyConfig::try_validate`]).
+    pub fn try_new(config: HierarchyConfig) -> Result<Self, ConfigError> {
+        config.try_validate()?;
+        Ok(Backside::new(config))
+    }
+
+    /// Attaches an observability handle to the DRAM (see
+    /// [`MemoryHierarchy::set_obs`]).
+    pub fn set_obs(&mut self, obs: mapg_obs::ObsHandle) {
+        self.dram.set_obs(obs);
+    }
+
+    /// Serves `resolution`, a reference issued at `now` that `caches`
+    /// resolved. `caches` is read only by the prefetcher, to skip lines
+    /// already resident.
+    #[inline(always)]
+    pub fn serve(
+        &mut self,
+        caches: &CacheLevels,
+        now: Cycle,
+        resolution: &Resolution,
+    ) -> AccessResponse {
+        let l1_done = now + self.config.l1.hit_latency;
+        if resolution.level == ServiceLevel::L1 {
+            return AccessResponse {
+                completion: l1_done,
+                level: ServiceLevel::L1,
+                row: None,
+            };
+        }
+        if let Some(addr) = resolution.l1_victim_writeback {
+            let _ = self.dram.access(l1_done, addr, true);
+        }
+        let l2_done = l1_done + self.config.l2.hit_latency;
+        if resolution.level == ServiceLevel::L2 {
+            if resolution.prefetched {
+                // Stream confirmed: keep the runway ahead of the consumer.
+                let candidates = self.prefetcher.observe_prefetch_hit(resolution.line);
+                self.fetch_prefetch_candidates(caches, candidates, l2_done);
+            }
+            return AccessResponse {
+                completion: l2_done,
+                level: ServiceLevel::L2,
+                row: None,
+            };
+        }
+        // The L2 dirty victim goes to DRAM off the critical path: it
+        // occupies the bank/bus (affecting later accesses) but the demand
+        // miss does not wait for it.
+        if let Some(addr) = resolution.l2_victim_writeback {
+            let _ = self.dram.access(l2_done, addr, true);
+        }
+        self.dram_fill(caches, now, l2_done, resolution)
+    }
+
     /// Handles the DRAM leg of an LLC miss, including MSHR allocation.
-    fn dram_fill(&mut self, issued: Cycle, mut ready: Cycle, access: &MemAccess) -> AccessResponse {
-        let line = self.l2.line_of(access.addr);
-        let is_write = access.kind == AccessKind::Store;
+    fn dram_fill(
+        &mut self,
+        caches: &CacheLevels,
+        issued: Cycle,
+        mut ready: Cycle,
+        resolution: &Resolution,
+    ) -> AccessResponse {
+        let line = resolution.line;
         loop {
             match self.mshrs.lookup(ready, line) {
                 MshrOutcome::Merged { completion } => {
@@ -284,11 +443,14 @@ impl MemoryHierarchy {
                     ready = free_at + Cycles::new(1);
                 }
                 MshrOutcome::Allocated => {
-                    let (completion, row) = self.dram.access(ready, access.addr, is_write);
+                    let (completion, row) =
+                        self.dram
+                            .access(ready, resolution.addr, resolution.is_write);
                     self.mshrs.commit(line, completion);
                     self.miss_latency
                         .record(completion.saturating_since(issued));
-                    self.issue_prefetches(line, completion);
+                    let candidates = self.prefetcher.observe_miss(line);
+                    self.fetch_prefetch_candidates(caches, candidates, completion);
                     return AccessResponse {
                         completion,
                         level: ServiceLevel::Dram,
@@ -299,22 +461,20 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Streak-detects on the demand-miss `line` and fetches candidate
-    /// lines into L2 off the critical path.
-    fn issue_prefetches(&mut self, line: u64, after: Cycle) {
-        let candidates = self.prefetcher.observe_miss(line);
-        self.fetch_prefetch_candidates(candidates, after);
-    }
-
     /// Queues not-yet-resident candidate lines for prefetching once time
     /// reaches `ready`. Candidates are not fetched immediately because the
     /// incremental DRAM model serializes by call order: issuing a fetch at
     /// a future timestamp would block demand accesses that arrive earlier.
-    fn fetch_prefetch_candidates(&mut self, candidates: PrefetchCandidates, ready: Cycle) {
+    fn fetch_prefetch_candidates(
+        &mut self,
+        caches: &CacheLevels,
+        candidates: PrefetchCandidates,
+        ready: Cycle,
+    ) {
         const PENDING_CAP: usize = 32;
         for candidate in candidates {
             let addr = candidate * self.config.l2.line_bytes;
-            if self.l2.probe(addr) {
+            if caches.l2.probe(addr) {
                 continue;
             }
             if self.pending_prefetches.len() >= PENDING_CAP {
@@ -332,9 +492,11 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Issues queued prefetches whose time has come. Prefetches are lowest
-    /// priority: they only take idle DRAM slots ([`Dram::try_access_idle`])
-    /// and are dropped under load, like real prefetch throttling.
+    /// Issues queued prefetches whose time has come into `caches`' L2.
+    /// Prefetches are lowest priority: they only take idle DRAM slots
+    /// ([`Dram::try_access_idle`]) and are dropped under load, like real
+    /// prefetch throttling. With the prefetcher disabled nothing is ever
+    /// queued, and this never touches `caches`.
     ///
     /// This runs at the top of every demand access, so it is gated on the
     /// cached [`next_prefetch_ready`](Self::next_prefetch_ready) minimum:
@@ -342,10 +504,17 @@ impl MemoryHierarchy {
     /// only re-keep every entry, so skipping it is behaviour-preserving.
     /// When a sweep does run it compacts the queue in place (stable order,
     /// no allocation) instead of rebuilding it through a scratch `Vec`.
-    fn drain_prefetches(&mut self, now: Cycle) {
+    #[inline]
+    fn drain_prefetches(&mut self, caches: &mut CacheLevels, now: Cycle) {
         if self.next_prefetch_ready > now {
             return;
         }
+        self.drain_due_prefetches(caches, now);
+    }
+
+    /// The sweep of [`Backside::drain_prefetches`], out of line so the
+    /// common case stays one compare in every access.
+    fn drain_due_prefetches(&mut self, caches: &mut CacheLevels, now: Cycle) {
         let mut write = 0;
         let mut min_ready = Cycle::new(u64::MAX);
         for read in 0..self.pending_prefetches.len() {
@@ -356,7 +525,7 @@ impl MemoryHierarchy {
                 min_ready = min_ready.min(ready);
                 continue;
             }
-            if self.l2.probe(addr) {
+            if caches.l2.probe(addr) {
                 continue; // demand beat us to it
             }
             // Up to ~one access worth of queueing is tolerated; beyond
@@ -370,7 +539,7 @@ impl MemoryHierarchy {
                 continue; // dropped under load
             }
             self.prefetcher.record_issued();
-            if let Some(victim_line) = self.l2.fill_prefetch(addr) {
+            if let Some(victim_line) = caches.l2.fill_prefetch(addr) {
                 let victim_addr = victim_line * self.config.l2.line_bytes;
                 let _ = self.dram.access(now, victim_addr, true);
             }
@@ -379,16 +548,11 @@ impl MemoryHierarchy {
         self.next_prefetch_ready = min_ready;
     }
 
-    /// Number of misses in flight at `now` (MSHR occupancy).
-    pub fn misses_in_flight(&mut self, now: Cycle) -> usize {
-        self.mshrs.in_flight(now)
-    }
-
-    /// Snapshot of all statistics.
-    pub fn stats(&self) -> HierarchyStats {
+    /// Snapshot of all statistics, with the cache counters of `caches`.
+    pub fn stats(&self, caches: &CacheLevels) -> HierarchyStats {
         HierarchyStats {
-            l1: *self.l1.stats(),
-            l2: *self.l2.stats(),
+            l1: *caches.l1.stats(),
+            l2: *caches.l2.stats(),
             dram: *self.dram.stats(),
             miss_latency: self.miss_latency.clone(),
             mshr_stalls: self.mshr_stalls,
@@ -396,10 +560,7 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Cold-resets every component and clears statistics.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
+    fn reset(&mut self) {
         self.dram.reset();
         self.mshrs.reset();
         self.prefetcher = StreamPrefetcher::new(self.config.prefetch);

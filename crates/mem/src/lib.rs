@@ -12,7 +12,10 @@
 //! - [`Dram`] — per-bank open-row state, DDR3-class timing, bus serialization
 //!   and periodic refresh;
 //! - [`MemoryHierarchy`] — glues the levels together and produces, for every
-//!   reference, a completion timestamp plus the level that served it.
+//!   reference, a completion timestamp plus the level that served it. It
+//!   owns two parts: [`CacheLevels`] resolves a reference to its level
+//!   (order-only state), and [`Backside`] serves that [`Resolution`] in
+//!   time (MSHRs, DRAM, prefetcher).
 //!
 //! Timing is *analytic-incremental* rather than fully event-driven: each
 //! resource (bank, bus) tracks the cycle at which it next becomes free, and
@@ -55,7 +58,8 @@ pub use dram::{Dram, DramConfig, DramStats, PagePolicy, RowBufferOutcome};
 pub use error::ConfigError;
 pub use faults::DramFaultConfig;
 pub use hierarchy::{
-    AccessResponse, HierarchyConfig, HierarchyStats, MemoryHierarchy, ServiceLevel,
+    AccessResponse, Backside, CacheLevels, HierarchyConfig, HierarchyStats, MemoryHierarchy,
+    Resolution, ServiceLevel,
 };
 pub use mshr::{MshrFile, MshrOutcome};
 pub use prefetch::{PrefetchCandidates, PrefetchConfig, PrefetchStats, StreamPrefetcher};
