@@ -1,8 +1,9 @@
 //! Chunked event sources, and the one helper thread that can fill them.
 //!
-//! A [`ChunkedSource`] serves a generator's events out of a buffer of
-//! [`CHUNK`] events. When the buffer runs out it refills in one of two
-//! ways, fixed when the run's sources are built:
+//! A [`ChunkedSource`] serves events out of a buffer of [`CHUNK`] events,
+//! each packed into one 8-byte word when it is generated and unpacked
+//! when the core reads it (see `pack`). When the buffer runs out it
+//! refills in one of two ways, fixed when the run's sources are built:
 //!
 //! - **inline**: the source owns its generator and refills the buffer
 //!   from it on the calling thread;
@@ -11,9 +12,10 @@
 //!   buffer for the slot's full one.
 //!
 //! Either way a source yields exactly its generator's stream, in order:
-//! the helper only ever runs ahead by one buffer, and nothing else reads
-//! the generator. Events generated past a run's budget are dropped with
-//! the generators when the run's sources are dropped.
+//! the helper only ever runs ahead by one buffer, nothing else reads the
+//! generator, and an event too wide for a word is kept whole beside the
+//! buffer. Events generated past a run's budget are dropped with the
+//! generators when the run's sources are dropped.
 //!
 //! The helper is one persistent thread, spawned on the first successful
 //! claim and parked whenever it has no work. At most one run holds it at
@@ -35,12 +37,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use crate::event::TraceEvent;
+use crate::event::{AccessKind, MemAccess, TraceEvent};
 use crate::generator::EventSource;
 
-/// Events per buffer. Two buffers per source in hand-off mode: at 16
-/// cores that is 16 × 2 × 32 × 24 B ≈ 25 KB.
-pub const CHUNK: usize = 32;
+/// Events per buffer, one 8-byte word each. Two buffers per source in
+/// hand-off mode: at 16 cores that is 16 × 2 × 128 × 8 B = 32 KiB.
+pub const CHUNK: usize = 128;
 
 /// How long the helper keeps polling for work before it parks.
 const HELPER_SPIN: Duration = Duration::from_micros(20);
@@ -54,17 +56,113 @@ const POLL_SPINS: u32 = 32;
 /// yielding its time slice instead.
 const CONSUMER_SPINS: u32 = 1 << 10;
 
-type Chunk = Box<[TraceEvent; CHUNK]>;
+/// Low bits of a packed word: which [`TraceEvent`] it holds, or that the
+/// event sits whole in its chunk's `wide` list.
+const TAG_BITS: u32 = 2;
+const COMPUTE: u64 = 0;
+const ACCESS: u64 = 1;
+const IDLE: u64 = 2;
+const WIDE: u64 = 3;
 
-fn chunk() -> Chunk {
-    Box::new([TraceEvent::Idle { cycles: 0 }; CHUNK])
+/// Field widths of the narrow words. A `Compute` word holds its cycles,
+/// then its instructions; a `MemAccess` word a store bit, a dependent
+/// bit, the pc, then the address; an `Idle` word its cycles. Each
+/// fills the 62 bits above the tag.
+const COUNT_BITS: u32 = 31;
+const PC_BITS: u32 = 23;
+const ADDR_BITS: u32 = 37;
+const IDLE_BITS: u32 = 64 - TAG_BITS;
+
+const PC_SHIFT: u32 = TAG_BITS + 2;
+const ADDR_SHIFT: u32 = PC_SHIFT + PC_BITS;
+
+/// `event` as one narrow word, if each of its fields fits its width.
+#[inline]
+fn narrow(event: &TraceEvent) -> Option<u64> {
+    match *event {
+        TraceEvent::Compute {
+            cycles,
+            instructions,
+        } => ((cycles | instructions) >> COUNT_BITS == 0)
+            .then_some(COMPUTE | cycles << TAG_BITS | instructions << (TAG_BITS + COUNT_BITS)),
+        TraceEvent::MemAccess(MemAccess {
+            addr,
+            pc,
+            kind,
+            dependent,
+        }) => (pc >> PC_BITS == 0 && addr >> ADDR_BITS == 0).then_some(
+            ACCESS
+                | u64::from(kind == AccessKind::Store) << TAG_BITS
+                | u64::from(dependent) << (TAG_BITS + 1)
+                | pc << PC_SHIFT
+                | addr << ADDR_SHIFT,
+        ),
+        TraceEvent::Idle { cycles } => {
+            (cycles >> IDLE_BITS == 0).then_some(IDLE | cycles << TAG_BITS)
+        }
+    }
+}
+
+/// `event` as one word: its narrow word, or a `WIDE` word that indexes
+/// the event, pushed whole onto `wide`. No event is lost.
+#[inline]
+fn pack(event: TraceEvent, wide: &mut Vec<TraceEvent>) -> u64 {
+    narrow(&event).unwrap_or_else(|| {
+        wide.push(event);
+        WIDE | ((wide.len() - 1) as u64) << TAG_BITS
+    })
+}
+
+/// The event [`pack`] turned into `word`, with the same `wide` list.
+#[inline(always)]
+fn unpack(word: u64, wide: &[TraceEvent]) -> TraceEvent {
+    let field = |shift: u32, bits: u32| (word >> shift) & ((1 << bits) - 1);
+    match word & ((1 << TAG_BITS) - 1) {
+        COMPUTE => TraceEvent::Compute {
+            cycles: field(TAG_BITS, COUNT_BITS),
+            instructions: word >> (TAG_BITS + COUNT_BITS),
+        },
+        ACCESS => TraceEvent::MemAccess(MemAccess {
+            addr: word >> ADDR_SHIFT,
+            pc: field(PC_SHIFT, PC_BITS),
+            kind: if field(TAG_BITS, 1) != 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            },
+            dependent: field(TAG_BITS + 1, 1) != 0,
+        }),
+        IDLE => TraceEvent::Idle {
+            cycles: word >> TAG_BITS,
+        },
+        _ => wide[(word >> TAG_BITS) as usize],
+    }
+}
+
+/// One buffer: [`CHUNK`] packed events, and the events too wide to pack
+/// that its `WIDE` words index, in stream order. A swap moves both.
+struct Chunk {
+    words: Box<[u64; CHUNK]>,
+    /// Empty unless a generator emits a field past its narrow width; it
+    /// keeps its capacity from fill to fill.
+    wide: Vec<TraceEvent>,
+}
+
+impl Chunk {
+    fn new() -> Self {
+        Chunk {
+            words: Box::new([0; CHUNK]),
+            wide: Vec::new(),
+        }
+    }
 }
 
 /// One copy of the generator loop, whichever thread fills.
 #[inline(never)]
 fn fill<S: EventSource>(source: &mut S, chunk: &mut Chunk) {
-    for event in chunk.iter_mut() {
-        *event = source.next_event();
+    chunk.wide.clear();
+    for word in chunk.words.iter_mut() {
+        *word = pack(source.next_event(), &mut chunk.wide);
     }
 }
 
@@ -84,8 +182,8 @@ fn try_lock<T: ?Sized>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
 }
 
 /// An [`EventSource`] that reads its generator in chunks of [`CHUNK`]
-/// events, filled either inline or by the helper thread (see the module
-/// docs). It yields exactly the wrapped generator's stream.
+/// packed events, filled either inline or by the helper thread (see the
+/// module docs). It yields exactly the wrapped generator's stream.
 ///
 /// ```
 /// use mapg_trace::{ChunkedSource, EventSource, InFlight, SyntheticWorkload, WorkloadProfile};
@@ -172,7 +270,7 @@ fn build<S: EventSource + Send + 'static>(
         return generators
             .into_iter()
             .map(|source| ChunkedSource {
-                chunk: chunk(),
+                chunk: Chunk::new(),
                 next: CHUNK,
                 fill: Fill::Inline(source),
             })
@@ -188,7 +286,7 @@ fn build<S: EventSource + Send + 'static>(
             .into_iter()
             .map(|source| Slot {
                 handed: Line(Mutex::new(Handed {
-                    chunk: chunk(),
+                    chunk: Chunk::new(),
                     full: false,
                     panic: None,
                 })),
@@ -203,7 +301,7 @@ fn build<S: EventSource + Send + 'static>(
     let lease = Arc::new(Lease { run });
     (0..count)
         .map(|slot| ChunkedSource {
-            chunk: chunk(),
+            chunk: Chunk::new(),
             next: CHUNK,
             fill: Fill::HandOff {
                 lease: Arc::clone(&lease),
@@ -231,9 +329,9 @@ impl<S: EventSource> EventSource for ChunkedSource<S> {
         if self.next == CHUNK {
             self.refill();
         }
-        let event = self.chunk[self.next];
+        let word = self.chunk.words[self.next];
         self.next += 1;
-        event
+        unpack(word, &self.chunk.wide)
     }
 
     fn name(&self) -> &str {
@@ -559,8 +657,10 @@ fn serve() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SyntheticWorkload, WorkloadSuite};
+    use crate::{SyntheticWorkload, WorkloadProfile, WorkloadSuite};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Claims the helper for a test, waiting while another test holds it.
     fn claim_for_test() -> &'static Thread {
@@ -584,9 +684,9 @@ mod tests {
 
     /// Reads `reads[i]` events from source `i % n`, round-robin, and
     /// checks each against that core's own generator.
-    fn assert_streams_match(
-        mut chunked: Vec<ChunkedSource<SyntheticWorkload>>,
-        mut direct: Vec<SyntheticWorkload>,
+    fn assert_streams_match<S: EventSource>(
+        mut chunked: Vec<ChunkedSource<S>>,
+        mut direct: Vec<S>,
         reads: &[usize],
     ) {
         for (turn, &count) in reads.iter().enumerate() {
@@ -611,6 +711,152 @@ mod tests {
             assert_streams_match(build(direct(), None), direct(), &reads);
             assert_streams_match(build(direct(), Some(claim_for_test())), direct(), &reads);
         }
+    }
+
+    /// Field values around every narrow width: small, just under and just
+    /// past each bound, odd, anything, and `u64::MAX`.
+    fn field() -> impl Strategy<Value = u64> {
+        let widths = [COUNT_BITS, PC_BITS, ADDR_BITS, IDLE_BITS, 63];
+        prop_oneof![
+            0u64..4096,
+            (0..widths.len(), 0u64..3).prop_map(move |(w, d)| (1 << widths[w]) - 2 + d),
+            any::<u64>().prop_map(|x| x | 1),
+            any::<u64>(),
+            Just(u64::MAX),
+        ]
+    }
+
+    fn event() -> impl Strategy<Value = TraceEvent> {
+        prop_oneof![
+            (field(), field()).prop_map(|(cycles, instructions)| TraceEvent::Compute {
+                cycles,
+                instructions
+            }),
+            (field(), field(), any::<bool>(), any::<bool>()).prop_map(
+                |(addr, pc, store, dependent)| TraceEvent::MemAccess(MemAccess {
+                    addr,
+                    pc,
+                    kind: if store {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    },
+                    dependent,
+                })
+            ),
+            field().prop_map(|cycles| TraceEvent::Idle { cycles }),
+        ]
+    }
+
+    /// A deterministic stream that mixes narrow events with events past
+    /// every narrow width, about one in `wide_every` wide.
+    struct Scripted {
+        rng: StdRng,
+        wide_every: u64,
+    }
+
+    impl EventSource for Scripted {
+        fn next_event(&mut self) -> TraceEvent {
+            let x = self.rng.next_u64();
+            let wide = x.is_multiple_of(self.wide_every);
+            let (small, big) = (x >> 40, x | 1 << 63);
+            match (x >> 8) % 3 {
+                0 => TraceEvent::Compute {
+                    cycles: if wide { big } else { small },
+                    instructions: small,
+                },
+                1 => TraceEvent::MemAccess(MemAccess {
+                    addr: if wide { big } else { small | 1 },
+                    pc: small >> 2,
+                    kind: if x & 1 == 0 {
+                        AccessKind::Load
+                    } else {
+                        AccessKind::Store
+                    },
+                    dependent: x & 2 != 0,
+                }),
+                _ => TraceEvent::Idle {
+                    cycles: if wide { u64::MAX } else { small },
+                },
+            }
+        }
+
+        fn name(&self) -> &str {
+            "scripted"
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn packing_is_lossless(events in prop::collection::vec(event(), 1..CHUNK + 1)) {
+            let mut wide = Vec::new();
+            let words: Vec<u64> = events.iter().map(|&event| pack(event, &mut wide)).collect();
+            for (&event, &word) in events.iter().zip(&words) {
+                prop_assert_eq!(unpack(word, &wide), event);
+                prop_assert_eq!(word & ((1 << TAG_BITS) - 1) == WIDE, narrow(&event).is_none());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn wide_events_cross_both_fill_paths(
+            seed in any::<u64>(),
+            wide_every in 1u64..=64,
+            cores in 1usize..=4,
+            reads in prop::collection::vec(0usize..3 * CHUNK, 1..16),
+        ) {
+            let direct = || {
+                (0..cores as u64)
+                    .map(|i| Scripted {
+                        rng: StdRng::seed_from_u64(seed ^ i),
+                        wide_every,
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_streams_match(build(direct(), None), direct(), &reads);
+            assert_streams_match(build(direct(), Some(claim_for_test())), direct(), &reads);
+        }
+    }
+
+    /// Every generator stream a reported number or the benchmark reads
+    /// stays on the narrow path: the first million events of each suite
+    /// profile at the benchmark's per-core seeds (42–57) and R-T4's
+    /// replica seeds (`1_000 + 977·i`, `mapg::Replication`).
+    #[test]
+    fn generated_streams_pack_narrow() {
+        let mut profiles = WorkloadSuite::spec_like().profiles().to_vec();
+        profiles.extend([
+            WorkloadProfile::mem_bound("mem_bound"),
+            WorkloadProfile::compute_bound("compute_bound"),
+            WorkloadProfile::mixed("mixed"),
+        ]);
+        let seeds: Vec<u64> = (42..58).chain((0..8).map(|i| 1_000 + 977 * i)).collect();
+        let work: Vec<(&WorkloadProfile, u64)> = profiles
+            .iter()
+            .flat_map(|profile| seeds.iter().map(move |&seed| (profile, seed)))
+            .collect();
+        thread::scope(|scope| {
+            for part in work.chunks(work.len().div_ceil(2)) {
+                scope.spawn(move || {
+                    for &(profile, seed) in part {
+                        let mut source = SyntheticWorkload::new(profile, seed);
+                        for n in 0..1_000_000 {
+                            let event = source.next_event();
+                            assert!(
+                                narrow(&event).is_some(),
+                                "{} seed {seed} event {n} is wide: {event:?}",
+                                profile.name(),
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -675,7 +921,7 @@ mod tests {
         );
         assert_eq!(
             payload.downcast_ref::<String>().map(String::as_str),
-            Some("generator failed at 101"),
+            Some(format!("generator failed at {limit}").as_str()),
         );
         drop(sources);
         drop(slot);

@@ -18,15 +18,18 @@
 //! # Chunked sources and the helper thread
 //!
 //! A simulation reads each core's generator through a [`ChunkedSource`],
-//! which serves events out of a buffer of [`CHUNK`] events. Generation is
-//! a pure function of `(profile, seed)` and reads no shared state, so the
+//! which serves events out of a buffer of [`CHUNK`] events, each packed
+//! into one 8-byte word (an event with a field too wide for its word is
+//! kept whole beside the buffer, so nothing is lost). Generation is a
+//! pure function of `(profile, seed)` and reads no shared state, so the
 //! buffers can be filled on another thread without changing the stream a
 //! core sees: when a run is the only one [`InFlight`], the process may
 //! run two threads at once and the helper is free, the process's one
 //! persistent helper thread keeps every core's next buffer full while the
 //! simulation thread runs the model; otherwise each source refills
-//! inline. The generators themselves stay plain [`EventSource`]s, and
-//! recorded traces replay without a helper.
+//! inline. A buffer of words crosses between the two CPUs in a third of
+//! the bytes of unpacked events. The generators themselves stay plain
+//! [`EventSource`]s, and recorded traces replay without a helper.
 //!
 //! # Example
 //!
