@@ -13,10 +13,13 @@
 //! experiments --list               # registry
 //! ```
 //!
-//! Experiments fan out across a [`mapg_pool::Pool`]; a panicking
-//! experiment aborts the run with a nonzero exit. Tables are buffered per
-//! experiment and printed in registry order, so stdout is byte-identical
-//! at any job count (the `--jobs 1` serial run is the reference).
+//! The selected experiments run as one plan ([`execute_all`]): every
+//! experiment's runs are computed in one batch across `--jobs` workers,
+//! each distinct run once, and each experiment's tables are rendered
+//! from its own reports and printed in registry order, so stdout is
+//! byte-identical at any job count (the `--jobs 1` serial run is the
+//! reference). A panicking run aborts the whole invocation with a
+//! nonzero exit.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -24,8 +27,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mapg_bench::experiments::Experiment;
-use mapg_bench::{experiments, ExperimentJob, Manifest, ManifestEntry, OutputFormat, Scale};
-use mapg_pool::Pool;
+use mapg_bench::{
+    execute_all, experiments, ExperimentJob, Manifest, ManifestEntry, OutputFormat, Scale,
+};
 
 const USAGE: &str = "usage: experiments [--scale smoke|quick|paper|full] [--csv] [--jobs N] \
      [--manifest FILE] [--metrics FILE] [--out-dir DIR] [--list] [IDS...]";
@@ -163,11 +167,10 @@ fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
         to_run.len()
     )?;
 
-    // Fan the experiments out across the pool, buffering each one's
-    // rendered output; ordered results keep the printed stream
-    // byte-identical to a serial run. The inner suite fan-out of each
-    // experiment is pinned to the same job count. Metrics collection is
-    // opt-in (a manifest or metrics file was requested).
+    // Metrics collection is opt-in (a manifest or metrics file was
+    // requested): one hub per experiment, which every run the experiment
+    // plans merges its registry into. Merging is commutative, so the
+    // snapshot is deterministic at any job count.
     let collect_metrics = manifest_path.is_some() || metrics_path.is_some();
     let format = if csv {
         OutputFormat::Csv
@@ -175,39 +178,38 @@ fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
         OutputFormat::Text
     };
     let run_started = Instant::now();
-    let results = Pool::new(jobs).map(to_run, |experiment| {
-        let started = Instant::now();
-        // One hub per experiment: every simulation the experiment spawns
-        // (its inner fan-out included) merges its registry in. Merging is
-        // commutative, so the snapshot is deterministic at any job count.
-        let hub = collect_metrics.then(mapg_obs::MetricsHub::new);
-        let mut job = ExperimentJob::new(experiment, scale, format, jobs);
-        job.metrics_hub = hub.clone();
-        let output = job.execute();
-        let elapsed = started.elapsed();
-        let entry = ManifestEntry {
-            id: experiment.id.to_owned(),
-            title: experiment.title.to_owned(),
-            wall_ms: elapsed.as_secs_f64() * 1e3,
-            metrics: hub.as_ref().map(mapg_obs::MetricsHub::snapshot),
-            tables: output.tables,
-        };
-        (output.rendered, elapsed, entry)
-    });
+    let jobs_to_run: Vec<ExperimentJob> = to_run
+        .iter()
+        .map(|&experiment| {
+            let mut job = ExperimentJob::new(experiment, scale, format, jobs);
+            job.metrics_hub = collect_metrics.then(mapg_obs::MetricsHub::new);
+            job
+        })
+        .collect();
+    let outputs = execute_all(&jobs_to_run);
     let total_wall = run_started.elapsed();
 
-    let mut entries = Vec::with_capacity(results.len());
-    for (rendered, elapsed, entry) in results {
-        eprintln!("[{} done in {elapsed:.2?}]\n", entry.id);
-        write!(out, "{rendered}")?;
+    let mut entries = Vec::with_capacity(outputs.len());
+    for (job, output) in jobs_to_run.iter().zip(outputs) {
+        eprintln!(
+            "[{} planned and rendered in {:.2?}]\n",
+            output.id, output.wall
+        );
+        write!(out, "{}", output.rendered)?;
         if let Some(dir) = &out_dir {
-            let path = Path::new(dir).join(format!("{}.csv", entry.id));
-            if let Err(error) = mapg::write_atomic(&path, rendered.as_bytes()) {
+            let path = Path::new(dir).join(format!("{}.csv", output.id));
+            if let Err(error) = mapg::write_atomic(&path, output.rendered.as_bytes()) {
                 eprintln!("cannot write '{}': {error}", path.display());
                 return Ok(ExitCode::FAILURE);
             }
         }
-        entries.push(entry);
+        entries.push(ManifestEntry {
+            id: output.id.to_owned(),
+            title: job.experiment.title.to_owned(),
+            wall_ms: output.wall.as_secs_f64() * 1e3,
+            metrics: job.metrics_hub.as_ref().map(mapg_obs::MetricsHub::snapshot),
+            tables: output.tables,
+        });
     }
     eprintln!("[total: {total_wall:.2?} with {jobs} job(s)]");
 

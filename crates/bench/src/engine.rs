@@ -1,17 +1,19 @@
 //! The shared experiment-execution engine.
 //!
 //! The `experiments` binary and the `mapgd` daemon are both thin
-//! callers of this module: one place decides how an experiment runs
-//! (inner worker budget, metrics/event hubs) and
-//! — critically — how its tables are *rendered*. The rendering is the
-//! repo's byte-identity contract: the committed goldens, the journal
+//! callers of this module: one place decides how experiments run (one
+//! batch for every job's plan, the worker budget, metrics/event hubs)
+//! and — critically — how their tables are *rendered*. The rendering is
+//! the repo's byte-identity contract: the committed goldens, the journal
 //! payloads, `--out-dir` CSV files, and a daemon-fetched result must
 //! all be the same bytes for the same `(experiment, scale, format)`,
 //! which only holds if there is exactly one renderer.
 
+use std::time::{Duration, Instant};
+
 use mapg_obs::{EventHub, MetricsHub};
 
-use crate::experiments::Experiment;
+use crate::experiments::{Experiment, Plan};
 use crate::manifest::TableSummary;
 use crate::scale::Scale;
 use crate::table::Table;
@@ -73,10 +75,9 @@ pub struct ExperimentJob {
     pub scale: Scale,
     /// Output rendering.
     pub format: OutputFormat,
-    /// Worker budget for the experiment's *inner* fan-out (its
-    /// `mapg::run_all` batches). A scheduler running several jobs
-    /// concurrently hands each job a slice of the host so N jobs never
-    /// oversubscribe to N × `available_parallelism`.
+    /// Worker budget for the job's runs. A scheduler running several
+    /// jobs concurrently hands each job a slice of the host so N jobs
+    /// never oversubscribe to N × `available_parallelism`.
     pub jobs: usize,
     /// Merge every simulation's metrics into this hub.
     pub metrics_hub: Option<MetricsHub>,
@@ -86,7 +87,7 @@ pub struct ExperimentJob {
 
 impl ExperimentJob {
     /// A job with no observers: `experiment` at `scale`, rendered as
-    /// `format`, inner fan-out budget `jobs`.
+    /// `format`, worker budget `jobs`.
     pub fn new(experiment: Experiment, scale: Scale, format: OutputFormat, jobs: usize) -> Self {
         ExperimentJob {
             experiment,
@@ -98,29 +99,68 @@ impl ExperimentJob {
         }
     }
 
-    /// Runs the experiment and renders its tables.
+    /// Runs the experiment and renders its tables: [`execute_all`] with
+    /// this one job.
     ///
     /// Deterministic contract: for a fixed `(experiment, scale,
     /// format)` the rendered bytes are identical at any `jobs` or
     /// observer configuration — those only change
     /// scheduling and side channels, never the tables.
     pub fn execute(&self) -> ExperimentOutput {
-        let run =
-            || mapg_pool::with_default_jobs(self.jobs.max(1), || (self.experiment.run)(self.scale));
-        let run_with_feed = || match &self.event_hub {
-            Some(feed) => mapg_obs::with_ambient_event_hub(feed.clone(), run),
-            None => run(),
+        execute_all(std::slice::from_ref(self))
+            .pop()
+            .expect("one output per job")
+    }
+
+    /// The job's plan, built under the job's ambient hubs so every run
+    /// carries them.
+    fn plan(&self) -> Plan {
+        let plan = || (self.experiment.plan)(self.scale);
+        let plan_with_feed = || match &self.event_hub {
+            Some(feed) => mapg_obs::with_ambient_event_hub(feed.clone(), plan),
+            None => plan(),
         };
-        let tables = match &self.metrics_hub {
-            Some(hub) => mapg_obs::with_ambient_hub(hub.clone(), run_with_feed),
-            None => run_with_feed(),
-        };
-        ExperimentOutput {
-            id: self.experiment.id,
-            rendered: render_tables(&tables, self.format),
-            tables: tables.iter().map(TableSummary::of).collect(),
+        match &self.metrics_hub {
+            Some(hub) => mapg_obs::with_ambient_hub(hub.clone(), plan_with_feed),
+            None => plan_with_feed(),
         }
     }
+}
+
+/// Runs `jobs` as one plan: plans every job in order, computes all their
+/// runs as one [`mapg::run_all`] batch on the largest of the jobs' worker
+/// budgets, then renders each job from its own slice of the reports.
+///
+/// A run several jobs plan is computed once (DESIGN §7.1), and every job
+/// renders the bytes it would render alone. Each job's metrics hub
+/// receives what running the job alone would merge into it.
+pub fn execute_all(jobs: &[ExperimentJob]) -> Vec<ExperimentOutput> {
+    let mut runs = Vec::new();
+    let mut planned = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let started = Instant::now();
+        let plan = job.plan();
+        planned.push((plan.len(), started.elapsed()));
+        runs.extend(plan);
+    }
+    let workers = jobs.iter().map(|job| job.jobs).max().unwrap_or(1);
+    let reports = mapg_pool::with_default_jobs(workers, || mapg::run_all(runs));
+    let mut rest = &reports[..];
+    jobs.iter()
+        .zip(planned)
+        .map(|(job, (len, planning))| {
+            let (reports, later) = rest.split_at(len);
+            rest = later;
+            let started = Instant::now();
+            let tables = (job.experiment.render)(job.scale, reports);
+            ExperimentOutput {
+                id: job.experiment.id,
+                rendered: render_tables(&tables, job.format),
+                tables: tables.iter().map(TableSummary::of).collect(),
+                wall: planning + started.elapsed(),
+            }
+        })
+        .collect()
 }
 
 // Jobs are handed to pool and supervisor worker threads.
@@ -138,6 +178,9 @@ pub struct ExperimentOutput {
     pub rendered: String,
     /// Per-table summaries for manifests and journals.
     pub tables: Vec<TableSummary>,
+    /// Time spent planning and rendering this experiment. The batch that
+    /// computes its runs is shared with the other jobs and not included.
+    pub wall: Duration,
 }
 
 #[cfg(test)]

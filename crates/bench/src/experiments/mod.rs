@@ -1,13 +1,17 @@
 //! The reconstructed-experiment registry.
 //!
 //! One module per table/figure from DESIGN.md §5. Every experiment is a
-//! pure function `Scale -> Vec<Table>`, so the `experiments` binary, the
-//! `mapgd` daemon and the integration tests all drive the same code.
+//! plan and a renderer: [`Experiment::plan`] lists the runs its tables
+//! read, and [`Experiment::render`] builds the tables from those runs'
+//! reports, in plan order. A caller computes the plans of any number of
+//! experiments as one [`mapg::run_all`] batch (the engine does, for the
+//! `experiments` binary and the `mapgd` daemon), or one experiment alone
+//! through [`Experiment::run`].
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use mapg::{RunCache, SimConfig};
+use mapg::{run_all, PolicyKind, RunCache, RunReport, SimConfig};
 use mapg_trace::WorkloadSuite;
 
 use crate::scale::Scale;
@@ -34,6 +38,10 @@ pub mod rt2;
 pub mod rt3;
 pub mod rt4;
 
+/// The runs an experiment reads, in the order its renderer reads their
+/// reports.
+pub type Plan = Vec<(SimConfig, PolicyKind)>;
+
 /// One registered experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
@@ -41,113 +49,70 @@ pub struct Experiment {
     pub id: &'static str,
     /// One-line description.
     pub title: &'static str,
-    /// The runner.
-    pub run: fn(Scale) -> Vec<Table>,
+    /// The runs at a scale. Build it on the thread whose ambient hubs and
+    /// run-cache switch the runs should carry (`base_config`).
+    pub plan: fn(Scale) -> Plan,
+    /// The tables at a scale, from the reports of `plan`'s runs.
+    pub render: fn(Scale, &[RunReport]) -> Vec<Table>,
+}
+
+impl Experiment {
+    /// Plans the experiment, computes its runs as one batch and renders
+    /// the tables.
+    pub fn run(&self, scale: Scale) -> Vec<Table> {
+        (self.render)(scale, &run_all((self.plan)(scale)))
+    }
 }
 
 /// Every experiment, in DESIGN.md order.
 pub fn all() -> Vec<Experiment> {
+    macro_rules! experiment {
+        ($id:literal, $module:ident, $title:literal) => {
+            Experiment {
+                id: $id,
+                title: $title,
+                plan: $module::plan,
+                render: $module::render,
+            }
+        };
+    }
     vec![
-        Experiment {
-            id: "R-T1",
-            title: "power-gating circuit design space",
-            run: rt1::run,
-        },
-        Experiment {
-            id: "R-T2",
-            title: "workload characterization",
-            run: rt2::run,
-        },
-        Experiment {
-            id: "R-T3",
-            title: "headline policy comparison (geomeans)",
-            run: rt3::run,
-        },
-        Experiment {
-            id: "R-T4",
-            title: "extension: seed sensitivity (paired replicas)",
-            run: rt4::run,
-        },
-        Experiment {
-            id: "R-F1",
-            title: "motivation: memory-stall time fraction",
-            run: rf1::run,
-        },
-        Experiment {
-            id: "R-F2",
-            title: "per-benchmark core-energy savings",
-            run: rf2::run,
-        },
-        Experiment {
-            id: "R-F3",
-            title: "per-benchmark performance overhead",
-            run: rf3::run,
-        },
-        Experiment {
-            id: "R-F4",
-            title: "sensitivity: break-even guard sweep",
-            run: rf4::run,
-        },
-        Experiment {
-            id: "R-F5",
-            title: "sensitivity: wake-up latency (switch width) sweep",
-            run: rf5::run,
-        },
-        Experiment {
-            id: "R-F6",
-            title: "sensitivity: DRAM latency scaling",
-            run: rf6::run,
-        },
-        Experiment {
-            id: "R-F7",
-            title: "predictor comparison",
-            run: rf7::run,
-        },
-        Experiment {
-            id: "R-F8",
-            title: "many-core scaling with wake tokens",
-            run: rf8::run,
-        },
-        Experiment {
-            id: "R-F9",
-            title: "technology scaling: leakage fraction sweep",
-            run: rf9::run,
-        },
-        Experiment {
-            id: "R-F10",
-            title: "ablations: early wake and break-even guard",
-            run: rf10::run,
-        },
-        Experiment {
-            id: "R-F11",
-            title: "extension: interaction with stream prefetching",
-            run: rf11::run,
-        },
-        Experiment {
-            id: "R-F12",
-            title: "extension: state-retention style ablation",
-            run: rf12::run,
-        },
-        Experiment {
-            id: "R-F13",
-            title: "extension: thermal feedback on leakage",
-            run: rf13::run,
-        },
-        Experiment {
-            id: "R-F14",
-            title: "extension: MAPG vs interval DVFS governor",
-            run: rf14::run,
-        },
-        Experiment {
-            id: "R-F15",
-            title: "extension: interactive workloads (stalls + OS idle)",
-            run: rf15::run,
-        },
-        Experiment {
-            id: "R-F16",
-            title: "extension: fault injection and safe-mode degradation",
-            run: rf16::run,
-        },
+        experiment!("R-T1", rt1, "power-gating circuit design space"),
+        experiment!("R-T2", rt2, "workload characterization"),
+        experiment!("R-T3", rt3, "headline policy comparison (geomeans)"),
+        experiment!("R-T4", rt4, "extension: seed sensitivity (paired replicas)"),
+        experiment!("R-F1", rf1, "motivation: memory-stall time fraction"),
+        experiment!("R-F2", rf2, "per-benchmark core-energy savings"),
+        experiment!("R-F3", rf3, "per-benchmark performance overhead"),
+        experiment!("R-F4", rf4, "sensitivity: break-even guard sweep"),
+        experiment!(
+            "R-F5",
+            rf5,
+            "sensitivity: wake-up latency (switch width) sweep"
+        ),
+        experiment!("R-F6", rf6, "sensitivity: DRAM latency scaling"),
+        experiment!("R-F7", rf7, "predictor comparison"),
+        experiment!("R-F8", rf8, "many-core scaling with wake tokens"),
+        experiment!("R-F9", rf9, "technology scaling: leakage fraction sweep"),
+        experiment!("R-F10", rf10, "ablations: early wake and break-even guard"),
+        experiment!(
+            "R-F11",
+            rf11,
+            "extension: interaction with stream prefetching"
+        ),
+        experiment!("R-F12", rf12, "extension: state-retention style ablation"),
+        experiment!("R-F13", rf13, "extension: thermal feedback on leakage"),
+        experiment!("R-F14", rf14, "extension: MAPG vs interval DVFS governor"),
+        experiment!(
+            "R-F15",
+            rf15,
+            "extension: interactive workloads (stalls + OS idle)"
+        ),
+        experiment!(
+            "R-F16",
+            rf16,
+            "extension: fault injection and safe-mode degradation"
+        ),
     ]
 }
 
@@ -223,6 +188,13 @@ pub(crate) fn base_config(scale: Scale) -> SimConfig {
     }
 }
 
+/// The tables of experiment `id` at smoke scale, for the experiment
+/// modules' tests.
+#[cfg(test)]
+fn smoke(id: &str) -> Vec<Table> {
+    find(id).expect("registered experiment").run(Scale::Smoke)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +220,7 @@ mod tests {
     #[test]
     fn every_experiment_runs_at_smoke_scale() {
         for experiment in all() {
-            let tables = (experiment.run)(Scale::Smoke);
+            let tables = experiment.run(Scale::Smoke);
             assert!(!tables.is_empty(), "{} produced no tables", experiment.id);
             for table in &tables {
                 assert!(

@@ -5,15 +5,20 @@
 //! time the core sits idle waiting for DRAM, split into stalls longer than
 //! the circuit's break-even time (gateable) and shorter ones.
 
-use mapg::{PolicyKind, SuiteRunner};
+use mapg::{PolicyKind, RunReport, SuiteRunner};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::Table;
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Every suite profile without power management.
+pub fn plan(scale: Scale) -> Plan {
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&[PolicyKind::NoGating])
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let tech = TechnologyParams::bulk_45nm();
     let circuit = PgCircuitDesign::fast_wakeup(&tech);
     let bet = circuit.break_even_cycles(&tech, tech.nominal_clock());
@@ -29,9 +34,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "p95_stall",
         ],
     );
-    let matrix =
-        SuiteRunner::new(suite_for(scale), base_config(scale)).run(&[PolicyKind::NoGating]);
-    for report in matrix.reports() {
+    for report in reports {
         // Stall-duration distribution is aggregated across cores.
         let durations =
             report
@@ -58,11 +61,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn memory_bound_opportunity_is_large() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F1")[0];
         let over_bet: f64 = table
             .cell(0, "stalls_over_BET%")
             .expect("cell")

@@ -8,11 +8,11 @@
 //!   the break-even comparison buys (energy on short stalls).
 //! - `naive-on-miss`: drop both.
 
-use mapg::{run_all, PolicyKind, SuiteRunner};
+use mapg::{PolicyKind, RunReport, SuiteMatrix, SuiteRunner};
 use mapg_mem::{DramConfig, HierarchyConfig};
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::{ratio, Table};
 
@@ -25,10 +25,44 @@ pub const ABLATIONS: [PolicyKind; 5] = [
     PolicyKind::NaiveOnMiss,
 ];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let runner = SuiteRunner::new(suite_for(scale), base_config(scale));
-    let matrix = runner.run(&ABLATIONS);
+/// The suite under the ablation set, then the marginal-stall runs: the
+/// ablation set and MAPG without nap chaining.
+pub fn plan(scale: Scale) -> Plan {
+    let mut runs = SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&ABLATIONS);
+    // On the regular suite nearly every stall clears the break-even time,
+    // so the guard barely discriminates. The second table runs the same
+    // ablations where stalls sit *near* the break-even boundary (fast
+    // 0.4x-latency memory), which is where the guard earns its keep.
+    let marginal_profile = WorkloadProfile::builder("marginal_stalls")
+        .mem_refs_per_kilo_inst(90.0)
+        .working_set_bytes(128 << 20)
+        .spatial_locality(0.5)
+        .hot_regions(8)
+        .pointer_chase_fraction(0.1)
+        .compute_ipc(2.0)
+        .build();
+    let fast_memory = HierarchyConfig {
+        dram: DramConfig::ddr3_1333().with_latency_scaled(0.4),
+        ..HierarchyConfig::baseline()
+    };
+    let marginal_config = base_config(scale)
+        .with_profile(marginal_profile)
+        .with_memory(fast_memory);
+    // The baseline and the four ablations, then MAPG without nap chaining
+    // (re-gate after an early wake), the third mechanism.
+    runs.extend(
+        ABLATIONS
+            .into_iter()
+            .map(|policy| (marginal_config.clone(), policy)),
+    );
+    runs.push((marginal_config.without_regate(), PolicyKind::Mapg));
+    runs
+}
+
+/// Renders the suite table and the marginal-stall table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let (suite, marginal_runs) = reports.split_at(reports.len() - (ABLATIONS.len() + 1));
+    let matrix = SuiteMatrix::new(suite);
 
     let mut table = Table::new(
         "R-F10",
@@ -51,34 +85,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
          MAPG needs both",
     );
 
-    // On the regular suite nearly every stall clears the break-even time,
-    // so the guard barely discriminates. The second table runs the same
-    // ablations where stalls sit *near* the break-even boundary (fast
-    // 0.4x-latency memory), which is where the guard earns its keep.
-    let marginal_profile = WorkloadProfile::builder("marginal_stalls")
-        .mem_refs_per_kilo_inst(90.0)
-        .working_set_bytes(128 << 20)
-        .spatial_locality(0.5)
-        .hot_regions(8)
-        .pointer_chase_fraction(0.1)
-        .compute_ipc(2.0)
-        .build();
-    let fast_memory = HierarchyConfig {
-        dram: DramConfig::ddr3_1333().with_latency_scaled(0.4),
-        ..HierarchyConfig::baseline()
-    };
-    let marginal_config = base_config(scale)
-        .with_profile(marginal_profile)
-        .with_memory(fast_memory);
-    // The baseline and the four ablations, then MAPG without nap chaining
-    // (re-gate after an early wake), the third mechanism.
-    let mut runs: Vec<_> = ABLATIONS
-        .into_iter()
-        .map(|policy| (marginal_config.clone(), policy))
-        .collect();
-    runs.push((marginal_config.without_regate(), PolicyKind::Mapg));
-    let reports = run_all(runs);
-    let (marginal_baseline, variants) = reports.split_first().expect("baseline first");
+    let (marginal_baseline, variants) = marginal_runs.split_first().expect("baseline first");
     let labels = ABLATIONS
         .into_iter()
         .skip(1)
@@ -110,6 +117,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn value(table: &Table, variant: &str, col: &str) -> f64 {
         let row = (0..table.rows().len())
@@ -120,7 +128,7 @@ mod tests {
 
     #[test]
     fn early_wake_buys_runtime() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F10")[0];
         let with_wake = value(table, "mapg", "norm_runtime");
         let without = value(table, "mapg-no-early-wake", "norm_runtime");
         assert!(
@@ -131,7 +139,7 @@ mod tests {
 
     #[test]
     fn full_mapg_has_best_edp_among_ablations() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F10")[0];
         let full = value(table, "mapg", "norm_EDP");
         for variant in ["mapg-no-early-wake", "mapg-always-gate", "naive-on-miss"] {
             let ablated = value(table, variant, "norm_EDP");

@@ -7,11 +7,11 @@
 //! an extension beyond the original evaluation, which ran without
 //! prefetching.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_mem::HierarchyConfig;
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -41,8 +41,26 @@ fn chasing_profile() -> WorkloadProfile {
         .build()
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Per profile, with prefetching off and then on: no-gating, then MAPG.
+pub fn plan(scale: Scale) -> Plan {
+    let mut runs = Vec::new();
+    for profile in [streaming_profile(), chasing_profile()] {
+        for memory in [
+            HierarchyConfig::baseline(),
+            HierarchyConfig::with_stream_prefetcher(),
+        ] {
+            let config = base_config(scale)
+                .with_profile(profile.clone())
+                .with_memory(memory);
+            runs.push((config.clone(), PolicyKind::NoGating));
+            runs.push((config, PolicyKind::Mapg));
+        }
+    }
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-F11",
         "MAPG x stream prefetching (extension)",
@@ -55,31 +73,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "pf_accuracy",
         ],
     );
-    let profiles = [streaming_profile(), chasing_profile()];
-    let prefetch = [
-        ("off", HierarchyConfig::baseline()),
-        ("on", HierarchyConfig::with_stream_prefetcher()),
-    ];
-    let mut runs = Vec::new();
-    for profile in &profiles {
-        for (_, memory) in prefetch {
-            let config = base_config(scale)
-                .with_profile(profile.clone())
-                .with_memory(memory);
-            runs.push((config.clone(), PolicyKind::NoGating));
-            runs.push((config, PolicyKind::Mapg));
-        }
-    }
-    let reports = run_all(runs);
-    for (profile, reports) in profiles.iter().zip(reports.chunks(2 * prefetch.len())) {
+    for reports in reports.chunks(4) {
         let no_pf_runtime = reports[0].makespan_cycles;
-        for (&(label, _), pair) in prefetch.iter().zip(reports.chunks(2)) {
+        for (label, pair) in ["off", "on"].into_iter().zip(reports.chunks(2)) {
             let [baseline, mapg] = pair else {
                 unreachable!()
             };
             let runtime_delta = baseline.makespan_cycles as f64 / no_pf_runtime as f64 - 1.0;
             table.push_row(vec![
-                profile.name().to_owned(),
+                baseline.workload.clone(),
                 label.to_owned(),
                 format!("{:.1}", baseline.stall_fraction() * 100.0),
                 pct(runtime_delta),
@@ -97,7 +99,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn prefetch_cuts_streaming_stalls_but_not_chasing() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F11")[0];
         // Rows: streaming/off, streaming/on, chase/off, chase/on.
         let stall =
             |i: usize| -> f64 { table.cell(i, "stall%").expect("cell").parse().expect("num") };
@@ -133,7 +135,7 @@ mod tests {
 
     #[test]
     fn prefetch_reduces_streaming_gating_opportunity() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F11")[0];
         let savings_off = parse_pct(table.cell(0, "mapg_savings").expect("cell"));
         let savings_on = parse_pct(table.cell(1, "mapg_savings").expect("cell"));
         assert!(

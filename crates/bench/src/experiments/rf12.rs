@@ -6,26 +6,32 @@
 //! per-stall granularity the wake rate is enormous, so the cold-start tax
 //! compounds — this table shows why the paper's design retains state.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::{PgCircuitDesign, RetentionStyle, TechnologyParams};
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let tech = TechnologyParams::bulk_45nm();
-    let clock = tech.nominal_clock();
-    let styles = [
-        ("retentive", RetentionStyle::Retentive),
-        ("non-retentive", RetentionStyle::NonRetentive),
-    ];
+/// The retention styles compared, with their labels.
+const STYLES: [(&str, RetentionStyle); 2] = [
+    ("retentive", RetentionStyle::Retentive),
+    ("non-retentive", RetentionStyle::NonRetentive),
+];
+
+/// The no-gating baseline, then MAPG under each retention style.
+pub fn plan(scale: Scale) -> Plan {
     let mut runs = vec![(base_config(scale), PolicyKind::NoGating)];
-    for (_, style) in styles {
+    for (_, style) in STYLES {
         runs.push((base_config(scale).with_retention(style), PolicyKind::Mapg));
     }
-    let reports = run_all(runs);
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let tech = TechnologyParams::bulk_45nm();
+    let clock = tech.nominal_clock();
     let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
@@ -41,7 +47,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "overhead",
         ],
     );
-    for ((label, style), report) in styles.into_iter().zip(swept) {
+    for ((label, style), report) in STYLES.into_iter().zip(swept) {
         let circuit = PgCircuitDesign::fast_wakeup(&tech).with_retention(style);
         table.push_row(vec![
             label.to_owned(),
@@ -62,7 +68,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -70,7 +76,7 @@ mod tests {
 
     #[test]
     fn non_retentive_leaks_less_but_costs_more_runtime() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F12")[0];
         let residual = |i: usize| -> f64 {
             table
                 .cell(i, "residual%")
@@ -89,7 +95,7 @@ mod tests {
 
     #[test]
     fn cold_start_only_for_non_retentive() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F12")[0];
         assert_eq!(table.cell(0, "coldstart_cyc"), Some("0"));
         let flush_cold: u64 = table
             .cell(1, "coldstart_cyc")

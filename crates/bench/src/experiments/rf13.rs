@@ -7,11 +7,11 @@
 //! power into the steady-state thermal solver and reports the compounded
 //! effect.
 
-use mapg::{run_all, PolicyKind, RunReport};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::{EnergyCategory, ThermalParams};
 use mapg_units::Watts;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -26,8 +26,20 @@ fn average_power_split(report: &RunReport) -> (Watts, Watts) {
     (dynamic, leakage)
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Each policy on the base workload, the no-gating baseline first.
+pub fn plan(scale: Scale) -> Plan {
+    [
+        PolicyKind::NoGating,
+        PolicyKind::ClockGating,
+        PolicyKind::Mapg,
+        PolicyKind::MapgOracle,
+    ]
+    .map(|policy| (base_config(scale), policy))
+    .to_vec()
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let thermal = ThermalParams::embedded();
     let mut table = Table::new(
         "R-F13",
@@ -42,22 +54,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "compounded_savings",
         ],
     );
-    let policies = [
-        PolicyKind::NoGating,
-        PolicyKind::ClockGating,
-        PolicyKind::Mapg,
-        PolicyKind::MapgOracle,
-    ];
     let mut baseline_power: Option<Watts> = None;
-    let runs = policies.map(|policy| (base_config(scale), policy)).to_vec();
-    for (policy, report) in policies.into_iter().zip(run_all(runs)) {
-        let (dynamic, leakage) = average_power_split(&report);
+    for report in reports {
+        let (dynamic, leakage) = average_power_split(report);
         let point = thermal
             .steady_state(dynamic, leakage)
             .expect("parameters are well inside stability");
         let baseline = *baseline_power.get_or_insert(point.total_power);
         table.push_row(vec![
-            policy.name().to_owned(),
+            report.policy.to_owned(),
             format!("{dynamic}"),
             format!("{leakage}"),
             format!("{:.1} C", point.temperature_c),
@@ -75,11 +80,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn gating_runs_cooler_than_no_gating() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F13")[0];
         let temp = |i: usize| -> f64 {
             table
                 .cell(i, "T_ss")
@@ -95,7 +100,7 @@ mod tests {
 
     #[test]
     fn leak_scale_tracks_temperature() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F13")[0];
         let scale_of = |i: usize| -> f64 {
             table
                 .cell(i, "leak_scale")
@@ -108,7 +113,7 @@ mod tests {
 
     #[test]
     fn baseline_compounded_savings_is_zero() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F13")[0];
         assert_eq!(table.cell(0, "compounded_savings"), Some("+0.0%"));
     }
 }

@@ -8,17 +8,38 @@
 //! detection, free transitions; see
 //! [`OperatingPoint::estimate_interval_governor`]).
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::{OperatingPoint, PgCircuitDesign, TechnologyParams};
 use mapg_trace::WorkloadProfile;
 use mapg_units::Cycles;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// The measured policies per workload: the baseline, clock gating, MAPG.
+const POLICIES: [PolicyKind; 3] = [
+    PolicyKind::NoGating,
+    PolicyKind::ClockGating,
+    PolicyKind::Mapg,
+];
+
+/// Each measured policy on each workload.
+pub fn plan(scale: Scale) -> Plan {
+    [
+        WorkloadProfile::mem_bound("mem_bound"),
+        WorkloadProfile::compute_bound("compute_bound"),
+    ]
+    .into_iter()
+    .flat_map(|profile| {
+        let config = base_config(scale).with_profile(profile);
+        POLICIES.map(|policy| (config.clone(), policy))
+    })
+    .collect()
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let tech = TechnologyParams::bulk_45nm();
     let mut table = Table::new(
         "R-F14",
@@ -31,23 +52,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "EDP_delta",
         ],
     );
-    let profiles = [
-        WorkloadProfile::mem_bound("mem_bound"),
-        WorkloadProfile::compute_bound("compute_bound"),
-    ];
-    let policies = [
-        PolicyKind::NoGating,
-        PolicyKind::ClockGating,
-        PolicyKind::Mapg,
-    ];
-    let runs = profiles
-        .iter()
-        .flat_map(|profile| {
-            let config = base_config(scale).with_profile(profile.clone());
-            policies.map(|policy| (config.clone(), policy))
-        })
-        .collect();
-    for (profile, reports) in profiles.iter().zip(run_all(runs).chunks(policies.len())) {
+    for reports in reports.chunks(POLICIES.len()) {
         let [baseline, clock_gated, mapg] = reports else {
             unreachable!()
         };
@@ -64,7 +69,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for point in [OperatingPoint::low(), OperatingPoint::min()] {
             let (runtime, energy) = point.estimate_interval_governor(&tech, active, stalled);
             table.push_row(vec![
-                profile.name().to_owned(),
+                baseline.workload.clone(),
                 format!("dvfs@{}", point.name()),
                 pct(runtime / base_runtime - 1.0),
                 pct(1.0 - energy / base_energy),
@@ -74,7 +79,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
         // Measured MAPG, re-normalized to the same clock-gated baseline.
         table.push_row(vec![
-            profile.name().to_owned(),
+            baseline.workload.clone(),
             "mapg (measured)".to_owned(),
             pct(mapg.perf_overhead_vs(clock_gated)),
             pct(mapg.core_energy_savings_vs(clock_gated)),
@@ -96,7 +101,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             + circuit.gated_power(&tech) * stalled
             + circuit.transition_energy() * baseline.gating.stalls as f64;
         table.push_row(vec![
-            profile.name().to_owned(),
+            baseline.workload.clone(),
             "mapg+dvfs@min (est)".to_owned(),
             pct(runtime / base_runtime - 1.0),
             pct(1.0 - energy / base_energy),
@@ -114,6 +119,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -130,7 +136,7 @@ mod tests {
 
     #[test]
     fn mapg_preserves_performance_where_dvfs_cannot() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F14")[0];
         let mapg = row_of(table, "mem_bound", "mapg (measured)");
         let dvfs = row_of(table, "mem_bound", "dvfs@min");
         let mapg_rt = parse_pct(table.cell(mapg, "runtime_delta").expect("c"));
@@ -143,7 +149,7 @@ mod tests {
 
     #[test]
     fn combined_scheme_beats_both_constituents_on_memory_bound() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F14")[0];
         let edp = |scheme: &str| {
             let row = row_of(table, "mem_bound", scheme);
             parse_pct(table.cell(row, "EDP_delta").expect("c"))
@@ -155,7 +161,7 @@ mod tests {
 
     #[test]
     fn dvfs_cheap_on_memory_bound_expensive_on_compute_bound() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F14")[0];
         let mem = row_of(table, "mem_bound", "dvfs@min");
         let cpu = row_of(table, "compute_bound", "dvfs@min");
         let mem_rt = parse_pct(table.cell(mem, "runtime_delta").expect("c"));

@@ -8,10 +8,10 @@
 //! policy harvests only the long idles, MAPG harvests the idles *and* the
 //! memory stalls.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_trace::{IdleInjection, WorkloadProfile};
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -31,21 +31,23 @@ fn interactive_profile(scale: Scale) -> WorkloadProfile {
         .build()
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// The no-gating baseline, then each compared policy.
+pub fn plan(scale: Scale) -> Plan {
     let config = base_config(scale).with_profile(interactive_profile(scale));
-    let policies = [
+    [
+        PolicyKind::NoGating,
         PolicyKind::ClockGating,
         PolicyKind::Timeout { idle_cycles: 100 },
         PolicyKind::NaiveOnMiss,
         PolicyKind::Mapg,
         PolicyKind::MapgOracle,
-    ];
-    let runs = std::iter::once(PolicyKind::NoGating)
-        .chain(policies)
-        .map(|policy| (config.clone(), policy))
-        .collect();
-    let reports = run_all(runs);
+    ]
+    .map(|policy| (config.clone(), policy))
+    .to_vec()
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
@@ -59,9 +61,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "overhead",
         ],
     );
-    for (policy, report) in policies.into_iter().zip(swept) {
+    for report in swept {
         table.push_row(vec![
-            policy.name().to_owned(),
+            report.policy.to_owned(),
             format!("{:.1}", report.gating.gated_fraction() * 100.0),
             format!("{:.1}", report.gated_stall_coverage() * 100.0),
             pct(report.core_energy_savings_vs(baseline)),
@@ -83,6 +85,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -97,7 +100,7 @@ mod tests {
 
     #[test]
     fn timeout_recovers_much_but_mapg_recovers_more() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F15")[0];
         let timeout = savings(table, "timeout");
         let mapg = savings(table, "mapg");
         let clock = savings(table, "clock-gating");
@@ -113,7 +116,7 @@ mod tests {
 
     #[test]
     fn idle_injection_dominates_blocked_time() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F15")[0];
         // The note records the baseline blocked fraction; with 400k-cycle
         // idles every ~100k instructions, blocking must dominate runtime.
         let coverage = |policy: &str| {

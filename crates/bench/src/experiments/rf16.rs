@@ -13,10 +13,10 @@
 //! gating to clock gating, and periodically re-arms to probe for recovery —
 //! keeping worst-case overhead bounded at the cost of some energy savings.
 
-use mapg::{run_all, FaultPlan, PolicyKind, SimConfig};
+use mapg::{FaultPlan, PolicyKind, RunReport, SimConfig};
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -53,8 +53,20 @@ fn variant_config(scale: Scale, intensity: f64, watchdog: bool) -> SimConfig {
     }
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Per intensity: the no-gating baseline, then each variant.
+pub fn plan(scale: Scale) -> Plan {
+    let mut runs = Vec::new();
+    for &intensity in &INTENSITIES {
+        runs.push((faulty_config(scale, intensity), PolicyKind::NoGating));
+        for &(_, policy, watchdog) in &VARIANTS {
+            runs.push((variant_config(scale, intensity, watchdog), policy));
+        }
+    }
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-F16",
         "fault-intensity sweep: graceful degradation via safe mode",
@@ -70,14 +82,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "demoted",
         ],
     );
-    let mut runs = Vec::new();
-    for &intensity in &INTENSITIES {
-        runs.push((faulty_config(scale, intensity), PolicyKind::NoGating));
-        for &(_, policy, watchdog) in &VARIANTS {
-            runs.push((variant_config(scale, intensity, watchdog), policy));
-        }
-    }
-    let reports = run_all(runs);
     for (&intensity, reports) in INTENSITIES.iter().zip(reports.chunks(1 + VARIANTS.len())) {
         let (baseline, variants) = reports.split_first().expect("baseline first");
         for (&(label, _, _), report) in VARIANTS.iter().zip(variants) {
@@ -105,18 +109,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
     use mapg::Simulation;
 
     #[test]
     fn sweep_covers_every_variant_and_intensity() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F16");
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows().len(), INTENSITIES.len() * VARIANTS.len());
     }
 
     #[test]
     fn no_run_breaks_an_invariant() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F16");
         for (i, row) in tables[0].rows().iter().enumerate() {
             let violations = tables[0]
                 .cell(i, "violations")

@@ -4,16 +4,20 @@
 //! each policy relative to the no-gating baseline. Rows are workloads,
 //! columns are policies — each column is one bar series.
 
-use mapg::{PolicyKind, SuiteRunner};
+use mapg::{PolicyKind, RunReport, SuiteMatrix, SuiteRunner};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let runner = SuiteRunner::new(suite_for(scale), base_config(scale));
-    let matrix = runner.run(&PolicyKind::COMPARISON_SET);
+/// The suite under every policy of the comparison set: R-T3's runs.
+pub fn plan(scale: Scale) -> Plan {
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&PolicyKind::COMPARISON_SET)
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let matrix = SuiteMatrix::new(reports);
 
     let policies: Vec<&str> = matrix
         .policies()
@@ -42,11 +46,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn savings_columns_for_all_policies() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F2")[0];
         assert!(table.headers().iter().any(|h| h == "mapg"));
         assert!(table.headers().iter().any(|h| h == "mapg-oracle"));
         assert!(!table.headers().iter().any(|h| h == "no-gating"));
@@ -54,7 +58,7 @@ mod tests {
 
     #[test]
     fn mem_bound_mapg_savings_positive() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F2")[0];
         let cell = table.cell(0, "mapg").expect("cell");
         assert!(
             cell.starts_with('+'),

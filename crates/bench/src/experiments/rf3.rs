@@ -5,16 +5,20 @@
 //! this near zero where the naive and timeout policies pay the full wake
 //! latency per gated stall.
 
-use mapg::{PolicyKind, SuiteRunner};
+use mapg::{PolicyKind, RunReport, SuiteMatrix, SuiteRunner};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let runner = SuiteRunner::new(suite_for(scale), base_config(scale));
-    let matrix = runner.run(&PolicyKind::COMPARISON_SET);
+/// The suite under every policy of the comparison set: R-T3's runs.
+pub fn plan(scale: Scale) -> Plan {
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&PolicyKind::COMPARISON_SET)
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let matrix = SuiteMatrix::new(reports);
 
     let policies: Vec<&str> = matrix
         .policies()
@@ -45,6 +49,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn overhead(table: &Table, row: usize, policy: &str) -> f64 {
         table
@@ -57,7 +62,7 @@ mod tests {
 
     #[test]
     fn mapg_overhead_below_naive() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F3")[0];
         for row in 0..table.rows().len() {
             let mapg = overhead(table, row, "mapg");
             let naive = overhead(table, row, "naive-on-miss");
@@ -70,7 +75,7 @@ mod tests {
 
     #[test]
     fn zero_latency_policies_have_zero_overhead() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F3")[0];
         for row in 0..table.rows().len() {
             assert_eq!(overhead(table, row, "clock-gating"), 0.0);
             assert_eq!(overhead(table, row, "dvfs-stall"), 0.0);

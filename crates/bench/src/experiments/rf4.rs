@@ -5,10 +5,10 @@
 //! Low thresholds over-gate (transition energy on short stalls); high
 //! thresholds leave long stalls unharvested. The figure locates the knee.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -16,29 +16,30 @@ use crate::table::{pct, Table};
 /// BET.
 pub const GUARDS: [u32; 7] = [0, 1, 2, 4, 8, 16, 32];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let profiles = [
+/// Per profile: the no-gating baseline, then one run per guard.
+pub fn plan(scale: Scale) -> Plan {
+    [
         WorkloadProfile::mem_bound("mem_bound"),
         WorkloadProfile::compute_bound("compute_bound"),
-    ];
-    // Per profile: the no-gating baseline, then one run per guard.
-    let runs = profiles
-        .iter()
-        .flat_map(|profile| {
-            let base = base_config(scale).with_profile(profile.clone());
-            std::iter::once(PolicyKind::NoGating)
-                .chain(GUARDS.map(|quarter_bets| PolicyKind::MapgGuard { quarter_bets }))
-                .map(move |policy| (base.clone(), policy))
-        })
-        .collect();
-    let reports = run_all(runs);
+    ]
+    .into_iter()
+    .flat_map(|profile| {
+        let base = base_config(scale).with_profile(profile);
+        std::iter::once(PolicyKind::NoGating)
+            .chain(GUARDS.map(|quarter_bets| PolicyKind::MapgGuard { quarter_bets }))
+            .map(move |policy| (base.clone(), policy))
+    })
+    .collect()
+}
+
+/// Renders one table per profile.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut tables = Vec::new();
-    for (profile, reports) in profiles.iter().zip(reports.chunks(1 + GUARDS.len())) {
+    for reports in reports.chunks(1 + GUARDS.len()) {
         let (baseline, swept) = reports.split_first().expect("baseline first");
         let mut table = Table::new(
             "R-F4",
-            format!("break-even guard sweep — {}", profile.name()),
+            format!("break-even guard sweep — {}", baseline.workload),
             vec![
                 "guard×BET",
                 "gated%",
@@ -64,10 +65,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn two_tables_one_per_extreme() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F4");
         assert_eq!(tables.len(), 2);
         for t in &tables {
             assert_eq!(t.rows().len(), GUARDS.len());
@@ -76,7 +78,7 @@ mod tests {
 
     #[test]
     fn higher_guard_gates_less() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F4");
         let gated = |t: &Table, i: usize| -> f64 {
             t.cell(i, "gated%").expect("cell").parse().expect("num")
         };

@@ -6,27 +6,31 @@
 //! paper's fast-wakeup circuit is load-bearing: slow wake-ups both shrink
 //! the break-even window and push penalty onto the critical path.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
 /// Width ratios swept (slowest to fastest wake).
 pub const WIDTH_RATIOS: [f64; 6] = [0.005, 0.01, 0.02, 0.03, 0.08, 0.2];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let tech = TechnologyParams::bulk_45nm();
-    let clock = tech.nominal_clock();
+/// The no-gating baseline, then MAPG and naive at each width.
+pub fn plan(scale: Scale) -> Plan {
     let mut runs = vec![(base_config(scale), PolicyKind::NoGating)];
     for &ratio in &WIDTH_RATIOS {
         let config = base_config(scale).with_switch_width(ratio);
         runs.push((config.clone(), PolicyKind::Mapg));
         runs.push((config, PolicyKind::NaiveOnMiss));
     }
-    let reports = run_all(runs);
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let tech = TechnologyParams::bulk_45nm();
+    let clock = tech.nominal_clock();
     let (baseline, swept) = reports.split_first().expect("baseline first");
 
     let mut table = Table::new(
@@ -65,6 +69,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -72,13 +77,13 @@ mod tests {
 
     #[test]
     fn sweep_is_complete() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F5")[0];
         assert_eq!(table.rows().len(), WIDTH_RATIOS.len());
     }
 
     #[test]
     fn naive_overhead_shrinks_with_faster_wake() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F5")[0];
         let slow = parse_pct(table.cell(0, "naive_overhead").expect("c"));
         let fast = parse_pct(
             table

@@ -5,18 +5,33 @@
 //! stalls, more of them above the break-even time, and larger savings —
 //! the trend that made memory-access gating increasingly attractive.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_mem::{DramConfig, HierarchyConfig};
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
 /// DRAM latency multipliers swept.
 pub const LATENCY_SCALES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 4.0];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// No-gating and MAPG at each DRAM latency scale.
+pub fn plan(scale: Scale) -> Plan {
+    let mut runs = Vec::new();
+    for &factor in &LATENCY_SCALES {
+        let memory = HierarchyConfig {
+            dram: DramConfig::ddr3_1333().with_latency_scaled(factor),
+            ..HierarchyConfig::baseline()
+        };
+        let config = base_config(scale).with_memory(memory);
+        runs.push((config.clone(), PolicyKind::NoGating));
+        runs.push((config, PolicyKind::Mapg));
+    }
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-F6",
         "DRAM latency scaling (mem_bound workload)",
@@ -29,17 +44,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "gated%",
         ],
     );
-    let mut runs = Vec::new();
-    for &factor in &LATENCY_SCALES {
-        let memory = HierarchyConfig {
-            dram: DramConfig::ddr3_1333().with_latency_scaled(factor),
-            ..HierarchyConfig::baseline()
-        };
-        let config = base_config(scale).with_memory(memory);
-        runs.push((config.clone(), PolicyKind::NoGating));
-        runs.push((config, PolicyKind::Mapg));
-    }
-    for (&factor, pair) in LATENCY_SCALES.iter().zip(run_all(runs).chunks(2)) {
+    for (&factor, pair) in LATENCY_SCALES.iter().zip(reports.chunks(2)) {
         let [baseline, mapg] = pair else {
             unreachable!()
         };
@@ -58,6 +63,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -65,7 +71,7 @@ mod tests {
 
     #[test]
     fn savings_grow_with_memory_latency() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F6")[0];
         let first = parse_pct(table.cell(0, "mapg_savings").expect("cell"));
         let last = parse_pct(
             table
@@ -80,7 +86,7 @@ mod tests {
 
     #[test]
     fn stall_fraction_grows_with_latency() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F6")[0];
         let first: f64 = table.cell(0, "stall%").expect("cell").parse().expect("num");
         let last: f64 = table
             .cell(LATENCY_SCALES.len() - 1, "stall%")

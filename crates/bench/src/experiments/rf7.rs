@@ -5,22 +5,26 @@
 //! the end-to-end consequences (savings, overhead). Shows the gap each
 //! predictor leaves to the oracle.
 
-use mapg::{geometric_mean, PolicyKind, PredictorKind, SuiteRunner};
+use mapg::{geometric_mean, PolicyKind, PredictorKind, RunReport, SuiteMatrix, SuiteRunner};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// The suite under no gating and under MAPG with each predictor.
+pub fn plan(scale: Scale) -> Plan {
     let mut policies = vec![PolicyKind::NoGating];
     policies.extend(
         PredictorKind::ALL
             .into_iter()
             .map(|predictor| PolicyKind::MapgWith { predictor }),
     );
-    let runner = SuiteRunner::new(suite_for(scale), base_config(scale));
-    let matrix = runner.run(&policies);
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&policies)
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let matrix = SuiteMatrix::new(reports);
 
     let mut table = Table::new(
         "R-F7",
@@ -71,6 +75,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -78,13 +83,13 @@ mod tests {
 
     #[test]
     fn all_predictors_present() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F7")[0];
         assert_eq!(table.rows().len(), PredictorKind::ALL.len());
     }
 
     #[test]
     fn oracle_is_perfectly_accurate() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F7")[0];
         let oracle_row = (0..table.rows().len())
             .find(|&i| table.cell(i, "predictor") == Some("mapg+oracle"))
             .expect("oracle row");
@@ -100,7 +105,7 @@ mod tests {
 
     #[test]
     fn oracle_savings_at_least_static() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F7")[0];
         let savings = |name: &str| -> f64 {
             let row = (0..table.rows().len())
                 .find(|&i| table.cell(i, "predictor") == Some(name))

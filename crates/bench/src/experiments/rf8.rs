@@ -5,11 +5,11 @@
 //! fewer tokens bound the worst-case rush current (peak concurrent wakes)
 //! at the price of token-wait penalty. The TAP companion trade-off.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -28,22 +28,13 @@ pub const CORE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 /// "unlimited".
 pub const TOKEN_BUDGETS: [usize; 4] = [usize::MAX, 4, 2, 1];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Part 1: no-gating and MAPG at each core count. Part 2: the 8-core
+/// baseline again, as the denominator of part 2's rows, then MAPG at each
+/// token budget. The repeated baseline is computed once; its metrics are
+/// counted once per part, as two separate runs would count them.
+pub fn plan(scale: Scale) -> Plan {
     // Many-core runs multiply work; shrink the per-core budget.
     let per_core = (scale.instructions() / 4).max(10_000);
-
-    let mut scaling = Table::new(
-        "R-F8a",
-        "core-count scaling (mem_bound, shared DRAM, no tokens)",
-        vec![
-            "cores",
-            "stall%",
-            "mapg_savings",
-            "mapg_overhead",
-            "miss_avg",
-        ],
-    );
     let cores_config = |cores: usize| {
         base_config(scale)
             .with_profile(multicore_profile())
@@ -55,7 +46,30 @@ pub fn run(scale: Scale) -> Vec<Table> {
         runs.push((cores_config(cores), PolicyKind::NoGating));
         runs.push((cores_config(cores), PolicyKind::Mapg));
     }
-    for (&cores, pair) in CORE_COUNTS.iter().zip(run_all(runs).chunks(2)) {
+    runs.push((cores_config(8), PolicyKind::NoGating));
+    for &budget in &TOKEN_BUDGETS {
+        // 64 tokens is effectively unlimited for 8 cores.
+        let tokens = if budget == usize::MAX { 64 } else { budget };
+        runs.push((cores_config(8).with_tokens(tokens), PolicyKind::Mapg));
+    }
+    runs
+}
+
+/// Renders both parts.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let (part1, part2) = reports.split_at(2 * CORE_COUNTS.len());
+    let mut scaling = Table::new(
+        "R-F8a",
+        "core-count scaling (mem_bound, shared DRAM, no tokens)",
+        vec![
+            "cores",
+            "stall%",
+            "mapg_savings",
+            "mapg_overhead",
+            "miss_avg",
+        ],
+    );
+    for (&cores, pair) in CORE_COUNTS.iter().zip(part1.chunks(2)) {
         let [baseline, mapg] = pair else {
             unreachable!()
         };
@@ -82,18 +96,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "mapg_overhead",
         ],
     );
-    // Part 1 already ran the 8-core baseline, so part 2 is a second batch
-    // in which it is a memo hit. In part 1's batch it would compute twice
-    // (DESIGN.md §7.1); reusing part 1's report would skip the metrics
-    // merge a hit makes.
-    let mut runs = vec![(cores_config(8), PolicyKind::NoGating)];
-    for &budget in &TOKEN_BUDGETS {
-        // 64 tokens is effectively unlimited for 8 cores.
-        let tokens = if budget == usize::MAX { 64 } else { budget };
-        runs.push((cores_config(8).with_tokens(tokens), PolicyKind::Mapg));
-    }
-    let reports = run_all(runs);
-    let (baseline8, swept) = reports.split_first().expect("baseline first");
+    let (baseline8, swept) = part2.split_first().expect("baseline first");
     for (&budget, report) in TOKEN_BUDGETS.iter().zip(swept) {
         let label = if budget == usize::MAX {
             "inf".to_owned()
@@ -120,10 +123,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn both_parts_produced() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F8");
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows().len(), CORE_COUNTS.len());
         assert_eq!(tables[1].rows().len(), TOKEN_BUDGETS.len());
@@ -131,7 +135,7 @@ mod tests {
 
     #[test]
     fn token_budget_caps_peak_wakes() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-F8");
         let tokens = &tables[1];
         for (i, &budget) in TOKEN_BUDGETS.iter().enumerate() {
             if budget == usize::MAX {

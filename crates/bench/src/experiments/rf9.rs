@@ -6,10 +6,10 @@
 //! MAPG's grow with the leakage share — the crossover is the figure's
 //! point.
 
-use mapg::{run_all, PolicyKind};
+use mapg::{PolicyKind, RunReport};
 use mapg_power::TechnologyParams;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, Table};
 
@@ -25,8 +25,20 @@ const POLICIES: [PolicyKind; 5] = [
     PolicyKind::MapgOracle,
 ];
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Every policy at each leakage fraction.
+pub fn plan(scale: Scale) -> Plan {
+    LEAKAGE_FRACTIONS
+        .iter()
+        .flat_map(|&fraction| {
+            let tech = TechnologyParams::bulk_45nm().with_leakage_fraction(fraction);
+            let config = base_config(scale).with_tech(tech);
+            POLICIES.map(|policy| (config.clone(), policy))
+        })
+        .collect()
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-F9",
         "leakage-fraction sweep (mem_bound): core-energy savings vs no-gating",
@@ -38,15 +50,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "mapg_oracle",
         ],
     );
-    let runs = LEAKAGE_FRACTIONS
-        .iter()
-        .flat_map(|&fraction| {
-            let tech = TechnologyParams::bulk_45nm().with_leakage_fraction(fraction);
-            let config = base_config(scale).with_tech(tech);
-            POLICIES.map(|policy| (config.clone(), policy))
-        })
-        .collect();
-    let reports = run_all(runs);
     for (&fraction, reports) in LEAKAGE_FRACTIONS.iter().zip(reports.chunks(POLICIES.len())) {
         let (baseline, schemes) = reports.split_first().expect("baseline first");
         let mut row = vec![format!("{:.0}%", fraction * 100.0)];
@@ -67,6 +70,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn parse_pct(cell: &str) -> f64 {
         cell.trim_end_matches('%').parse().expect("pct")
@@ -74,7 +78,7 @@ mod tests {
 
     #[test]
     fn mapg_savings_grow_with_leakage() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F9")[0];
         let first = parse_pct(table.cell(0, "mapg").expect("cell"));
         let last = parse_pct(
             table
@@ -89,7 +93,7 @@ mod tests {
 
     #[test]
     fn mapg_beats_clock_gating_at_high_leakage() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-F9")[0];
         let last = LEAKAGE_FRACTIONS.len() - 1;
         let mapg = parse_pct(table.cell(last, "mapg").expect("cell"));
         let clock = parse_pct(table.cell(last, "clock_gating").expect("cell"));

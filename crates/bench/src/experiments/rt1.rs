@@ -4,8 +4,10 @@
 //! sleep-transistor width ratio and report every figure of merit plus the
 //! resulting break-even time. Pure circuit model, no simulation.
 
+use mapg::RunReport;
 use mapg_power::{PgCircuitDesign, TechnologyParams};
 
+use crate::experiments::Plan;
 use crate::scale::Scale;
 use crate::table::Table;
 
@@ -13,8 +15,13 @@ use crate::table::Table;
 /// point at 3 %).
 pub const WIDTH_RATIOS: [f64; 8] = [0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2];
 
-/// Runs the experiment.
-pub fn run(_scale: Scale) -> Vec<Table> {
+/// No runs: the table is analytic.
+pub fn plan(_scale: Scale) -> Plan {
+    Vec::new()
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, _reports: &[RunReport]) -> Vec<Table> {
     let tech = TechnologyParams::bulk_45nm();
     let clock = tech.nominal_clock();
     let mut table = Table::new(
@@ -55,17 +62,18 @@ pub fn run(_scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn sweep_covers_all_ratios() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-T1");
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows().len(), WIDTH_RATIOS.len());
     }
 
     #[test]
     fn wake_cycles_fall_with_width() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T1")[0];
         let wake: Vec<u64> = (0..table.rows().len())
             .map(|i| {
                 table

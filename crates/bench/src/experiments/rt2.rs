@@ -5,14 +5,19 @@
 //! MPKI, memory-stall fraction, miss-latency distribution and DRAM
 //! row-buffer behaviour.
 
-use mapg::{PolicyKind, SuiteRunner};
+use mapg::{PolicyKind, RunReport, SuiteRunner};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::Table;
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Every suite profile without power management.
+pub fn plan(scale: Scale) -> Plan {
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&[PolicyKind::NoGating])
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-T2",
         "workload characterization (no power management)",
@@ -29,9 +34,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "stalls/Mi",
         ],
     );
-    let matrix =
-        SuiteRunner::new(suite_for(scale), base_config(scale)).run(&[PolicyKind::NoGating]);
-    for report in matrix.reports() {
+    for report in reports {
         let stalls_per_mi = report.gating.stalls as f64 * 1e6 / report.instructions as f64;
         let core = &report.core_stats[0];
         let share = |cycles: u64| {
@@ -67,17 +70,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn characterizes_every_profile() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke("R-T2");
         assert_eq!(tables[0].rows().len(), 2, "extremes suite at smoke");
     }
 
     #[test]
     fn mem_bound_stalls_more_than_compute_bound() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T2")[0];
         let stall =
             |i: usize| -> f64 { table.cell(i, "stall%").expect("col").parse().expect("num") };
         assert!(stall(0) > stall(1), "mem_bound first in extremes suite");

@@ -6,16 +6,20 @@
 //! baseline. This is the reconstruction of the paper's summary table
 //! ("who wins, by roughly what factor").
 
-use mapg::{geometric_mean, PolicyKind, SuiteRunner};
+use mapg::{geometric_mean, PolicyKind, RunReport, SuiteMatrix, SuiteRunner};
 
-use crate::experiments::{base_config, suite_for};
+use crate::experiments::{base_config, suite_for, Plan};
 use crate::scale::Scale;
 use crate::table::{pct, ratio, Table};
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let runner = SuiteRunner::new(suite_for(scale), base_config(scale));
-    let matrix = runner.run(&PolicyKind::COMPARISON_SET);
+/// The suite under every policy of the comparison set.
+pub fn plan(scale: Scale) -> Plan {
+    SuiteRunner::new(suite_for(scale), base_config(scale)).plan(&PolicyKind::COMPARISON_SET)
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
+    let matrix = SuiteMatrix::new(reports);
 
     let mut table = Table::new(
         "R-T3",
@@ -73,6 +77,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     fn column(table: &Table, name: &str, col: &str) -> f64 {
         (0..table.rows().len())
@@ -85,7 +90,7 @@ mod tests {
 
     #[test]
     fn mapg_beats_the_conventional_policies_on_energy() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T3")[0];
         let mapg = column(table, "mapg", "norm_core_E");
         assert!(mapg < column(table, "no-gating", "norm_core_E"));
         assert!(mapg < column(table, "clock-gating", "norm_core_E"));
@@ -104,7 +109,7 @@ mod tests {
 
     #[test]
     fn oracle_has_best_edp() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T3")[0];
         let oracle = column(table, "mapg-oracle", "norm_EDP");
         for policy in [
             "no-gating",
@@ -123,7 +128,7 @@ mod tests {
 
     #[test]
     fn baseline_row_is_unity() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T3")[0];
         let row = (0..table.rows().len())
             .find(|&i| table.cell(i, "policy") == Some("no-gating"))
             .expect("baseline row");

@@ -9,28 +9,39 @@
 use mapg::{PolicyKind, Replication, RunReport};
 use mapg_trace::WorkloadProfile;
 
-use crate::experiments::base_config;
+use crate::experiments::{base_config, Plan};
 use crate::scale::Scale;
 use crate::table::Table;
 
 /// Replicas per configuration.
 pub const REPLICAS: usize = 8;
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Table> {
+/// The paired policies: the baseline, then MAPG.
+const POLICIES: [PolicyKind; 2] = [PolicyKind::NoGating, PolicyKind::Mapg];
+
+/// Per profile, both policies on every replica seed, seed-major, so each
+/// seed's two runs share a front end.
+pub fn plan(scale: Scale) -> Plan {
+    let mut runs = Vec::new();
+    for profile in [
+        WorkloadProfile::mem_bound("mem_bound"),
+        WorkloadProfile::mixed("mixed"),
+    ] {
+        let config = base_config(scale).with_profile(profile);
+        runs.extend(Replication::plan(config, &POLICIES, REPLICAS));
+    }
+    runs
+}
+
+/// Renders the table.
+pub fn render(_scale: Scale, reports: &[RunReport]) -> Vec<Table> {
     let mut table = Table::new(
         "R-T4",
         format!("seed sensitivity over {REPLICAS} paired replicas"),
         vec!["workload", "metric", "mean", "stdev", "ci95", "min..max"],
     );
-    for profile in [
-        WorkloadProfile::mem_bound("mem_bound"),
-        WorkloadProfile::mixed("mixed"),
-    ] {
-        let config = base_config(scale).with_profile(profile.clone());
-        // One batch: each seed's two runs share a front end.
-        let replications =
-            Replication::run_policies(config, &[PolicyKind::NoGating, PolicyKind::Mapg], REPLICAS);
+    for reports in reports.chunks(POLICIES.len() * REPLICAS) {
+        let replications = Replication::from_reports(reports, POLICIES.len());
         let [baseline, mapg] = &replications[..] else {
             unreachable!("one replication per policy");
         };
@@ -44,7 +55,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for (name, metric) in metrics {
             let summary = mapg.summarize_paired(baseline, metric);
             table.push_row(vec![
-                profile.name().to_owned(),
+                reports[0].workload.clone(),
                 name.to_owned(),
                 format!("{:.2}", summary.mean),
                 format!("{:.2}", summary.stdev),
@@ -59,11 +70,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn savings_are_stable_across_seeds() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T4")[0];
         // Row 0: mem_bound savings%.
         let mean: f64 = table.cell(0, "mean").expect("cell").parse().expect("num");
         let stdev: f64 = table.cell(0, "stdev").expect("cell").parse().expect("num");
@@ -76,7 +87,7 @@ mod tests {
 
     #[test]
     fn six_rows_two_workloads_three_metrics() {
-        let table = &run(Scale::Smoke)[0];
+        let table = &smoke("R-T4")[0];
         assert_eq!(table.rows().len(), 6);
     }
 }

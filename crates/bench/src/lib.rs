@@ -22,7 +22,7 @@
 //! use mapg_bench::{experiments, Scale};
 //!
 //! let rt1 = experiments::find("rt1").expect("registered");
-//! let tables = (rt1.run)(Scale::Smoke);
+//! let tables = rt1.run(Scale::Smoke);
 //! assert_eq!(tables[0].id(), "R-T1");
 //! ```
 
@@ -41,7 +41,7 @@ mod table;
 
 pub use client::{Client, ClientError, JobResult, JobStatus, StreamEnd, StreamEvent};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
-pub use engine::{render_tables, ExperimentJob, ExperimentOutput, OutputFormat};
+pub use engine::{execute_all, render_tables, ExperimentJob, ExperimentOutput, OutputFormat};
 pub use fuzz::{run_campaign, CampaignConfig, CampaignFailure, CampaignFinding, CampaignReport};
 pub use journal::{fnv1a64, Journal, JournalEntry, JournalError, JOURNAL_SCHEMA};
 pub use manifest::{

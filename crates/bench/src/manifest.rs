@@ -74,7 +74,10 @@ pub struct ManifestEntry {
     pub id: String,
     /// One-line experiment title.
     pub title: String,
-    /// Wall time of the experiment's `run` call, in milliseconds.
+    /// Time spent planning and rendering the experiment, in
+    /// milliseconds. The experiments of one invocation compute their
+    /// runs in one shared batch, whose time is only in
+    /// [`Manifest::total_wall_ms`].
     pub wall_ms: f64,
     /// Aggregated observability metrics across the experiment's
     /// simulations, when the run collected them.
@@ -140,7 +143,8 @@ pub struct Manifest {
     pub scale: Scale,
     /// Job count the run used (`--jobs`).
     pub jobs: usize,
-    /// Wall time of the whole run, in milliseconds.
+    /// Wall time of the whole run, in milliseconds: every experiment's
+    /// plan and render time plus the shared batch that computes the runs.
     pub total_wall_ms: f64,
     /// Fuzz-campaign provenance, when the run was an `mapg-fuzz`
     /// campaign. Campaign manifests carry no experiments and tag the

@@ -27,7 +27,7 @@ fn golden_dir() -> PathBuf {
 /// Renders one experiment exactly as `experiments --csv --scale smoke`
 /// prints it (per-table header line + CSV body).
 fn render(experiment: &Experiment) -> String {
-    let tables = (experiment.run)(Scale::Smoke);
+    let tables = experiment.run(Scale::Smoke);
     let mut out = String::new();
     for table in &tables {
         writeln!(out, "# {} — {}", table.id(), table.title()).expect("string write");

@@ -5,19 +5,16 @@
 //! seeds and reporting mean ± deviation separates real policy effects from
 //! generator noise — the hygiene behind experiment R-T4.
 //!
-//! The replicas are one [`run_all`] batch: the seeded configs are built on
-//! the calling thread and fanned out across the caller's worker budget,
-//! and the reports come back in seed order at any job count. Replicating
-//! several policies at once ([`Replication::run_policies`]) puts every
-//! policy's replica of one seed in that batch, so a single-core seed's
-//! runs share one front end (DESIGN §9.7).
+//! [`Replication::plan`] lists the seeded runs, seed-major, as one
+//! [`run_all`](crate::run_all) batch, so a single-core seed's runs share
+//! one front end (DESIGN §9.7); [`Replication::from_reports`] reads the
+//! batch's reports back as one replication per policy.
 
 use core::fmt;
 
 use crate::policy::PolicyKind;
 use crate::report::RunReport;
 use crate::sim::SimConfig;
-use crate::suite::run_all;
 
 /// Summary statistics of one scalar metric across replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,13 +100,15 @@ impl fmt::Display for MetricSummary {
 /// The reports of one configuration replicated across seeds.
 ///
 /// ```
-/// use mapg::{PolicyKind, Replication, SimConfig};
+/// use mapg::{run_all, PolicyKind, Replication, SimConfig};
 ///
 /// let config = SimConfig::default().with_instructions(20_000);
-/// let replicas = Replication::run(config, PolicyKind::Mapg, 3);
-/// let ipc = replicas.summarize(|r| r.ipc());
-/// assert_eq!(ipc.n, 3);
-/// assert!(ipc.mean > 0.0);
+/// let policies = [PolicyKind::NoGating, PolicyKind::Mapg];
+/// let reports = run_all(Replication::plan(config, &policies, 3));
+/// let pair = Replication::from_reports(&reports, policies.len());
+/// let savings = pair[1].summarize_paired(&pair[0], |m, b| m.core_energy_savings_vs(b));
+/// assert_eq!(savings.n, 3);
+/// assert!(savings.min > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Replication {
@@ -117,59 +116,42 @@ pub struct Replication {
 }
 
 impl Replication {
-    /// Runs `config` under `policy` once per seed (`1_000 + 977·i` for
-    /// replica `i`), as one [`run_all`] batch: the one-policy case of
-    /// [`Replication::run_policies`].
+    /// `config` under each of `policies` once per seed (`1_000 + 977·i`
+    /// for replica `i`), seed-major: one [`run_all`](crate::run_all)
+    /// batch.
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is zero.
-    pub fn run(config: SimConfig, policy: PolicyKind, replicas: usize) -> Self {
-        Replication::run_policies(config, &[policy], replicas)
-            .pop()
-            .expect("one replication per policy")
-    }
-
-    /// Runs `config` under each of `policies` once per seed (the seeds of
-    /// [`Replication::run`]) as one seed-major [`run_all`] batch, and
-    /// returns one replication per policy, in `policies` order. Replicas
-    /// of the same seed are paired samples for
-    /// [`Replication::summarize_paired`].
-    ///
-    /// ```
-    /// use mapg::{PolicyKind, Replication, SimConfig};
-    ///
-    /// let config = SimConfig::default().with_instructions(20_000);
-    /// let pair = Replication::run_policies(config, &[PolicyKind::NoGating, PolicyKind::Mapg], 3);
-    /// let savings = pair[1].summarize_paired(&pair[0], |m, b| m.core_energy_savings_vs(b));
-    /// assert!(savings.min > 0.0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn run_policies(
+    pub fn plan(
         config: SimConfig,
         policies: &[PolicyKind],
         replicas: usize,
-    ) -> Vec<Replication> {
+    ) -> Vec<(SimConfig, PolicyKind)> {
         assert!(replicas > 0, "need at least one replica");
-        let runs = (0..replicas as u64)
+        (0..replicas as u64)
             .flat_map(|i| {
                 let seeded = config.clone().with_seed(1_000 + 977 * i);
                 policies.iter().map(move |&policy| (seeded.clone(), policy))
             })
-            .collect();
-        let mut replications: Vec<Replication> = policies
-            .iter()
-            .map(|_| Replication {
-                reports: Vec::with_capacity(replicas),
+            .collect()
+    }
+
+    /// One replication per policy, in plan order, from the reports of a
+    /// [`Replication::plan`] over `policies` policies. Replicas of the
+    /// same seed are paired samples for
+    /// [`Replication::summarize_paired`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policies` is zero.
+    pub fn from_reports(reports: &[RunReport], policies: usize) -> Vec<Replication> {
+        assert!(policies > 0, "need at least one policy");
+        (0..policies)
+            .map(|p| Replication {
+                reports: reports.iter().skip(p).step_by(policies).cloned().collect(),
             })
-            .collect();
-        for (i, report) in run_all(runs).into_iter().enumerate() {
-            replications[i % policies.len()].reports.push(report);
-        }
-        replications
+            .collect()
     }
 
     /// The individual reports (seed order).
@@ -212,6 +194,22 @@ impl Replication {
 mod tests {
     use super::*;
     use crate::sim::Simulation;
+    use crate::suite::run_all;
+
+    fn replicate_all(
+        config: SimConfig,
+        policies: &[PolicyKind],
+        replicas: usize,
+    ) -> Vec<Replication> {
+        let reports = run_all(Replication::plan(config, policies, replicas));
+        Replication::from_reports(&reports, policies.len())
+    }
+
+    fn replicate(config: SimConfig, policy: PolicyKind, replicas: usize) -> Replication {
+        replicate_all(config, &[policy], replicas)
+            .pop()
+            .expect("one policy")
+    }
 
     #[test]
     fn summary_statistics_are_correct() {
@@ -248,7 +246,7 @@ mod tests {
     #[test]
     fn replication_produces_distinct_but_similar_runs() {
         let config = SimConfig::default().with_instructions(20_000);
-        let replicas = Replication::run(config, PolicyKind::NoGating, 4);
+        let replicas = replicate(config, PolicyKind::NoGating, 4);
         assert_eq!(replicas.reports().len(), 4);
         let cycles = replicas.summarize(|r| r.makespan_cycles as f64);
         // Different seeds give different runs...
@@ -264,12 +262,10 @@ mod tests {
     #[test]
     fn replicas_are_equal_at_any_job_count_and_in_seed_order() {
         let config = SimConfig::default().with_instructions(10_000);
-        let serial = mapg_pool::with_default_jobs(1, || {
-            Replication::run(config.clone(), PolicyKind::Mapg, 4)
-        });
-        let parallel = mapg_pool::with_default_jobs(4, || {
-            Replication::run(config.clone(), PolicyKind::Mapg, 4)
-        });
+        let serial =
+            mapg_pool::with_default_jobs(1, || replicate(config.clone(), PolicyKind::Mapg, 4));
+        let parallel =
+            mapg_pool::with_default_jobs(4, || replicate(config.clone(), PolicyKind::Mapg, 4));
         assert_eq!(serial.reports(), parallel.reports());
         for (i, report) in parallel.reports().iter().enumerate() {
             let seeded = config.clone().with_seed(1_000 + 977 * i as u64);
@@ -280,8 +276,8 @@ mod tests {
     #[test]
     fn paired_savings_are_tighter_than_unpaired() {
         let config = SimConfig::default().with_instructions(20_000);
-        let baseline = Replication::run(config.clone(), PolicyKind::NoGating, 4);
-        let mapg = Replication::run(config, PolicyKind::Mapg, 4);
+        let baseline = replicate(config.clone(), PolicyKind::NoGating, 4);
+        let mapg = replicate(config, PolicyKind::Mapg, 4);
         let paired = mapg.summarize_paired(&baseline, |m, b| m.core_energy_savings_vs(b));
         assert!(paired.mean > 0.0, "MAPG saves energy on every seed");
         assert!(paired.min > 0.0);
@@ -295,10 +291,10 @@ mod tests {
             PolicyKind::Mapg,
             PolicyKind::MapgOracle,
         ];
-        let together = Replication::run_policies(config.clone(), &policies, 3);
+        let together = replicate_all(config.clone(), &policies, 3);
         assert_eq!(together.len(), 3);
         for (policy, replication) in policies.into_iter().zip(&together) {
-            let alone = Replication::run(config.clone(), policy, 3);
+            let alone = replicate(config.clone(), policy, 3);
             assert_eq!(replication.reports(), alone.reports());
         }
     }
@@ -307,8 +303,8 @@ mod tests {
     #[should_panic(expected = "equal replica counts")]
     fn mismatched_pairing_rejected() {
         let config = SimConfig::default().with_instructions(10_000);
-        let a = Replication::run(config.clone(), PolicyKind::NoGating, 2);
-        let b = Replication::run(config, PolicyKind::Mapg, 3);
+        let a = replicate(config.clone(), PolicyKind::NoGating, 2);
+        let b = replicate(config, PolicyKind::Mapg, 3);
         let _ = b.summarize_paired(&a, |x, y| x.perf_overhead_vs(y));
     }
 

@@ -347,12 +347,18 @@ impl SimConfig {
             && self.memory.l2 == other.memory.l2
     }
 
-    /// The run cache this run consults: none for a traced or published
-    /// run, whose trace is not cached.
+    /// Whether a memo could hold this run's report: a traced or published
+    /// run's trace is not kept, so such a run always computes. The same
+    /// test decides which runs [`run_all`](crate::run_all) computes once
+    /// per batch.
+    pub(crate) fn memoizable(&self) -> bool {
+        self.trace_capacity.is_none() && self.event_hub.is_none()
+    }
+
+    /// The run cache this run consults: none unless it is
+    /// [memoizable](SimConfig::memoizable).
     fn memo(&self) -> Option<&RunCache> {
-        self.run_cache
-            .as_ref()
-            .filter(|_| self.trace_capacity.is_none() && self.event_hub.is_none())
+        self.run_cache.as_ref().filter(|_| self.memoizable())
     }
 
     /// The hierarchy the run simulates: a non-no-op fault plan injects its
@@ -547,10 +553,17 @@ impl Simulation {
     /// attached, as the computed run would have.
     pub(crate) fn recall(config: &SimConfig, policy: PolicyKind) -> Option<RunReport> {
         let report = config.memo()?.get(config, policy)?;
+        Some(Simulation::replay(config, report))
+    }
+
+    /// `report`, an equal run's report, as the outcome of `config`: its
+    /// metrics merged into `config`'s metrics hub, if one is attached, as
+    /// computing the run would have.
+    pub(crate) fn replay(config: &SimConfig, report: RunReport) -> RunReport {
         if let (Some(hub), Some(metrics)) = (&config.metrics_hub, &report.metrics) {
             hub.merge(metrics);
         }
-        Some(report)
+        report
     }
 
     /// Memoizes `report` as the outcome of `(config, policy)` in the run's

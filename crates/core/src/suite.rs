@@ -1,20 +1,23 @@
 //! Batch execution: [`run_all`], the one ordered fan-out every suite,
 //! replication and experiment sweep goes through, and [`SuiteRunner`], the
-//! workload-suite × policy-set driver built on it.
+//! workload-suite × policy-set planner whose reports a [`SuiteMatrix`]
+//! reads.
 //!
 //! A batch is a list of `(SimConfig, PolicyKind)` runs. Every simulation is
 //! a seeded pure function of its pair, so the batch's reports are identical
 //! bit-for-bit at any worker count; [`mapg_pool::Pool::map`] returns them in
 //! submission order regardless of completion order.
 //!
-//! The runs a batch must compute are grouped first: single-core runs that
-//! read the same event stream through the same caches share one front end
-//! and run in lockstep, one generator and one set of L1/L2 lookups feeding
-//! every run's timing (DESIGN §9.7). Workers compute one group each and
-//! nothing else. Build every [`SimConfig`] on the calling thread: pool
-//! workers do not inherit the caller's thread-locals (an ambient metrics or
-//! event hub, a `with_default_jobs` override), so a config assembled inside
-//! a worker would silently lose them.
+//! A batch computes each distinct run once: a run that repeats an earlier
+//! run's memo key gets a copy of its report. The runs left to compute are
+//! grouped first: single-core runs that read the same event stream through
+//! the same caches share one front end and run in lockstep, one generator
+//! and one set of L1/L2 lookups feeding every run's timing (DESIGN §9.7).
+//! Workers compute one group each and nothing else. Build every
+//! [`SimConfig`] on the calling thread: pool workers do not inherit the
+//! caller's thread-locals (an ambient metrics or event hub, a
+//! `with_default_jobs` override), so a config assembled inside a worker
+//! would silently lose them.
 
 use mapg_pool::Pool;
 use mapg_trace::WorkloadSuite;
@@ -31,11 +34,14 @@ use crate::sim::{SimConfig, Simulation};
 /// [`mapg_pool::with_default_jobs`] override on this thread, else the
 /// host's parallelism. `1` runs the batch inline on the calling thread.
 ///
-/// Every config is validated first. Runs with a
-/// [`RunCache`](crate::RunCache) are then looked up in it. The misses are
-/// grouped by front end, a group being split when there are fewer groups
-/// than workers, and computed; their reports are memoized in submission
-/// order.
+/// Every config is validated first. A run that a
+/// [`RunCache`](crate::RunCache) could hold (no trace, no event hub) and
+/// that repeats an earlier run of the batch is computed once: the repeat
+/// gets a clone of the earlier report and merges its metrics into its own
+/// metrics hub, as a memo hit does. The other runs with a cache are looked
+/// up in it. The misses are grouped by front end, a group being split when
+/// there are fewer groups than workers, and computed; their reports are
+/// memoized in submission order.
 ///
 /// ```
 /// use mapg::{run_all, PolicyKind, SimConfig};
@@ -59,9 +65,16 @@ pub fn run_all(runs: Vec<(SimConfig, PolicyKind)>) -> Vec<RunReport> {
             panic!("{e}");
         }
     }
+    let firsts = first_runs(&runs);
     let mut reports: Vec<Option<RunReport>> = Vec::with_capacity(runs.len());
+    let mut repeats: Vec<(usize, usize, SimConfig)> = Vec::new();
     let mut groups: Vec<Group> = Vec::new();
-    for (index, (config, policy)) in runs.into_iter().enumerate() {
+    for (index, ((config, policy), first)) in runs.into_iter().zip(firsts).enumerate() {
+        if first != index {
+            reports.push(None);
+            repeats.push((index, first, config));
+            continue;
+        }
         let recalled = Simulation::recall(&config, policy);
         if recalled.is_some() {
             reports.push(recalled);
@@ -104,9 +117,40 @@ pub fn run_all(runs: Vec<(SimConfig, PolicyKind)>) -> Vec<RunReport> {
         Simulation::remember(config, policy, &report);
         reports[index] = Some(report);
     }
+    for (index, first, config) in repeats {
+        let report = reports[first]
+            .clone()
+            .expect("a first run precedes its repeats");
+        reports[index] = Some(Simulation::replay(&config, report));
+    }
     reports
         .into_iter()
-        .map(|report| report.expect("every run recalled or computed"))
+        .map(|report| report.expect("every run recalled, computed or repeated"))
+        .collect()
+}
+
+/// For each run of a batch, the position of the first run with its memo
+/// key: its own position, unless it and an earlier run are both
+/// [memoizable](SimConfig::memoizable) and describe the same run.
+fn first_runs(runs: &[(SimConfig, PolicyKind)]) -> Vec<usize> {
+    let mut distinct: Vec<usize> = Vec::new();
+    runs.iter()
+        .enumerate()
+        .map(|(index, (config, policy))| {
+            if !config.memoizable() {
+                return index;
+            }
+            let earlier = distinct
+                .iter()
+                .find(|&&at| runs[at].1 == *policy && runs[at].0.same_run(config));
+            match earlier {
+                Some(&first) => first,
+                None => {
+                    distinct.push(index);
+                    index
+                }
+            }
+        })
         .collect()
 }
 
@@ -137,22 +181,23 @@ fn spread(groups: &mut Vec<Group>, workers: usize) {
     }
 }
 
-/// Runs every (profile, policy) combination of a suite and collects the
-/// reports.
+/// Plans every (profile, policy) combination of a suite; a
+/// [`SuiteMatrix`] reads the reports.
 ///
-/// The matrix is one [`run_all`] batch in (workload-major, policy-minor)
-/// order, so it is identical bit-for-bit at any job count.
+/// The plan is in (workload-major, policy-minor) order, and [`run_all`]
+/// returns its reports in that order at any job count.
 ///
 /// ```
-/// use mapg::{PolicyKind, SimConfig, SuiteRunner};
+/// use mapg::{run_all, PolicyKind, SimConfig, SuiteMatrix, SuiteRunner};
 /// use mapg_trace::WorkloadSuite;
 ///
 /// let runner = SuiteRunner::new(
 ///     WorkloadSuite::extremes(),
 ///     SimConfig::default().with_instructions(20_000),
 /// );
-/// let matrix = runner.run(&[PolicyKind::NoGating, PolicyKind::Mapg]);
-/// assert_eq!(matrix.reports().len(), 4);
+/// let reports = run_all(runner.plan(&[PolicyKind::NoGating, PolicyKind::Mapg]));
+/// let matrix = SuiteMatrix::new(&reports);
+/// assert_eq!(matrix.workloads(), ["mem_bound", "compute_bound"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SuiteRunner {
@@ -166,51 +211,48 @@ impl SuiteRunner {
         SuiteRunner { suite, base }
     }
 
-    /// The suite being run.
-    pub fn suite(&self) -> &WorkloadSuite {
-        &self.suite
-    }
-
-    /// Runs all combinations as one [`run_all`] batch.
-    pub fn run(&self, policies: &[PolicyKind]) -> SuiteMatrix {
-        let runs = self
-            .suite
+    /// Every combination, workload-major: one [`run_all`] batch.
+    pub fn plan(&self, policies: &[PolicyKind]) -> Vec<(SimConfig, PolicyKind)> {
+        self.suite
             .iter()
             .flat_map(|profile| {
                 policies
                     .iter()
                     .map(|&policy| (self.base.clone().with_profile(profile.clone()), policy))
             })
-            .collect();
-        SuiteMatrix {
-            reports: run_all(runs),
-        }
+            .collect()
     }
 }
 
 /// The (workload × policy) report matrix with comparison helpers.
-#[derive(Debug, Clone)]
-pub struct SuiteMatrix {
-    reports: Vec<RunReport>,
+#[derive(Debug, Clone, Copy)]
+pub struct SuiteMatrix<'a> {
+    reports: &'a [RunReport],
 }
 
-impl SuiteMatrix {
-    /// All reports, in (workload-major, policy-minor) order.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
+impl<'a> SuiteMatrix<'a> {
+    /// The matrix over `reports`, such as those of a
+    /// [`SuiteRunner::plan`].
+    pub fn new(reports: &'a [RunReport]) -> Self {
+        SuiteMatrix { reports }
+    }
+
+    /// All reports, in plan order.
+    pub fn reports(&self) -> &'a [RunReport] {
+        self.reports
     }
 
     /// The report for a (workload, policy) pair.
-    pub fn get(&self, workload: &str, policy: &str) -> Option<&RunReport> {
+    pub fn get(&self, workload: &str, policy: &str) -> Option<&'a RunReport> {
         self.reports
             .iter()
             .find(|r| r.workload == workload && r.policy == policy)
     }
 
     /// Distinct workload names, in first-seen order.
-    pub fn workloads(&self) -> Vec<&str> {
+    pub fn workloads(&self) -> Vec<&'a str> {
         let mut names: Vec<&str> = Vec::new();
-        for r in &self.reports {
+        for r in self.reports {
             if !names.contains(&r.workload.as_str()) {
                 names.push(&r.workload);
             }
@@ -219,9 +261,9 @@ impl SuiteMatrix {
     }
 
     /// Distinct policy names, in first-seen order.
-    pub fn policies(&self) -> Vec<&str> {
+    pub fn policies(&self) -> Vec<&'a str> {
         let mut names: Vec<&str> = Vec::new();
-        for r in &self.reports {
+        for r in self.reports {
             if !names.contains(&r.policy) {
                 names.push(r.policy);
             }
@@ -274,22 +316,26 @@ impl SuiteMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapg_obs::MetricsHub;
     use mapg_trace::WorkloadSuite;
 
-    fn tiny_runner() -> SuiteRunner {
-        SuiteRunner::new(
+    /// The reports of a small suite under `policies`.
+    fn tiny_reports(policies: &[PolicyKind]) -> Vec<RunReport> {
+        let runner = SuiteRunner::new(
             WorkloadSuite::extremes(),
             SimConfig::default().with_instructions(30_000),
-        )
+        );
+        run_all(runner.plan(policies))
     }
 
     #[test]
     fn matrix_covers_all_combinations() {
-        let matrix = tiny_runner().run(&[
+        let reports = tiny_reports(&[
             PolicyKind::NoGating,
             PolicyKind::Mapg,
             PolicyKind::MapgOracle,
         ]);
+        let matrix = SuiteMatrix::new(&reports);
         assert_eq!(matrix.reports().len(), 6);
         assert_eq!(matrix.workloads().len(), 2);
         assert_eq!(matrix.policies().len(), 3);
@@ -299,7 +345,8 @@ mod tests {
 
     #[test]
     fn geomeans_are_sensible() {
-        let matrix = tiny_runner().run(&[PolicyKind::NoGating, PolicyKind::Mapg]);
+        let reports = tiny_reports(&[PolicyKind::NoGating, PolicyKind::Mapg]);
+        let matrix = SuiteMatrix::new(&reports);
         let energy = matrix.geomean_normalized_energy("mapg", "no-gating");
         let runtime = matrix.geomean_normalized_runtime("mapg", "no-gating");
         let edp = matrix.geomean_normalized_edp("mapg", "no-gating");
@@ -315,10 +362,59 @@ mod tests {
             PolicyKind::Mapg,
             PolicyKind::NaiveOnMiss,
         ];
-        let runner = tiny_runner();
-        let serial = mapg_pool::with_default_jobs(1, || runner.run(&policies));
-        let parallel = mapg_pool::with_default_jobs(8, || runner.run(&policies));
-        assert_eq!(serial.reports(), parallel.reports());
+        let serial = mapg_pool::with_default_jobs(1, || tiny_reports(&policies));
+        let parallel = mapg_pool::with_default_jobs(8, || tiny_reports(&policies));
+        assert_eq!(serial, parallel);
+    }
+
+    /// A repeated key is computed once per batch, yet the batch returns
+    /// what two separate batches would: equal reports, and the repeat's
+    /// metrics merged into the hub a second time.
+    #[test]
+    fn a_repeated_key_returns_equal_reports_and_merges_its_metrics_again() {
+        let observed = |hub: &MetricsHub| {
+            SimConfig::default()
+                .with_instructions(20_000)
+                .with_metrics_hub(hub.clone())
+        };
+        let together = MetricsHub::new();
+        let config = observed(&together);
+        let reports = run_all(vec![
+            (config.clone(), PolicyKind::Mapg),
+            (config.clone(), PolicyKind::NoGating),
+            (config.clone(), PolicyKind::Mapg),
+            (config, PolicyKind::NoGating),
+        ]);
+        assert_eq!(reports[0], reports[2]);
+        assert_eq!(reports[1], reports[3]);
+        assert_ne!(reports[0], reports[1]);
+
+        let apart = MetricsHub::new();
+        let config = observed(&apart);
+        let first = run_all(vec![
+            (config.clone(), PolicyKind::Mapg),
+            (config.clone(), PolicyKind::NoGating),
+        ]);
+        let second = run_all(vec![
+            (config.clone(), PolicyKind::Mapg),
+            (config, PolicyKind::NoGating),
+        ]);
+        assert_eq!(first, second);
+        assert_eq!(first[..], reports[..2]);
+        assert_eq!(together.snapshot(), apart.snapshot());
+    }
+
+    #[test]
+    fn only_memoizable_runs_share_a_computation() {
+        let config = SimConfig::default().with_instructions(20_000);
+        let runs = vec![
+            (config.clone(), PolicyKind::Mapg),
+            (config.clone().with_trace(), PolicyKind::Mapg),
+            (config.clone(), PolicyKind::Mapg),
+            (config.clone().with_trace(), PolicyKind::Mapg),
+            (config, PolicyKind::NoGating),
+        ];
+        assert_eq!(first_runs(&runs), [0, 1, 0, 3, 4]);
     }
 
     #[test]
@@ -342,7 +438,8 @@ mod tests {
 
     #[test]
     fn baseline_normalized_to_itself_is_unity() {
-        let matrix = tiny_runner().run(&[PolicyKind::NoGating]);
+        let reports = tiny_reports(&[PolicyKind::NoGating]);
+        let matrix = SuiteMatrix::new(&reports);
         let unity = matrix.geomean_normalized_energy("no-gating", "no-gating");
         assert!((unity - 1.0).abs() < 1e-12);
     }

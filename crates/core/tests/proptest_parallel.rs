@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use mapg::{PolicyKind, SimConfig, SuiteRunner};
+use mapg::{run_all, PolicyKind, SimConfig, SuiteRunner};
 use mapg_trace::WorkloadSuite;
 
 proptest! {
@@ -33,11 +33,11 @@ proptest! {
             .with_seed(seed);
         let runner = SuiteRunner::new(WorkloadSuite::extremes(), base);
 
-        let serial = mapg_pool::with_default_jobs(1, || runner.run(policies));
-        let parallel = mapg_pool::with_default_jobs(jobs, || runner.run(policies));
+        let serial = mapg_pool::with_default_jobs(1, || run_all(runner.plan(policies)));
+        let parallel = mapg_pool::with_default_jobs(jobs, || run_all(runner.plan(policies)));
 
-        prop_assert_eq!(serial.reports().len(), parallel.reports().len());
-        for (s, p) in serial.reports().iter().zip(parallel.reports()) {
+        prop_assert_eq!(serial.len(), parallel.len());
+        for (s, p) in serial.iter().zip(&parallel) {
             prop_assert_eq!(s, p, "jobs={} diverged from serial", jobs);
         }
     }

@@ -11,10 +11,8 @@
 //!   token grant/deny, safe-mode enter/exit, fault injections) with cycle
 //!   timestamps and core/bank scopes, packed 8 bytes a record (8 MiB for
 //!   a full default ring), exportable as Chrome `trace_event` JSON
-//!   (loadable in Perfetto / `chrome://tracing`), and its sleep records
-//!   as a per-core power-state waveform ([`TraceBuffer::to_vcd`]). The
-//!   `mapgd` event feed ([`EventHub`]) keeps its records in the same
-//!   ring.
+//!   (loadable in Perfetto / `chrome://tracing`). The `mapgd` event feed
+//!   ([`EventHub`]) keeps its records in the same ring.
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters and
 //!   power-of-two-bucket [`Histogram`]s (stall length, gated duration,
 //!   wake latency, break-even shortfall) with a commutative
@@ -78,7 +76,6 @@ mod handle;
 pub mod json;
 mod metrics;
 mod trace;
-mod vcd;
 
 pub use event::{EventKind, FaultKind, Scope, TraceRecord};
 pub use feed::{

@@ -8,7 +8,7 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use mapg::PolicyKind;
+use mapg::{run_all, PolicyKind, SuiteMatrix};
 use mapg_repro::prelude::*;
 
 fn main() {
@@ -19,7 +19,8 @@ fn main() {
         "running {} policies x 12 workloads x {instructions} instructions...",
         PolicyKind::COMPARISON_SET.len()
     );
-    let matrix = runner.run(&PolicyKind::COMPARISON_SET);
+    let reports = run_all(runner.plan(&PolicyKind::COMPARISON_SET));
+    let matrix = SuiteMatrix::new(&reports);
 
     // Per-workload MAPG numbers.
     println!(

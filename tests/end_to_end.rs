@@ -3,7 +3,7 @@
 
 #![deny(unused)]
 
-use mapg::{PolicyKind, PredictorKind, SimConfig, Simulation};
+use mapg::{run_all, PolicyKind, PredictorKind, SimConfig, Simulation, SuiteMatrix};
 use mapg_repro::prelude::*;
 
 fn quick(profile: WorkloadProfile) -> SimConfig {
@@ -99,7 +99,8 @@ fn every_policy_kind_produces_a_coherent_report() {
 fn suite_runner_matches_individual_runs() {
     let suite = WorkloadSuite::extremes();
     let base = SimConfig::default().with_instructions(50_000);
-    let matrix = SuiteRunner::new(suite.clone(), base.clone()).run(&[PolicyKind::Mapg]);
+    let reports = run_all(SuiteRunner::new(suite.clone(), base.clone()).plan(&[PolicyKind::Mapg]));
+    let matrix = SuiteMatrix::new(&reports);
     for profile in suite.iter() {
         let solo =
             Simulation::new(base.clone().with_profile(profile.clone()), PolicyKind::Mapg).run();

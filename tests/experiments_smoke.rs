@@ -4,13 +4,13 @@
 
 #![deny(unused)]
 
-use mapg_bench::{experiments, Scale};
+use mapg_bench::{execute_all, experiments, ExperimentJob, OutputFormat, Scale};
 use mapg_obs::MetricsHub;
 
 #[test]
 fn every_experiment_produces_populated_tables() {
     for experiment in experiments::all() {
-        let tables = (experiment.run)(Scale::Smoke);
+        let tables = experiment.run(Scale::Smoke);
         assert!(!tables.is_empty(), "{} produced nothing", experiment.id);
         for table in &tables {
             assert!(
@@ -62,7 +62,7 @@ fn experiments_are_deterministic() {
         let hub = MetricsHub::new();
         let tables = mapg_pool::with_default_jobs(jobs, || {
             experiments::without_run_cache(|| {
-                mapg_obs::with_ambient_hub(hub.clone(), || (experiment.run)(Scale::Smoke))
+                mapg_obs::with_ambient_hub(hub.clone(), || experiment.run(Scale::Smoke))
             })
         });
         (tables, hub.snapshot())
@@ -76,5 +76,33 @@ fn experiments_are_deterministic() {
             serial_metrics, parallel_metrics,
             "{id}: metrics differ between job counts"
         );
+    }
+}
+
+/// The whole registry run as one plan renders, for every experiment, the
+/// bytes and the metrics that the experiment renders and collects alone:
+/// a run shared across experiments is computed once, yet each experiment
+/// still reads and counts it. Both sides compute afresh, so the memo
+/// cannot stand in for either.
+#[test]
+fn one_plan_for_the_registry_matches_each_experiment_alone() {
+    let job = |experiment| {
+        let mut job = ExperimentJob::new(experiment, Scale::Smoke, OutputFormat::Csv, 2);
+        job.metrics_hub = Some(MetricsHub::new());
+        job
+    };
+    let snapshot = |job: &ExperimentJob| job.metrics_hub.as_ref().map(MetricsHub::snapshot);
+    let together: Vec<ExperimentJob> = experiments::all().into_iter().map(job).collect();
+    let outputs = experiments::without_run_cache(|| execute_all(&together));
+    assert_eq!(outputs.len(), together.len());
+    for (shared, output) in together.iter().zip(outputs) {
+        let id = output.id;
+        let alone = job(shared.experiment);
+        let alone_output = experiments::without_run_cache(|| alone.execute());
+        assert_eq!(
+            output.rendered, alone_output.rendered,
+            "{id}: tables differ"
+        );
+        assert_eq!(snapshot(shared), snapshot(&alone), "{id}: metrics differ");
     }
 }

@@ -5,7 +5,7 @@
 
 #![deny(unused)]
 
-use mapg::{FaultPlan, PolicyKind, SimConfig, Simulation, SuiteRunner};
+use mapg::{run_all, FaultPlan, PolicyKind, SimConfig, Simulation, SuiteRunner};
 use mapg_trace::WorkloadSuite;
 
 fn observed_base() -> SimConfig {
@@ -22,10 +22,10 @@ fn observed_base() -> SimConfig {
 fn suite_traces_are_byte_identical_across_job_counts() {
     let policies = [PolicyKind::Mapg, PolicyKind::NaiveOnMiss];
     let runner = SuiteRunner::new(WorkloadSuite::extremes(), observed_base());
-    let serial = mapg_pool::with_default_jobs(1, || runner.run(&policies));
-    let parallel = mapg_pool::with_default_jobs(4, || runner.run(&policies));
-    assert_eq!(serial.reports().len(), parallel.reports().len());
-    for (a, b) in serial.reports().iter().zip(parallel.reports()) {
+    let serial = mapg_pool::with_default_jobs(1, || run_all(runner.plan(&policies)));
+    let parallel = mapg_pool::with_default_jobs(4, || run_all(runner.plan(&policies)));
+    assert_eq!(serial.len(), parallel.len());
+    for (a, b) in serial.iter().zip(&parallel) {
         let ta = a.trace.as_ref().expect("trace requested").to_chrome_trace();
         let tb = b.trace.as_ref().expect("trace requested").to_chrome_trace();
         assert_eq!(
@@ -42,8 +42,8 @@ fn suite_traces_are_byte_identical_across_job_counts() {
 #[test]
 fn suite_traces_reconcile_with_their_reports() {
     let runner = SuiteRunner::new(WorkloadSuite::extremes(), observed_base());
-    let matrix = mapg_pool::with_default_jobs(4, || runner.run(&[PolicyKind::Mapg]));
-    for report in matrix.reports() {
+    let reports = mapg_pool::with_default_jobs(4, || run_all(runner.plan(&[PolicyKind::Mapg])));
+    for report in &reports {
         let trace = report.trace.as_ref().expect("trace requested");
         assert_eq!(trace.dropped(), 0, "ring wrapped at this scale");
         let traced: u64 = trace.gated_cycles_per_core().values().sum();
