@@ -186,7 +186,9 @@ fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
             job
         })
         .collect();
-    let outputs = execute_all(&jobs_to_run);
+    // One batch computes each distinct run once, so a memo lookup could
+    // never hit here; the process-wide run memo stays off (DESIGN §7.1).
+    let outputs = experiments::without_run_cache(|| execute_all(&jobs_to_run));
     let total_wall = run_started.elapsed();
 
     let mut entries = Vec::with_capacity(outputs.len());

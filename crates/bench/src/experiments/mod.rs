@@ -140,8 +140,9 @@ thread_local! {
 }
 
 /// Runs `f` with the process-wide run memo switched off on this thread:
-/// every experiment `f` runs here simulates afresh. Determinism tests use
-/// this to compare two real computations inside one process.
+/// every experiment `f` runs here simulates afresh. The `experiments`
+/// binary plans its one deduplicated batch under it, and determinism
+/// tests use it to compare two real computations inside one process.
 pub fn without_run_cache<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

@@ -145,6 +145,45 @@ fn smoke_metrics_match_the_golden_with_and_without_a_trace() {
     std::fs::remove_file(&trace_path).ok();
 }
 
+/// Two 16-core runs print their committed reports byte for byte: one
+/// whose cores stall only a few hundred times, so the wheel sees long
+/// compute runs between shared events, and one whose cores stall and
+/// contend for four wake tokens all the time.
+#[test]
+fn sixteen_core_reports_match_the_goldens() {
+    for (golden, workload, extra) in [
+        ("compute-bound-16core.txt", "compute_bound", &[][..]),
+        (
+            "mem-bound-16core-4tokens.txt",
+            "mem_bound",
+            &["--tokens", "4"][..],
+        ),
+    ] {
+        let expected = std::fs::read(
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(golden),
+        )
+        .expect("committed golden");
+        let mut args = vec![
+            "--workload",
+            workload,
+            "--cores",
+            "16",
+            "--instructions",
+            "200000",
+        ];
+        args.extend(extra);
+        let out = run(&args);
+        assert!(out.status.success(), "{:?}", out);
+        assert!(
+            out.stdout == expected,
+            "{workload} report differs from {golden}:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
 #[test]
 fn unwritable_trace_path_is_a_clean_error() {
     let out = run(&[

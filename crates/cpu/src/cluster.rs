@@ -11,19 +11,24 @@ use crate::stall::{CoreId, StallHandler};
 
 /// N cores in front of one shared [`MemoryHierarchy`].
 ///
-/// Cores are stepped in **global time order** (always the core with the
-/// smallest local timestamp advances next), so contention at the shared
-/// hierarchy — extra queueing when many cores miss together — emerges
-/// naturally from the bank/bus free times rather than being modelled
-/// analytically.
+/// Shared events — memory accesses and idle periods — are stepped in
+/// **global time order** (always the core with the smallest local
+/// timestamp advances next), so contention at the shared hierarchy —
+/// extra queueing when many cores miss together — emerges naturally from
+/// the bank/bus free times rather than being modelled analytically.
+/// `Compute` events touch nothing another core can see, so a core runs
+/// the ones after each shared event at once and re-enters the order at
+/// the issue time of its next shared event.
 ///
-/// Scheduling uses a binary min-heap keyed by `(local_time, core_index)`
+/// Scheduling uses a 4-ary min-heap keyed by `(local_time, core_index)`
 /// — O(log N) per decision instead of the O(N) re-scan the original
 /// implementation paid — plus a *run-ahead* loop: the minimum core keeps
 /// stepping without any heap traffic for as long as it remains the global
 /// minimum. Ties in local time deterministically resolve to the lowest
-/// core index, so the interleaving is bit-identical to the retained
-/// linear-scan seed stack ([`ReferenceCluster`](crate::ReferenceCluster)).
+/// core index, so the interleaving of shared events is bit-identical to
+/// the retained linear-scan seed stack
+/// ([`ReferenceCluster`](crate::ReferenceCluster)), which steps every
+/// event.
 ///
 /// ```
 /// use mapg_cpu::{Cluster, CoreConfig, PassiveHandler};
@@ -168,8 +173,8 @@ impl<S: EventSource> Cluster<S> {
     /// Fallible form of [`Cluster::run`] for user-supplied budgets.
     ///
     /// The global event wheel: one heap over every core, the minimum
-    /// advancing next, run until every core has retired the accumulated
-    /// per-core target.
+    /// advancing next by one shared event and the compute run after it,
+    /// run until every core has retired the accumulated per-core target.
     ///
     /// # Errors
     ///
@@ -194,18 +199,25 @@ impl<S: EventSource> Cluster<S> {
             }
         }
 
+        // The event each unfinished core read past its compute run and has
+        // yet to process. A core holds one only while it is scheduled, so
+        // every slot is empty again when the heap drains.
+        let mut held = vec![None; self.cores.len()];
+
         let memory = &mut self.memory;
         let mut next = heap.pop();
         while let Some(key) = next {
             let index = key.index();
             let core = &mut self.cores[index as usize];
+            let held = &mut held[index as usize];
             // Run-ahead: the popped core is the global minimum; keep
-            // stepping it — one event per iteration, zero heap
-            // traffic — until it either finishes or falls behind another
-            // core. Only then does its key re-enter the heap, fused with
-            // the extraction of the new minimum in a single sift.
+            // stepping it — one shared event and the compute run after
+            // it per iteration, zero heap traffic — until it either
+            // finishes or falls behind another core. Only then does its
+            // key re-enter the heap, fused with the extraction of the new
+            // minimum in a single sift.
             loop {
-                core.step(memory, handler);
+                core.step_then_compute(held, target, memory, handler);
                 if core.stats().instructions >= target {
                     next = heap.pop();
                     break;

@@ -267,11 +267,52 @@ impl<S: EventSource> Core<S> {
         Ok(())
     }
 
-    /// Processes exactly one trace event. Exposed so clusters can interleave
-    /// cores in global time order.
+    /// Processes exactly one trace event.
+    ///
+    /// A [`Cluster`](crate::Cluster) does not step its cores one event at a
+    /// time: it runs a core's `Compute` events together with the shared
+    /// event before them (DESIGN §9.2).
     pub fn step<H: StallHandler>(&mut self, memory: &mut MemoryHierarchy, handler: &mut H) {
         let event = self.source.next_event();
         self.process(event, |now, access| memory.access(now, access), handler);
+    }
+
+    /// Processes one event — `held`, if the last call held one back, else
+    /// the source's next — and then every `Compute` event that follows it,
+    /// until the core has retired `target` instructions. The first other
+    /// event it reads is left in `held`, unprocessed, and the core's clock
+    /// stands at that event's issue time.
+    ///
+    /// Only `MemAccess` and `Idle` events touch state other cores can see
+    /// (the shared hierarchy and the stall handler); a `Compute` event
+    /// only advances this core's own clock. So a cluster that keys the
+    /// core at [`Core::now`] after this call orders every shared event
+    /// exactly as one-event steps would.
+    pub(crate) fn step_then_compute<H: StallHandler>(
+        &mut self,
+        held: &mut Option<TraceEvent>,
+        target: u64,
+        memory: &mut MemoryHierarchy,
+        handler: &mut H,
+    ) {
+        let event = held.take().unwrap_or_else(|| self.source.next_event());
+        self.process(event, |now, access| memory.access(now, access), handler);
+        while self.stats.instructions < target {
+            match self.source.next_event() {
+                TraceEvent::Compute {
+                    cycles,
+                    instructions,
+                } => {
+                    self.stats.instructions += instructions;
+                    self.compute(cycles);
+                }
+                event => {
+                    *held = Some(event);
+                    break;
+                }
+            }
+        }
+        self.stats.total_cycles = self.now.raw();
     }
 }
 
@@ -285,10 +326,7 @@ impl<S> Core<S> {
     {
         self.stats.instructions += event.instructions();
         match event {
-            TraceEvent::Compute { cycles, .. } => {
-                self.now += Cycles::new(cycles);
-                self.prune();
-            }
+            TraceEvent::Compute { cycles, .. } => self.compute(cycles),
             TraceEvent::Idle { cycles } => {
                 // The program blocks: surface the interval to the power
                 // controller exactly like a memory stall (it is the
@@ -350,6 +388,14 @@ impl<S> Core<S> {
         self.stats.total_cycles = self.now.raw();
     }
 
+    /// Runs `cycles` of cache-resident work: the core's clock advances and
+    /// nothing outside the core changes.
+    #[inline(always)]
+    fn compute(&mut self, cycles: u64) {
+        self.now += Cycles::new(cycles);
+        self.prune();
+    }
+
     /// Blocks the core until `data_ready` (plus whatever penalty the
     /// handler adds) and accounts the stall.
     fn stall<H: StallHandler>(
@@ -397,7 +443,8 @@ impl<S> Core<S> {
     ///
     /// Runs after every compute event, so the nothing-completed test is
     /// forced inline in each copy of [`Core::process`] (the cluster's and
-    /// the lockstep driver's); only the sweep is a call.
+    /// the lockstep driver's) and in the cluster's compute tail; only the
+    /// sweep is a call.
     #[inline(always)]
     fn prune(&mut self) {
         if self.earliest_outstanding > self.now {
@@ -649,6 +696,48 @@ mod tests {
         core.run(1_000, &mut memory, &mut PassiveHandler);
         assert_eq!(core.stats().instructions, 1_000);
         assert_eq!(core.stats().total_cycles, 1_000);
+    }
+
+    /// The cluster's step: one event, then the compute run after it up
+    /// to the target; the first other event waits in `held`, unprocessed,
+    /// and is the next call's first event.
+    #[test]
+    fn step_then_compute_stops_at_the_target_and_holds_the_next_shared_event() {
+        let compute = |cycles, instructions| TraceEvent::Compute {
+            cycles,
+            instructions,
+        };
+        let script = Script::new(vec![
+            load(0x10_0000),
+            compute(10, 3),
+            compute(0, 2),
+            compute(5, 4),
+            TraceEvent::Idle { cycles: 50 },
+            load(0x20_0000),
+        ]);
+        let mut memory = MemoryHierarchy::new(HierarchyConfig::baseline());
+        let mut core = Core::new(CoreConfig::baseline(), script);
+        let mut held = None;
+
+        // A target inside the compute run: nothing is read past it.
+        core.step_then_compute(&mut held, 6, &mut memory, &mut PassiveHandler);
+        assert_eq!(core.stats().instructions, 6);
+        assert_eq!(held, None);
+        let after_first = core.now();
+
+        // The next call resumes mid-run and holds the idle back.
+        core.step_then_compute(&mut held, 100, &mut memory, &mut PassiveHandler);
+        assert_eq!(core.stats().instructions, 10);
+        assert_eq!(held, Some(TraceEvent::Idle { cycles: 50 }));
+        assert_eq!(core.now(), after_first + Cycles::new(5));
+        assert_eq!(core.stats().total_cycles, core.now().raw());
+        assert_eq!(core.stats().idle_periods, 0);
+
+        // The held idle is processed first, and the load after it is held.
+        core.step_then_compute(&mut held, 100, &mut memory, &mut PassiveHandler);
+        assert_eq!(core.stats().idle_periods, 1);
+        assert_eq!(core.stats().dram_loads, 1);
+        assert_eq!(held, Some(load(0x20_0000)));
     }
 
     #[test]

@@ -110,8 +110,7 @@ impl SchedHeap {
     pub fn replace_min(&mut self, key: CoreKey) -> CoreKey {
         match self.peek() {
             Some(top) if top < key => {
-                self.keys[0] = key;
-                self.sift_down(0);
+                self.sift_down(0, key);
                 top
             }
             _ => key,
@@ -123,8 +122,7 @@ impl SchedHeap {
         let min = self.peek()?;
         let last = self.keys.pop().expect("peek succeeded, heap non-empty");
         if !self.keys.is_empty() {
-            self.keys[0] = last;
-            self.sift_down(0);
+            self.sift_down(0, last);
         }
         Some(min)
     }
@@ -140,10 +138,13 @@ impl SchedHeap {
         }
     }
 
-    fn sift_down(&mut self, mut parent: usize) {
+    /// Places `key` at `hole`, whose old key is being replaced, moving the
+    /// hole down past every smaller child: one store per level instead of
+    /// a swap of two 16-byte keys.
+    fn sift_down(&mut self, mut hole: usize, key: CoreKey) {
         let len = self.keys.len();
         loop {
-            let first = 4 * parent + 1;
+            let first = 4 * hole + 1;
             if first >= len {
                 break;
             }
@@ -153,23 +154,25 @@ impl SchedHeap {
             let mut smallest = self.keys[first];
             let last = (first + 4).min(len);
             for child in first + 1..last {
-                let key = self.keys[child];
-                let better = key < smallest;
+                let candidate = self.keys[child];
+                let better = candidate < smallest;
                 smallest_child = if better { child } else { smallest_child };
-                smallest = if better { key } else { smallest };
+                smallest = if better { candidate } else { smallest };
             }
-            if self.keys[parent] <= smallest {
+            if key <= smallest {
                 break;
             }
-            self.keys.swap(parent, smallest_child);
-            parent = smallest_child;
+            self.keys[hole] = smallest;
+            hole = smallest_child;
         }
+        self.keys[hole] = key;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(at: u64, index: u32) -> CoreKey {
         CoreKey::new(Cycle::new(at), index)
@@ -321,5 +324,58 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(popped, sorted);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random `push`/`pop`/`replace_min` sequences against a sorted
+        /// `Vec`: every returned key, the minimum and the length must agree
+        /// after each operation, and draining must pop the model's order.
+        /// Times come from 0..4, so most keys tie and the order rests on
+        /// the core index. As in the cluster, each index is scheduled at
+        /// most once, and `replace_min` brings an index that is not.
+        #[test]
+        fn heap_matches_a_sorted_vec(
+            cores in 1u32..65,
+            ops in prop::collection::vec((0u8..3, 0u64..4, 0u32..64), 0..200),
+        ) {
+            let mut heap = SchedHeap::with_capacity(cores as usize);
+            let mut model: Vec<CoreKey> = Vec::new();
+            let mut free: Vec<u32> = (0..cores).collect();
+            for (op, at, pick) in ops {
+                match op {
+                    0 | 1 if !free.is_empty() => {
+                        let index = free.swap_remove(pick as usize % free.len());
+                        let k = key(at, index);
+                        if op == 0 {
+                            heap.push(k);
+                            model.push(k);
+                            model.sort();
+                        } else {
+                            let expected = match model.first() {
+                                Some(&top) if top < k => {
+                                    model[0] = k;
+                                    model.sort();
+                                    top
+                                }
+                                _ => k,
+                            };
+                            prop_assert_eq!(heap.replace_min(k), expected);
+                            free.push(expected.index());
+                        }
+                    }
+                    _ => {
+                        let expected = (!model.is_empty()).then(|| model.remove(0));
+                        prop_assert_eq!(heap.pop(), expected);
+                        free.extend(expected.map(CoreKey::index));
+                    }
+                }
+                prop_assert_eq!(heap.peek(), model.first().copied());
+                prop_assert_eq!(heap.len(), model.len());
+            }
+            let drained: Vec<CoreKey> = std::iter::from_fn(|| heap.pop()).collect();
+            prop_assert_eq!(drained, model);
+        }
     }
 }

@@ -20,7 +20,9 @@ use proptest::prelude::*;
 
 use mapg_cpu::{Cluster, CoreConfig, PassiveHandler, ReferenceCluster, StallHandler, StallInfo};
 use mapg_mem::{DramFaultConfig, HierarchyConfig};
-use mapg_trace::{RecordedTrace, SyntheticWorkload, WorkloadProfile};
+use mapg_trace::{
+    AccessKind, MemAccess, RecordedTrace, SyntheticWorkload, TraceEvent, WorkloadProfile,
+};
 use mapg_units::{Cycle, Cycles};
 
 /// Logs every stall decision; resumes passively (at data arrival), so the
@@ -129,8 +131,133 @@ fn sources(mixes: &[u8], seed_base: u64) -> Vec<SyntheticWorkload> {
         .collect()
 }
 
+/// One block of a scripted stream: `(computes, shared, a, b)` is a run of
+/// `computes` `Compute` events followed by one shared event of kind
+/// `shared`; `a` and `b` seed the cycles, instruction counts and address.
+type Block = (u8, u8, u16, u16);
+
+/// Turns blocks into events. A quarter of the compute events take 0
+/// cycles; the shared event is an `Idle`, a load or a store, dependent
+/// or not, to one of 512 lines every core shares, so cores hit, miss and
+/// contend in the same DRAM banks.
+fn scripted_events(blocks: &[Block]) -> Vec<TraceEvent> {
+    let mut events = Vec::new();
+    for &(computes, shared, a, b) in blocks {
+        for k in 0..u64::from(computes) {
+            let seed = u64::from(a) + 7 * k;
+            events.push(TraceEvent::Compute {
+                cycles: seed % 4 * (1 + u64::from(b) % 40),
+                instructions: 1 + seed % 5,
+            });
+        }
+        events.push(match shared % 5 {
+            0 => TraceEvent::Idle {
+                cycles: u64::from(b) % 400,
+            },
+            kind => TraceEvent::MemAccess(MemAccess {
+                addr: u64::from(a % 512) * 4096 + u64::from(b % 64) * 64,
+                pc: 0x400 + u64::from(kind),
+                kind: if kind <= 2 {
+                    AccessKind::Load
+                } else {
+                    AccessKind::Store
+                },
+                dependent: kind % 2 == 1,
+            }),
+        });
+    }
+    events
+}
+
+/// Instructions core 0's script retires up to and including the first
+/// `Compute` of the first block at or after `pick` whose run has at
+/// least two: a target there lands inside a compute run. `blocks` must
+/// hold such a block.
+fn target_inside_a_compute_run(blocks: &[Block], pick: usize) -> u64 {
+    let events = scripted_events(blocks);
+    let mut retired = 0;
+    let mut position = 0;
+    for (i, &(computes, ..)) in blocks.iter().enumerate() {
+        let first = events[position].instructions();
+        if i >= pick && computes >= 2 {
+            return retired + first;
+        }
+        let end = position + usize::from(computes) + 1;
+        retired += events[position..end]
+            .iter()
+            .map(TraceEvent::instructions)
+            .sum::<u64>();
+        position = end;
+    }
+    unreachable!("no compute run of two or more at or after block {pick}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Scripted streams the generator never writes: runs of 0–6
+    /// consecutive `Compute` events (some of 0 cycles) between `Idle`
+    /// events and dependent and independent loads and stores, on 1–16
+    /// cores. The live cluster runs each compute run at once after the
+    /// shared event before it and holds the next shared event back; the
+    /// stall order, under a passive and a faulty handler, and the
+    /// statistics must still equal the reference's one-event steps. Each
+    /// budget is split over two `run` calls with the first target inside
+    /// core 0's compute run, so the first call must stop there and the
+    /// second resume mid-run.
+    #[test]
+    fn scripted_compute_runs_match_reference(
+        scripts in prop::collection::vec(
+            prop::collection::vec((0u8..7, 0u8..5, 0u16..2048, 0u16..2048), 1..12),
+            1..17,
+        ),
+        pick in 0usize..12,
+        second in 1u64..2_000,
+        wake_seed in 0u64..1_000,
+    ) {
+        let mut scripts = scripts;
+        let pick = pick % scripts[0].len();
+        scripts[0][pick].0 = scripts[0][pick].0.max(2);
+        let first = target_inside_a_compute_run(&scripts[0], pick);
+        let traces: Vec<RecordedTrace> = scripts
+            .iter()
+            .map(|blocks| RecordedTrace::from_events("scripted", scripted_events(blocks)))
+            .collect();
+        let live = || {
+            Cluster::new(
+                CoreConfig::baseline(),
+                HierarchyConfig::baseline(),
+                traces.iter().map(|t| t.replay()).collect(),
+            )
+        };
+        let reference = || {
+            ReferenceCluster::new(
+                CoreConfig::baseline(),
+                HierarchyConfig::baseline(),
+                traces.iter().map(|t| t.replay()).collect(),
+            )
+        };
+
+        let (mut live_passive, mut reference_passive) = (live(), reference());
+        let mut live_log = InterleavingLog::default();
+        let mut reference_log = InterleavingLog::default();
+        for budget in [first, second] {
+            live_passive.run(budget, &mut live_log);
+            reference_passive.run(budget, &mut reference_log);
+            prop_assert_eq!(&live_log.entries, &reference_log.entries);
+            prop_assert_eq!(live_passive.stats(), reference_passive.stats());
+        }
+
+        let (mut live_faulty, mut reference_faulty) = (live(), reference());
+        let mut live_log = FaultyWakeLog::new(wake_seed);
+        let mut reference_log = FaultyWakeLog::new(wake_seed);
+        for budget in [first, second] {
+            live_faulty.run(budget, &mut live_log);
+            reference_faulty.run(budget, &mut reference_log);
+            prop_assert_eq!(&live_log.entries, &reference_log.entries);
+            prop_assert_eq!(live_faulty.stats(), reference_faulty.stats());
+        }
+    }
 
     /// Random clusters of synthetic workloads: identical interleaving and
     /// identical end-state statistics.
@@ -191,7 +318,7 @@ proptest! {
 
     /// Replayed basic-block-granularity recordings (the pintool-style
     /// workload shape: long runs of consecutive `Compute` events, which
-    /// the live core's run-ahead steps through without the heap) must
+    /// a live core runs after each shared event without the wheel) must
     /// also interleave identically: under a passive handler, and under
     /// [`FaultyWakeLog`], whose late resumes land a compute run on a core
     /// that slept past its data.
